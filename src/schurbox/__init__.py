@@ -3,8 +3,8 @@
 Configurations of d labeled balls in n boxes carry a ball-renaming action;
 the operators commuting with it have a basis indexed by n x n bipartite
 multigraphs with d edges.  This package computes products in that basis by
-three independent combinatorial engines and checks them against a dense
-matrix oracle.
+Green's product rule (the ``euler`` engine) and checks them against two
+independent combinatorial referees and a dense matrix oracle.
 """
 
 from .algebra import (

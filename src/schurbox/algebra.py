@@ -323,7 +323,7 @@ def identity_element(p: Params) -> AlgebraElement:
 
 
 @lru_cache(maxsize=None)
-def basis_product(g1: BipartiteMultigraph, g2: BipartiteMultigraph, engine: str = "counting") -> AlgebraElement:
+def basis_product(g1: BipartiteMultigraph, g2: BipartiteMultigraph, engine: str = "euler") -> AlgebraElement:
     """Product of two basis operators, memoized per engine."""
     from . import oracle, structconst  # deferred: both modules build on this one
 
@@ -338,17 +338,15 @@ def basis_product(g1: BipartiteMultigraph, g2: BipartiteMultigraph, engine: str 
     return table[engine](g1, g2)
 
 
-def multiply(
-    x: AlgebraElement, y: AlgebraElement, engine: str = "counting", mod: int | None = None
-) -> AlgebraElement:
-    """Product in the algebra, bilinear over memoized basis products."""
+def multiply(x: AlgebraElement, y: AlgebraElement, mod: int | None = None) -> AlgebraElement:
+    """Product in the algebra, bilinear over memoized basis products of the default engine."""
     if (x.n, x.d) != (y.n, y.d):
         raise ValueError(f"shape mismatch: ({x.n},{x.d}) vs ({y.n},{y.d})")
     check_modulus(mod)
     pairs = []
     for g1, c1 in x.items():
         for g2, c2 in y.items():
-            for g, c in basis_product(g1, g2, engine).items():
+            for g, c in basis_product(g1, g2).items():
                 pairs.append((g, c1 * c2 * c))
     out = AlgebraElement(x.n, x.d, pairs)
     return out.reduce(mod) if mod is not None else out

@@ -28,7 +28,7 @@ from .render import (
     render_product_ascii,
     render_product_dot,
 )
-from .verify import CHECK_NAMES, run_checks
+from .verify import CHECK_NAMES, engine_outputs, run_checks
 
 
 def _load_graph(path: str):
@@ -70,16 +70,13 @@ def cmd_multiply(args) -> int:
             f"factors live in different algebras: (n,d)=({g1.n},{g1.d}) vs ({g2.n},{g2.d})"
         )
     if args.engine == "all":
-        engines = ["counting", "euler", "mendez"]
-        if Params(g1.n, g1.d).index_count <= ORACLE_CAP:
-            engines.append("oracle")
-        outputs = {name: basis_product(g1, g2, engine=name) for name in engines}
-        product = outputs[engines[0]]
+        outputs = engine_outputs(g1, g2, Params(g1.n, g1.d).index_count <= ORACLE_CAP)
+        product = outputs["counting"]
         if any(result != product for result in outputs.values()):
             print(f"error: engines disagree at {g1} * {g2}", file=sys.stderr)
-            for name in engines:
+            for name, result in outputs.items():
                 print(
-                    f"  {name}: {serialize.dumps(serialize.element_records(outputs[name]))}",
+                    f"  {name}: {serialize.dumps(serialize.element_records(result))}",
                     file=sys.stderr,
                 )
             return 2
@@ -106,12 +103,12 @@ def _table_rows(task) -> str:
     Top-level so that process pools can pickle it; recomputes the basis list
     from (n, d) instead of shipping graph objects between processes.
     """
-    n, d, engine, mod, start, stop = task
+    n, d, mod, start, stop = task
     graphs = enumerate_graphs(Params(n, d))
     lines = []
     for g1 in graphs[start:stop]:
         for g2 in graphs:
-            product = basis_product(g1, g2, engine=engine)
+            product = basis_product(g1, g2)
             if mod is not None:
                 product = product.reduce(mod)
             lines.append(serialize.table_line(g1, g2, product))
@@ -129,20 +126,18 @@ def cmd_table(args) -> int:
         )
     jobs = max(1, args.jobs)
     bounds = range(0, count, max(1, math.ceil(count / jobs)))
-    chunks = [
-        (p.n, p.d, args.engine, args.mod, start, min(start + bounds.step, count))
-        for start in bounds
-    ]
-    if jobs == 1 or len(chunks) == 1:
-        texts = [_table_rows(chunk) for chunk in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            texts = list(pool.map(_table_rows, chunks))
+    chunks = [(p.n, p.d, args.mod, start, min(start + bounds.step, count)) for start in bounds]
+    # the pool forks all its workers at the first submit, so never ask for
+    # more than there are chunks or processors
+    workers = min(len(chunks), os.cpu_count() or 1)
     tmp = args.out + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            for text in texts:
-                handle.write(text)
+            if workers == 1:
+                handle.writelines(map(_table_rows, chunks))
+            else:
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    handle.writelines(pool.map(_table_rows, chunks))
         os.replace(tmp, args.out)
     except BaseException:
         if os.path.exists(tmp):
@@ -230,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     mul.add_argument("lhs", help="left factor (graph JSON file)")
     mul.add_argument("rhs", help="right factor (graph JSON file)")
     mul.add_argument(
-        "--engine", choices=ENGINE_NAMES + ("all",), default="counting",
+        "--engine", choices=ENGINE_NAMES + ("all",), default="euler",
         help="structure-constant engine, or 'all' to cross-check",
     )
     mul.add_argument("--mod", type=int, help="reduce coefficients modulo this prime")
@@ -246,11 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="tabulate every basis product to a file")
     _add_params(table)
-    table.add_argument(
-        "--engine", choices=ENGINE_NAMES, default="counting", help="structure-constant engine"
-    )
     table.add_argument("--mod", type=int, help="reduce coefficients modulo this prime")
-    table.add_argument("--jobs", type=int, default=1, help="worker processes")
+    table.add_argument("--jobs", type=int, default=1, help="worker processes (at most one per CPU)")
     _add_out(table, required=True)
     table.set_defaults(func=cmd_table)
 

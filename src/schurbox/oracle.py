@@ -8,6 +8,7 @@ module refuses instances with more than 4096 basis vectors; it exists to
 certify the fast paths, not to replace them.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -132,20 +133,27 @@ def orbit_operator_matrix(g: BipartiteMultigraph) -> DenseOperator:
     return DenseOperator(g.n, g.d, m)
 
 
-def orbit_composition_count(
-    g1: BipartiteMultigraph, g2: BipartiteMultigraph, g: BipartiteMultigraph
-) -> int:
-    """Middle indices z with (x, z) keyed by g1 and (z, y) keyed by g2, at a representative (x, y) of g.
-
-    This is the coefficient of the g orbit operator in the product of the g1
-    and g2 orbit operators, read off combinatorially.
-    """
+def canonical_cell(g: BipartiteMultigraph) -> tuple[int, int]:
+    """Row and column of the pair :func:`canonical_pair` gives for g."""
     table = pair_table(g.n, g.d)
     a, c = canonical_pair(g)
-    x = table.index_of[to_multi_index(a)]
-    y = table.index_of[to_multi_index(c)]
-    grid = table.graph_at
-    return sum(1 for z in range(table.size) if grid[x][z] == g1 and grid[z][y] == g2)
+    return table.index_of[to_multi_index(a)], table.index_of[to_multi_index(c)]
+
+
+def orbit_composition_counts(g: BipartiteMultigraph) -> Counter:
+    """Middle indices z at the canonical cell (x, y) of g, counted by the keys of (x, z) and (z, y).
+
+    The count under (g1, g2) is the coefficient of the g orbit operator in the
+    product of the g1 and g2 orbit operators, read off combinatorially.
+    """
+    x, y = canonical_cell(g)
+    grid = pair_table(g.n, g.d).graph_at
+    return Counter((grid[x][z], grid[z][y]) for z in range(len(grid)))
+
+
+def orbit_composition_count(g1: BipartiteMultigraph, g2: BipartiteMultigraph, g: BipartiteMultigraph) -> int:
+    """Middle indices z with (x, z) keyed by g1 and (z, y) keyed by g2, at the canonical cell of g."""
+    return orbit_composition_counts(g)[(g1, g2)]
 
 
 def permutation_matrix(w: Permutation, p: Params) -> DenseOperator:

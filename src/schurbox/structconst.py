@@ -20,10 +20,10 @@ factor a label; entry (s, t) of the word matrix lists, in ball order, the
 ordered pairs (g2 label, g1 label) used by the balls travelling from top
 box t to bottom box s.  Word matrices are in bijection with middle
 configurations, so their number per composed graph is the structure
-constant.  :func:`multiply_basis_euler` reaches that number arithmetically,
-by enumerating Euler functions, collapsing them to label pairings and
-weighting each pairing by its arrangement count; :func:`multiply_basis_mendez`
-instead builds every word matrix explicitly and counts distinct objects.
+constant.  :func:`multiply_basis_euler`, the default engine, reaches that
+number arithmetically by Green's product rule, one middle vertex at a time;
+:func:`multiply_basis_mendez` instead builds every word matrix explicitly
+and counts them.  Euler functions themselves are a reference API only.
 
 >>> g1 = BipartiteMultigraph(((2, 1), (0, 1)))
 >>> g2 = BipartiteMultigraph(((2, 0), (1, 1)))
@@ -322,44 +322,46 @@ def enumerate_word_matrices(g1: BipartiteMultigraph, g2: BipartiteMultigraph) ->
 
 
 def multiply_basis_mendez(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> AlgebraElement:
-    """Product of basis operators by counting distinct word matrices per composed graph."""
+    """Product of basis operators by counting word matrices (each yielded once) per composed graph."""
     _check_same_shape(g1, g2)
-    seen: dict[BipartiteMultigraph, set[WordMatrix]] = {}
-    for wm in enumerate_word_matrices(g1, g2):
-        seen.setdefault(wm.graph(), set()).add(wm)
-    return AlgebraElement(g1.n, g1.d, [(g, len(matrices)) for g, matrices in seen.items()])
-
-
-def _arrangement_product(pairing_items: tuple, composed: BipartiteMultigraph) -> int:
-    """Number of word matrices over one label pairing: a multinomial per entry."""
-    entry_counts: dict[tuple[int, int], list[int]] = {}
-    for (label2, label1), count in pairing_items:
-        entry_counts.setdefault((label1[1], label2[0]), []).append(count)
-    total = 1
-    for counts in entry_counts.values():
-        total *= math.factorial(sum(counts)) // math.prod(math.factorial(c) for c in counts)
-    return total
+    return AlgebraElement(g1.n, g1.d, Counter(wm.graph() for wm in enumerate_word_matrices(g1, g2)))
 
 
 def multiply_basis_euler(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> AlgebraElement:
-    """Product via Euler functions: distinct label pairings, weighted by arrangements.
+    """Product of basis operators by Green's product rule, one middle vertex at a time.
 
-    Euler functions that differ only by shuffling parallel copies collapse to
-    the same label pairing once copy numbers are erased; each pairing then
-    accounts for one word matrix per choice of entry arrangements.
+    Euler functions factor over the middle vertices, and up to parallel copies
+    the bijections at vertex v are the contingency tables whose entry (t, s)
+    counts balls going from top box t through v to bottom box s.  The fold maps
+    each partial composed matrix to its number of partial word matrices; an
+    entry k adds k balls to composed entry (s, t) and interleaves them with
+    the ``prefix`` already there in C(prefix + k, k) ways.
     """
     _check_same_shape(g1, g2)
-    coefficients: dict[BipartiteMultigraph, int] = {}
-    seen: dict[BipartiteMultigraph, set[tuple]] = {}
-    for f in enumerate_euler_functions(g1, g2):
-        pairing = tuple(sorted(Counter((e.label, t.label) for e, t in f.pairs).items()))
-        composed = compose_euler(g1, g2, f)
-        bucket = seen.setdefault(composed, set())
-        if pairing in bucket:
-            continue
-        bucket.add(pairing)
-        coefficients[composed] = coefficients.get(composed, 0) + _arrangement_product(pairing, composed)
-    return AlgebraElement(g1.n, g1.d, coefficients)
+    n = g1.n
+    if g2.bottom_valencies() != g1.top_valencies():
+        return AlgebraElement.zero(n, g1.d)
+    states = {(0,) * (n * n): 1}
+    for v in range(n):
+        tops = [t for t in range(n) if g2.matrix[v][t]]
+        bottoms = [s for s in range(n) if g1.matrix[s][v]]
+        cells = [s * n + t for t in tops for s in bottoms]
+        margins = (tuple(g2.matrix[v][t] for t in tops), tuple(g1.matrix[s][v] for s in bottoms))
+        tables = [sum(table, ()) for table in _tables(*margins)]
+        folded: dict[tuple[int, ...], int] = {}
+        for composed, weight in states.items():
+            for table in tables:
+                entries = list(composed)
+                ways = weight
+                for cell, k in zip(cells, table):
+                    if k:
+                        ways *= math.comb(entries[cell] + k, k)
+                        entries[cell] += k
+                key = tuple(entries)
+                folded[key] = folded.get(key, 0) + ways
+        states = folded
+    graphs = (BipartiteMultigraph(tuple(key[s * n : (s + 1) * n] for s in range(n))) for key in states)
+    return AlgebraElement(n, g1.d, zip(graphs, states.values()))
 
 
 def middle_fillings(

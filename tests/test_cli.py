@@ -1,10 +1,11 @@
 """End-to-end command-line behavior, including exit codes and determinism."""
 
 import json
+import os
 
 import pytest
 
-from schurbox import structconst
+from schurbox import cli, structconst
 from schurbox.algebra import AlgebraElement, basis_product
 from schurbox.cli import main
 from schurbox.combinatorics import Params
@@ -260,3 +261,31 @@ def test_usage_error_exits_1(capsys):
     code, out, err = run(capsys, "table", "-n", "2")
     assert code == 1
     assert "error:" in err
+
+
+def test_table_workers_capped_by_cpus(capsys, tmp_path, monkeypatch):
+    # the pool forks every requested worker up front; a huge --jobs must not
+    # ask for more than the machine has (the fake pool maps serially, so no
+    # process is started here)
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    serial = tmp_path / "serial.jsonl"
+    wide = tmp_path / "wide.jsonl"
+    assert run(capsys, "table", "-n", "2", "-d", "3", "--out", str(serial), "--jobs", "1")[0] == 0
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    assert run(capsys, "table", "-n", "2", "-d", "3", "--out", str(wide), "--jobs", "10000")[0] == 0
+    assert all(workers <= (os.cpu_count() or 1) for workers in requested)
+    assert wide.read_bytes() == serial.read_bytes()

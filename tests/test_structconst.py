@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from schurbox.algebra import basis_product
 from schurbox.combinatorics import Params, all_permutations, enumerate_configurations
 from schurbox.graphs import (
     BipartiteMultigraph,
@@ -247,3 +248,47 @@ def test_shape_mismatch_rejected():
     for engine in ENGINES:
         with pytest.raises(ValueError):
             engine(G1, other)
+
+
+def compatible_pairs(p):
+    graphs = enumerate_graphs(p)
+    return [
+        (g1, g2)
+        for g1, g2 in itertools.product(graphs, repeat=2)
+        if g2.bottom_valencies() == g1.top_valencies()
+    ]
+
+
+def test_euler_matches_counting_on_every_compatible_pair():
+    for (n, d), expected in (((2, 4), 259), ((3, 3), 2973)):
+        pairs = compatible_pairs(Params(n, d))
+        assert len(pairs) == expected
+        for g1, g2 in pairs:
+            assert multiply_basis_euler(g1, g2) == multiply_basis_counting(g1, g2), (g1, g2)
+
+
+def column_multinomial(g):
+    """Configurations a reached from one top row c by g: |apply_basis(g, c)|."""
+    top = math.prod(math.factorial(v) for v in g.top_valencies())
+    return top // math.prod(math.factorial(m) for row in g.matrix for m in row)
+
+
+DENSE = (
+    (((3, 3), (3, 3)), 7),
+    (((4, 2), (2, 4)), 5),
+    (((1, 1, 1), (1, 1, 1), (1, 1, 1)), 55),
+    (((2, 1, 0, 0), (0, 2, 1, 0), (0, 0, 2, 1), (1, 0, 0, 2)), 16),
+    (((1, 1, 1, 1),) * 4, 10147),
+)
+
+
+@pytest.mark.parametrize("matrix, terms", DENSE, ids=[str(BipartiteMultigraph(m)) for m, _ in DENSE])
+def test_default_engine_column_multinomial_checksum(matrix, terms):
+    # every path c -> b -> a is one middle filling of one composed graph, so
+    # sum_g c_g * M(g) = M(g1) * M(g2) at any size
+    g = BipartiteMultigraph(matrix)
+    product = basis_product(g, g)  # the default engine
+    assert len(product.items()) == terms
+    assert all(coeff > 0 for _, coeff in product.items())
+    total = sum(coeff * column_multinomial(h) for h, coeff in product.items())
+    assert total == column_multinomial(g) ** 2

@@ -1,6 +1,7 @@
 """The consistency suites behind the verify command."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -8,6 +9,7 @@ from schurbox.combinatorics import Params
 from schurbox.serialize import graph_from_record
 from schurbox.verify import (
     CHECK_NAMES,
+    check_assoc,
     check_commutant,
     check_engines,
     run_checks,
@@ -51,3 +53,16 @@ def test_engines_check_exhaustive_small_shapes():
     assert result.passed
     assert "100 pairs" in result.detail
     assert "oracle" in result.detail
+
+
+def test_assoc_check_samples_without_listing_every_triple():
+    # 165^3 triples at (3,3); only the 200 sampled ones may be built
+    tracemalloc.start()
+    try:
+        result = check_assoc(Params(3, 3), seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert result.detail == "200 triples (sampled 200, seed 1) associate"
+    assert peak < 32 * 2**20
