@@ -25,13 +25,20 @@ canonical residues 0..mod-1; nothing is ever rounded or truncated.
 """
 
 import itertools
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import lru_cache
 
 from .combinatorics import Configuration, Params, compositions, to_multi_index
 from .graphs import BipartiteMultigraph, diagonal_graph
 
-ENGINE_NAMES = ("counting", "euler", "mendez", "oracle")
+# the engine roster: name -> (module, product function of two basis graphs)
+_ENGINES = {
+    "counting": ("structconst", "multiply_basis_counting"),
+    "euler": ("structconst", "multiply_basis_euler"),
+    "mendez": ("structconst", "multiply_basis_mendez"),
+    "oracle": ("oracle", "multiply_basis_oracle"),
+}
+ENGINE_NAMES = tuple(_ENGINES)
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -323,19 +330,28 @@ def identity_element(p: Params) -> AlgebraElement:
 
 
 @lru_cache(maxsize=None)
-def basis_product(g1: BipartiteMultigraph, g2: BipartiteMultigraph, engine: str = "euler") -> AlgebraElement:
-    """Product of two basis operators, memoized per engine."""
+def _engine_modules() -> dict:
     from . import oracle, structconst  # deferred: both modules build on this one
 
-    table = {
-        "counting": structconst.multiply_basis_counting,
-        "euler": structconst.multiply_basis_euler,
-        "mendez": structconst.multiply_basis_mendez,
-        "oracle": oracle.multiply_basis_oracle,
-    }
-    if engine not in table:
-        raise ValueError(f"unknown engine {engine!r}; choose one of {ENGINE_NAMES}")
-    return table[engine](g1, g2)
+    return {"oracle": oracle, "structconst": structconst}
+
+
+def engine_function(name: str) -> Callable[[BipartiteMultigraph, BipartiteMultigraph], AlgebraElement]:
+    """The named engine's basis-product function.
+
+    Read from its module on every call, so that a patched module attribute
+    takes effect; only the deferred import is done once.
+    """
+    if name not in _ENGINES:
+        raise ValueError(f"unknown engine {name!r}; choose one of {ENGINE_NAMES}")
+    module, attr = _ENGINES[name]
+    return getattr(_engine_modules()[module], attr)
+
+
+@lru_cache(maxsize=2**16)
+def basis_product(g1: BipartiteMultigraph, g2: BipartiteMultigraph, engine: str = "euler") -> AlgebraElement:
+    """Product of two basis operators, memoized per engine (the 2**16 most recent)."""
+    return engine_function(engine)(g1, g2)
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement, mod: int | None = None) -> AlgebraElement:

@@ -10,7 +10,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from . import serialize
+from . import serialize, structconst
 from .algebra import (
     ENGINE_NAMES,
     AlgebraElement,
@@ -101,18 +101,32 @@ def _table_rows(task) -> str:
     """Render the table lines for one contiguous block of left factors.
 
     Top-level so that process pools can pickle it; recomputes the basis list
-    from (n, d) instead of shipping graph objects between processes.
+    from (n, d) instead of shipping graph objects between processes.  Each
+    graph is serialized once, and the engine runs only on the pairs whose
+    valencies meet in the middle row (bottom of g2 = top of g1): every such
+    pair has a nonzero product and every other pair a zero one.  A table
+    never asks for a product twice, so the engine is called directly, past
+    the ``basis_product`` memo.
     """
     n, d, mod, start, stop = task
     graphs = enumerate_graphs(Params(n, d))
+    records = [serialize.dumps(serialize.graph_record(g)) for g in graphs]
+    by_bottom: dict[tuple[int, ...], list[int]] = {}
+    for k, g in enumerate(graphs):
+        by_bottom.setdefault(g.bottom_valencies(), []).append(k)
     lines = []
-    for g1 in graphs[start:stop]:
-        for g2 in graphs:
-            product = basis_product(g1, g2)
+    for g1, record1 in zip(graphs[start:stop], records[start:stop]):
+        terms = ["[]"] * len(graphs)
+        for k in by_bottom.get(g1.top_valencies(), ()):
+            product = structconst.multiply_basis_euler(g1, graphs[k])
             if mod is not None:
                 product = product.reduce(mod)
-            lines.append(serialize.table_line(g1, g2, product))
-    return "".join(line + "\n" for line in lines)
+            terms[k] = serialize.dumps(serialize.element_records(product))
+        lines.extend(
+            serialize.join_table_line(record1, record2, line_terms) + "\n"
+            for record2, line_terms in zip(records, terms)
+        )
+    return "".join(lines)
 
 
 def cmd_table(args) -> int:

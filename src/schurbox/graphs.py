@@ -25,7 +25,7 @@ with total sum d; there are C(n*n + d - 1, d) of them.
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .combinatorics import (
@@ -59,6 +59,9 @@ class BipartiteMultigraph:
     """Two rows of n vertices joined by d edges, as a multiplicity matrix."""
 
     matrix: tuple[tuple[int, ...], ...]
+    # derived from matrix once; equality, hashing, repr and pickling use matrix alone
+    n: int = field(init=False, compare=False, repr=False)
+    d: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         matrix = tuple(tuple(row) for row in self.matrix)
@@ -70,14 +73,11 @@ class BipartiteMultigraph:
             for entry in row:
                 if not isinstance(entry, int) or entry < 0:
                     raise ValueError(f"multiplicities must be nonnegative integers, got {entry!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", sum(map(sum, matrix)))
 
-    @property
-    def n(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def d(self) -> int:
-        return sum(sum(row) for row in self.matrix)
+    def __reduce__(self):
+        return type(self), (self.matrix,)
 
     def top_valencies(self) -> tuple[int, ...]:
         """Edges at each top vertex (column sums); the content of the top configuration."""

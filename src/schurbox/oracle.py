@@ -24,10 +24,13 @@ from .combinatorics import (
     to_configuration,
     to_multi_index,
 )
-from .graphs import BipartiteMultigraph, canonical_pair, orbit_representative, pair_graph
+from .graphs import BipartiteMultigraph, canonical_pair, pair_graph
 from .algebra import AlgebraElement
 
 ORACLE_CAP = 4096
+
+OrbitKey = tuple[tuple[int, ...], ...]
+"""A multiplicity matrix, as the key of a renaming orbit of index pairs."""
 
 
 class NotInSpanError(ValueError):
@@ -112,23 +115,46 @@ def operator_matrix(g: BipartiteMultigraph) -> DenseOperator:
     return DenseOperator(g.n, g.d, m)
 
 
-def orbit_operator_matrix(g: BipartiteMultigraph) -> DenseOperator:
-    """Matrix of the orbit-sum operator on multi-indices for the orbit keyed by g.
+@lru_cache(maxsize=8)
+def orbit_key_grid(n: int, d: int) -> tuple[tuple[OrbitKey, ...], ...]:
+    """Orbit key of every pair of multi-indices, in multi-index order.
 
-    Built directly from orbit keys of index pairs, without the configuration
-    table; agreeing entrywise with :func:`operator_matrix` is the standard
-    consistency check between the two pictures of the same basis.
+    Entry (r, c) is the multiplicity matrix counting the positions k with
+    (x_k, y_k) == (i, j) for the r-th index x and c-th index y, computed
+    from the indices alone: no configurations and no :class:`PairTable`.
     """
-    p = Params(g.n, g.d)
+    p = Params(n, d)
     if p.index_count > ORACLE_CAP:
         raise TooLargeError(
             f"instance too large for the dense oracle: {p.index_count} > {ORACLE_CAP} basis vectors"
         )
     indices = enumerate_multi_indices(p, cap=ORACLE_CAP)
-    m = _zeros(len(indices))
-    for r, x in enumerate(indices):
-        for c, y in enumerate(indices):
-            if orbit_representative(x, y, g.n) == g:
+    interned: dict[OrbitKey, OrbitKey] = {}  # one object per orbit, however large the grid
+    grid = []
+    for x in indices:
+        row = []
+        for y in indices:
+            counts = [[0] * n for _ in range(n)]
+            for i, j in zip(x, y):
+                counts[i - 1][j - 1] += 1
+            key = tuple(map(tuple, counts))
+            row.append(interned.setdefault(key, key))
+        grid.append(tuple(row))
+    return tuple(grid)
+
+
+def orbit_operator_matrix(g: BipartiteMultigraph) -> DenseOperator:
+    """Matrix of the orbit-sum operator on multi-indices for the orbit keyed by g.
+
+    Read off :func:`orbit_key_grid`, without the configuration table;
+    agreeing entrywise with :func:`operator_matrix` is the standard
+    consistency check between the two pictures of the same basis.
+    """
+    grid = orbit_key_grid(g.n, g.d)
+    m = _zeros(len(grid))
+    for r, row in enumerate(grid):
+        for c, key in enumerate(row):
+            if key == g.matrix:
                 m[r, c] = 1
     return DenseOperator(g.n, g.d, m)
 

@@ -62,6 +62,14 @@ def table_line(g1: BipartiteMultigraph, g2: BipartiteMultigraph, product: Algebr
     return dumps({"g1": graph_record(g1), "g2": graph_record(g2), "terms": element_records(product)})
 
 
+def join_table_line(g1_json: str, g2_json: str, terms_json: str) -> str:
+    """:func:`table_line` assembled from its three values already serialized.
+
+    The same bytes, because :func:`dumps` sorts the keys as g1, g2, terms.
+    """
+    return '{"g1":' + g1_json + ',"g2":' + g2_json + ',"terms":' + terms_json + "}"
+
+
 def load_json_file(path: str):
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)

@@ -21,7 +21,9 @@ ordered pairs (g2 label, g1 label) used by the balls travelling from top
 box t to bottom box s.  Word matrices are in bijection with middle
 configurations, so their number per composed graph is the structure
 constant.  :func:`multiply_basis_euler`, the default engine, reaches that
-number arithmetically by Green's product rule, one middle vertex at a time;
+number arithmetically by Green's product rule, one middle vertex at a time,
+over per-vertex contingency tables that are memoized by their margins (all
+products at n=3, d=4 together need only 71 distinct margin pairs);
 :func:`multiply_basis_mendez` instead builds every word matrix explicitly
 and counts them.  Euler functions themselves are a reference API only.
 
@@ -39,6 +41,7 @@ import string
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import AlgebraElement, apply_basis
 from .combinatorics import Configuration, to_multi_index
@@ -261,6 +264,12 @@ def _tables(row_sums: tuple[int, ...], col_sums: tuple[int, ...]) -> Iterator[tu
             yield (first,) + rest
 
 
+@lru_cache(maxsize=4096)
+def _flat_tables(row_sums: tuple[int, ...], col_sums: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """:func:`_tables` with each table flattened row by row; memoized, since few margins recur."""
+    return tuple(sum(table, ()) for table in _tables(row_sums, col_sums))
+
+
 def _label_pairings(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> Iterator[dict[Pair, int]]:
     """All ways to pair parallel classes across the middle row, with counts.
 
@@ -347,7 +356,7 @@ def multiply_basis_euler(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> Al
         bottoms = [s for s in range(n) if g1.matrix[s][v]]
         cells = [s * n + t for t in tops for s in bottoms]
         margins = (tuple(g2.matrix[v][t] for t in tops), tuple(g1.matrix[s][v] for s in bottoms))
-        tables = [sum(table, ()) for table in _tables(*margins)]
+        tables = _flat_tables(*margins)
         folded: dict[tuple[int, ...], int] = {}
         for composed, weight in states.items():
             for table in tables:

@@ -8,8 +8,16 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from . import oracle, serialize, structconst
-from .algebra import AlgebraElement, VectorElement, apply, identity_element, multiply
+from . import oracle, serialize
+from .algebra import (
+    ENGINE_NAMES,
+    AlgebraElement,
+    VectorElement,
+    apply,
+    engine_function,
+    identity_element,
+    multiply,
+)
 from .combinatorics import Params, enumerate_configurations
 from .graphs import enumerate_graphs, graph_count, pair_graph
 from .oracle import ORACLE_CAP
@@ -31,15 +39,12 @@ class CheckResult:
 
 
 def engine_outputs(g1, g2, with_oracle: bool) -> dict[str, AlgebraElement]:
-    """One basis product from every engine, keyed by engine name; counting first."""
-    outputs = {
-        "counting": structconst.multiply_basis_counting(g1, g2),
-        "euler": structconst.multiply_basis_euler(g1, g2),
-        "mendez": structconst.multiply_basis_mendez(g1, g2),
+    """One basis product from every engine, keyed by engine name in roster order (counting first)."""
+    return {
+        name: engine_function(name)(g1, g2)
+        for name in ENGINE_NAMES
+        if with_oracle or name != "oracle"
     }
-    if with_oracle:
-        outputs["oracle"] = oracle.multiply_basis_oracle(g1, g2)
-    return outputs
 
 
 def check_orbit_bijection(p: Params) -> CheckResult:

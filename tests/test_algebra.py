@@ -6,12 +6,14 @@ import random
 import pytest
 
 from schurbox.algebra import (
+    ENGINE_NAMES,
     AlgebraElement,
     VectorElement,
     apply,
     apply_basis,
     basis_product,
     check_modulus,
+    engine_function,
     identity_element,
     is_prime,
     multiply,
@@ -208,6 +210,13 @@ def test_engine_dispatch():
     assert len({str(result) for result in outputs.values()}) == 1
     with pytest.raises(ValueError):
         basis_product(G1, g2, "fast")
+    with pytest.raises(ValueError):
+        engine_function("fast")
+    assert [engine_function(name)(G1, g2) for name in ENGINE_NAMES] == list(outputs.values())
+
+
+def test_basis_product_cache_is_bounded():
+    assert basis_product.cache_info().maxsize == 2**16
 
 
 def test_dunder_mul_multiplies():

@@ -10,7 +10,7 @@ from schurbox.algebra import AlgebraElement, basis_product
 from schurbox.cli import main
 from schurbox.combinatorics import Params
 from schurbox.graphs import BipartiteMultigraph, enumerate_graphs
-from schurbox.serialize import dumps, graph_record
+from schurbox.serialize import dumps, graph_record, table_line
 
 G1 = BipartiteMultigraph(((2, 1), (0, 1)))
 G2 = BipartiteMultigraph(((2, 0), (1, 1)))
@@ -178,6 +178,35 @@ def test_table_deterministic_across_jobs(capsys, tmp_path):
     assert run(capsys, "table", "-n", "2", "-d", "2", "--out", str(second), "--jobs", "2")[0] == 0
     assert first.read_bytes() == second.read_bytes()
     assert len(first.read_text().strip().split("\n")) == 100
+
+
+@pytest.mark.parametrize("mod", [None, 5])
+def test_table_lines_match_table_line_of_basis_products(capsys, tmp_path, mod):
+    out_path = tmp_path / "t.jsonl"
+    argv = ["table", "-n", "2", "-d", "3", "--out", str(out_path)]
+    if mod is not None:
+        argv += ["--mod", str(mod)]
+    assert run(capsys, *argv)[0] == 0
+    graphs = enumerate_graphs(Params(2, 3))
+    expected = [
+        table_line(g1, g2, basis_product(g1, g2).reduce(mod)) for g1 in graphs for g2 in graphs
+    ]
+    assert out_path.read_text().split("\n") == expected + [""]
+
+
+def test_table_same_bytes_across_jobs_at_3_3(capsys, tmp_path):
+    first = tmp_path / "a.jsonl"
+    second = tmp_path / "b.jsonl"
+    assert run(capsys, "table", "-n", "3", "-d", "3", "--out", str(first), "--jobs", "1")[0] == 0
+    assert run(capsys, "table", "-n", "3", "-d", "3", "--out", str(second), "--jobs", "2")[0] == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_table_leaves_product_cache_empty(capsys, tmp_path):
+    basis_product.cache_clear()
+    out_path = tmp_path / "t.jsonl"
+    assert run(capsys, "table", "-n", "2", "-d", "3", "--jobs", "1", "--out", str(out_path))[0] == 0
+    assert basis_product.cache_info().currsize == 0
 
 
 def test_table_requires_out(capsys):

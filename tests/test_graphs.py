@@ -1,6 +1,7 @@
 """Pair graphs, orbit enumeration, and canonical representatives."""
 
 import itertools
+import pickle
 
 import pytest
 
@@ -61,6 +62,17 @@ def test_valencies_and_str():
     assert g.bottom_valencies() == (3, 1)
     assert g.top_valencies() == (2, 2)
     assert str(g) == "[[2,1],[0,1]]"
+
+
+def test_stored_shape_leaves_identity_to_the_matrix():
+    g = BipartiteMultigraph(((2, 1), (0, 1)))
+    same = BipartiteMultigraph([[2, 1], [0, 1]])
+    assert (same.n, same.d) == (2, 4)
+    assert g == same and hash(g) == hash(same)
+    assert repr(g) == "BipartiteMultigraph(matrix=((2, 1), (0, 1)))"
+    assert g.__reduce__() == (BipartiteMultigraph, (g.matrix,))
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and (copy.n, copy.d) == (2, 4)
 
 
 def test_pair_graph_worked_example():

@@ -6,8 +6,14 @@ import random
 import pytest
 
 from schurbox.algebra import AlgebraElement
-from schurbox.combinatorics import Params, Permutation, TooLargeError, all_permutations
-from schurbox.graphs import BipartiteMultigraph, enumerate_graphs, pair_graph
+from schurbox.combinatorics import (
+    Params,
+    Permutation,
+    TooLargeError,
+    all_permutations,
+    enumerate_multi_indices,
+)
+from schurbox.graphs import BipartiteMultigraph, enumerate_graphs, orbit_representative, pair_graph
 from schurbox.oracle import (
     ORACLE_CAP,
     DenseOperator,
@@ -18,6 +24,7 @@ from schurbox.oracle import (
     multiply_basis_oracle,
     operator_matrix,
     orbit_composition_count,
+    orbit_key_grid,
     orbit_operator_matrix,
     pair_table,
     permutation_matrix,
@@ -57,6 +64,16 @@ def test_operator_matrix_entries():
             for c in range(table.size):
                 expected = 1 if pair_graph(table.configs[r], table.configs[c]) == g else 0
                 assert m[r, c] == expected
+
+
+def test_orbit_key_grid_matches_orbit_representative():
+    indices = enumerate_multi_indices(Params(2, 3))
+    grid = orbit_key_grid(2, 3)
+    assert len(grid) == len(indices) == 8
+    for r, x in enumerate(indices):
+        assert len(grid[r]) == len(indices)
+        for c, y in enumerate(indices):
+            assert grid[r][c] == orbit_representative(x, y, 2).matrix
 
 
 def test_orbit_matrix_equals_configuration_matrix():
