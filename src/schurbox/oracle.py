@@ -1,14 +1,17 @@
 """Dense ground truth: basis operators as explicit 0/1 matrices.
 
 Everything here is brute force on purpose.  Matrices are built entry by
-entry from the defining condition, products use exact integer arithmetic
-(object-dtype numpy arrays holding plain Python ints), and nothing is shared
-with the combinatorial engines beyond the pair-graph dictionary itself.  The
-module refuses instances with more than 4096 basis vectors; it exists to
-certify the fast paths, not to replace them.
+entry from the defining condition and hold plain Python ints (object-dtype
+numpy arrays).  Products are exact: they run in int64 when a bound on the
+operands proves that no partial sum can overflow, and fall back to the
+object-dtype product otherwise.  Nothing is shared with the combinatorial
+engines beyond the pair-graph dictionary itself.  The module refuses
+instances with more than 4096 basis vectors; it exists to certify the fast
+paths, not to replace them.
 """
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,6 +31,7 @@ from .graphs import BipartiteMultigraph, canonical_pair, pair_graph
 from .algebra import AlgebraElement
 
 ORACLE_CAP = 4096
+_INT64_MAX = 2**63 - 1
 
 OrbitKey = tuple[tuple[int, ...], ...]
 """A multiplicity matrix, as the key of a renaming orbit of index pairs."""
@@ -41,6 +45,33 @@ def _zeros(size: int) -> np.ndarray:
     return np.zeros((size, size), dtype=object)
 
 
+def _as_int64(m: np.ndarray) -> np.ndarray | None:
+    """m as an int64 array, or None unless every entry is an integer that fits."""
+    try:
+        m64 = m.astype(np.int64)
+    except (OverflowError, TypeError, ValueError):
+        return None
+    return m64 if (m64 == m).all() else None
+
+
+def _max_abs(m: np.ndarray) -> int:
+    return max(int(m.max(initial=0)), -int(m.min(initial=0)))
+
+
+def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, exactly, as an object-dtype array; in int64 when that cannot overflow.
+
+    Every entry of the product is a sum of ``a.shape[1]`` terms, each at most
+    ``max|a| * max|b|`` in absolute value, so when that bound (taken in Python
+    ints) fits in int64 no partial sum can overflow, whatever the order of
+    summation.  Otherwise the product runs on Python ints.
+    """
+    a64, b64 = _as_int64(a), _as_int64(b)
+    if a64 is None or b64 is None or a.shape[1] * _max_abs(a64) * _max_abs(b64) > _INT64_MAX:
+        return a @ b
+    return (a64 @ b64).astype(object)
+
+
 @dataclass(eq=False)
 class DenseOperator:
     """Square integer matrix acting on basis vectors in multi-index order."""
@@ -52,7 +83,7 @@ class DenseOperator:
     def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
         if (self.n, self.d) != (other.n, other.d):
             raise ValueError(f"shape mismatch: ({self.n},{self.d}) vs ({other.n},{other.d})")
-        return DenseOperator(self.n, self.d, self.matrix @ other.matrix)
+        return DenseOperator(self.n, self.d, _exact_product(self.matrix, other.matrix))
 
     def __eq__(self, other) -> bool:
         return (
@@ -182,6 +213,46 @@ def orbit_composition_count(g1: BipartiteMultigraph, g2: BipartiteMultigraph, g:
     return orbit_composition_counts(g)[(g1, g2)]
 
 
+def first_composition_mismatch(
+    graphs: Sequence[BipartiteMultigraph],
+) -> tuple[BipartiteMultigraph, BipartiteMultigraph, BipartiteMultigraph] | None:
+    """First (g1, g2, g), scanning g1, then g2, then g, where the dense product disagrees with the count.
+
+    The dense side is the entry of ``operator_matrix(g1) @ operator_matrix(g2)``
+    at the canonical cell of g; the combinatorial side is
+    ``orbit_composition_counts(g)[(g1, g2)]``.  ``graphs`` are all the basis
+    graphs of one shape, so their operator matrices partition the square and
+    one grid of graph positions holds them all exactly: the matrix of
+    ``graphs[i]`` is ``labels == i``.  Only the G canonical-cell entries of
+    each of the G^2 products are computed, one g1 at a time, accumulating in
+    int64 (sums of at most N <= 4096 products of 0s and 1s).  Returns None
+    when all G^3 entries agree.
+    """
+    position = {g: i for i, g in enumerate(graphs)}
+    expected = [([], [], []) for _ in graphs]  # per g1: g2 positions, g positions, counts
+    for k, g in enumerate(graphs):
+        for (g1, g2), count in orbit_composition_counts(g).items():
+            js, ks, counts = expected[position[g1]]
+            js.append(position[g2])
+            ks.append(k)
+            counts.append(count)
+    grid = pair_table(graphs[0].n, graphs[0].d).graph_at
+    labels = np.array([[position[g] for g in row] for row in grid])
+    xs, ys = (list(axis) for axis in zip(*map(canonical_cell, graphs)))
+    rows = labels[xs]  # [k, z]: position of the graph of (x_k, z)
+    columns = labels[:, ys] == np.arange(len(graphs))[:, None, None]  # [j, z, k]: entry (z, y_k) of matrix j
+    for i, (g1, (js, ks, counts)) in enumerate(zip(graphs, expected)):
+        # [j, k]: entry (x_k, y_k) of matrix i times matrix j
+        product = np.einsum("kz,jzk->jk", rows == i, columns, dtype=np.int64)
+        want = np.zeros_like(product)
+        want[js, ks] = counts
+        differ = np.argwhere(product != want)
+        if len(differ):
+            j, k = differ[0]
+            return g1, graphs[j], graphs[k]
+    return None
+
+
 def permutation_matrix(w: Permutation, p: Params) -> DenseOperator:
     """Matrix of the renaming action: the basis vector of index i goes to that of w . i."""
     if w.degree != p.d:
@@ -193,18 +264,23 @@ def permutation_matrix(w: Permutation, p: Params) -> DenseOperator:
     return DenseOperator(p.n, p.d, m)
 
 
+@lru_cache(maxsize=8)
+def _transposition_matrices(n: int, d: int) -> tuple[DenseOperator, ...]:
+    """Read-only matrices of the adjacent transpositions (s, s + 1), s = 1 .. d - 1."""
+    p = Params(n, d)
+    perms = tuple(permutation_matrix(Permutation.transposition(d, s, s + 1), p) for s in range(1, d))
+    for perm in perms:
+        perm.matrix.flags.writeable = False
+    return perms
+
+
 def commutes_with_renaming(op: DenseOperator) -> bool:
     """Whether a matrix commutes with every adjacent-transposition matrix.
 
     Adjacent transpositions generate all renamings, so this is equivalent to
     commuting with the whole action.
     """
-    p = Params(op.n, op.d)
-    for s in range(1, p.d):
-        perm = permutation_matrix(Permutation.transposition(p.d, s, s + 1), p)
-        if (op @ perm) != (perm @ op):
-            return False
-    return True
+    return all(op @ perm == perm @ op for perm in _transposition_matrices(op.n, op.d))
 
 
 def check_commutant(g: BipartiteMultigraph) -> bool:

@@ -180,31 +180,27 @@ def check_identity(p: Params) -> CheckResult:
 
 def check_t_basis(p: Params) -> CheckResult:
     graphs = enumerate_graphs(p)
-    matrices = {}
     for g in graphs:
-        matrices[g] = oracle.operator_matrix(g)
-        if oracle.orbit_operator_matrix(g) != matrices[g]:
+        if oracle.orbit_operator_matrix(g) != oracle.operator_matrix(g):
             return CheckResult(
                 "t-basis",
                 False,
                 f"orbit and configuration matrices differ at {g}",
                 serialize.dumps(serialize.graph_record(g)),
             )
-    cells = [(g, *oracle.canonical_cell(g), oracle.orbit_composition_counts(g)) for g in graphs]
-    for g1, g2 in itertools.product(graphs, graphs):
-        product = (matrices[g1] @ matrices[g2]).matrix
-        for g, x, y, counts in cells:
-            if counts[(g1, g2)] != product[x, y]:
-                counterexample = serialize.dumps(
-                    {
-                        "g1": serialize.graph_record(g1),
-                        "g2": serialize.graph_record(g2),
-                        "g": serialize.graph_record(g),
-                    }
-                )
-                return CheckResult(
-                    "t-basis", False, f"composition count mismatch at {g1} * {g2} -> {g}", counterexample
-                )
+    mismatch = oracle.first_composition_mismatch(graphs)
+    if mismatch is not None:
+        g1, g2, g = mismatch
+        counterexample = serialize.dumps(
+            {
+                "g1": serialize.graph_record(g1),
+                "g2": serialize.graph_record(g2),
+                "g": serialize.graph_record(g),
+            }
+        )
+        return CheckResult(
+            "t-basis", False, f"composition count mismatch at {g1} * {g2} -> {g}", counterexample
+        )
     return CheckResult(
         "t-basis",
         True,

@@ -2,9 +2,12 @@
 
 import itertools
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from schurbox import oracle, verify
 from schurbox.algebra import AlgebraElement
 from schurbox.combinatorics import (
     Params,
@@ -158,3 +161,56 @@ def test_exact_arithmetic_stays_integral():
     g = enumerate_graphs(p)[17]
     m = (operator_matrix(g) @ operator_matrix(g)).matrix
     assert all(isinstance(entry, int) for entry in m.flat)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # 0/1 operands: the int64 path
+        (
+            np.array([[(i * j + i) % 2 for j in range(8)] for i in range(8)], dtype=object),
+            np.array([[int((i + j) % 3 == 0) for j in range(8)] for i in range(8)], dtype=object),
+        ),
+        # entries around 2**40 at size 8: the bound fails, and the entries
+        # of the product (about 2**83) do not fit in int64 either
+        (
+            np.array([[2**40 + 3 * i + j for j in range(8)] for i in range(8)], dtype=object),
+            np.array([[2**40 - i * j for j in range(8)] for i in range(8)], dtype=object),
+        ),
+        # one entry beyond int64: the conversion fails, the object product runs
+        (
+            np.array([[2**64 + 1, 1], [0, 3]], dtype=object),
+            np.array([[1, 2], [3, 4]], dtype=object),
+        ),
+    ],
+    ids=["zero-one", "bound-fails", "beyond-int64"],
+)
+def test_matmul_is_exact_on_both_sides_of_the_int64_bound(a, b):
+    n = len(a)
+    product = (DenseOperator(2, n, a) @ DenseOperator(2, n, b)).matrix
+    expected = a @ b  # object dtype: Python-int arithmetic
+    assert product.dtype == object
+    assert all(type(entry) is int for entry in product.flat)
+    assert product.tolist() == expected.tolist()
+
+
+def test_matmul_keeps_entries_int64_would_truncate():
+    a = np.array([[Fraction(1, 2), 1], [0, 1]], dtype=object)
+    b = np.array([[1, 0], [Fraction(1, 3), 1]], dtype=object)
+    product = (DenseOperator(2, 1, a) @ DenseOperator(2, 1, b)).matrix
+    assert product.tolist() == [[Fraction(5, 6), 1], [Fraction(1, 3), 1]]
+
+
+def test_transposition_matrices_built_once_per_shape(monkeypatch):
+    calls = []
+
+    def counting_permutation_matrix(w, p):
+        calls.append(p)
+        return permutation_matrix(w, p)
+
+    monkeypatch.setattr(oracle, "permutation_matrix", counting_permutation_matrix)
+    for p in (Params(2, 5), Params(3, 3)):
+        oracle._transposition_matrices.cache_clear()
+        calls.clear()
+        assert verify.check_commutant(p).passed
+        assert calls == [p] * (p.d - 1)

@@ -5,13 +5,16 @@ import tracemalloc
 
 import pytest
 
+from schurbox import oracle
 from schurbox.combinatorics import Params
+from schurbox.graphs import enumerate_graphs
 from schurbox.serialize import graph_from_record
 from schurbox.verify import (
     CHECK_NAMES,
     check_assoc,
     check_commutant,
     check_engines,
+    check_t_basis,
     run_checks,
 )
 
@@ -66,3 +69,80 @@ def test_assoc_check_samples_without_listing_every_triple():
     assert result.passed
     assert result.detail == "200 triples (sampled 200, seed 1) associate"
     assert peak < 32 * 2**20
+
+
+def _miscount(monkeypatch, wrong):
+    """Make orbit_composition_counts one too high at each (g1, g2, g) in wrong."""
+    right = oracle.orbit_composition_counts
+
+    def off_by_one(h):
+        result = right(h)
+        for g1, g2, g in wrong:
+            if h == g:
+                result[(g1, g2)] += 1
+        return result
+
+    monkeypatch.setattr(oracle, "orbit_composition_counts", off_by_one)
+
+
+def _named(result):
+    record = json.loads(result.counterexample)
+    return tuple(graph_from_record(record[key]) for key in ("g1", "g2", "g"))
+
+
+@pytest.mark.parametrize("nonzero", [True, False], ids=["nonzero-count", "zero-count"])
+def test_t_basis_names_the_wrong_count(monkeypatch, nonzero):
+    p = Params(2, 3)
+    graphs = enumerate_graphs(p)
+    g = graphs[7]
+    counts = oracle.orbit_composition_counts(g)
+    if nonzero:
+        g1, g2 = max(counts, key=lambda pair: (counts[pair], pair[0].sort_key, pair[1].sort_key))
+    else:
+        g1, g2 = next((a, b) for a in graphs for b in graphs if (a, b) not in counts)
+    _miscount(monkeypatch, [(g1, g2, g)])
+    result = check_t_basis(p)
+    assert not result.passed
+    assert result.detail == f"composition count mismatch at {g1} * {g2} -> {g}"
+    assert _named(result) == (g1, g2, g)
+
+
+def test_t_basis_reports_the_first_wrong_count_in_scan_order(monkeypatch):
+    # scan order is g1, then g2, then g
+    graphs = enumerate_graphs(Params(2, 3))
+    wrong = [(graphs[i], graphs[j], graphs[k]) for i, j, k in ((4, 0, 0), (3, 9, 15), (3, 9, 12), (3, 10, 1))]
+    _miscount(monkeypatch, wrong)
+    assert _named(check_t_basis(Params(2, 3))) == wrong[2]
+
+
+def test_t_basis_compares_orbit_matrices_first(monkeypatch):
+    p = Params(2, 3)
+    g = enumerate_graphs(p)[4]
+    right = oracle.operator_matrix
+
+    def perturbed(h):
+        m = right(h)
+        if h == g:
+            m.matrix[0, 0] = 1 - m.matrix[0, 0]
+        return m
+
+    monkeypatch.setattr(oracle, "operator_matrix", perturbed)
+    result = check_t_basis(p)
+    assert not result.passed
+    assert result.detail == f"orbit and configuration matrices differ at {g}"
+    assert graph_from_record(json.loads(result.counterexample)) == g
+
+
+def test_t_basis_keeps_no_cube_of_coefficients():
+    # 56^3 int64 expected counts at (2,5) alone would take 1.4 MB
+    oracle.pair_table.cache_clear()
+    oracle.orbit_key_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        result = check_t_basis(Params(2, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert result.detail == "56 transported matrices, 175616 composition coefficients"
+    assert peak < 2**20
