@@ -183,6 +183,17 @@ class AlgebraElement:
         self._terms = _gather(n, d, items, BipartiteMultigraph, lambda g: (g.n, g.d))
 
     @classmethod
+    def _from_terms(cls, n: int, d: int, terms: dict) -> "AlgebraElement":
+        """An element that takes ownership of ``terms`` without the checks of the constructor.
+
+        The caller guarantees that ``terms`` maps distinct graphs of shape
+        (n, d) to nonzero ints, as an engine's output does.
+        """
+        x = object.__new__(cls)
+        x.n, x.d, x._terms = n, d, terms
+        return x
+
+    @classmethod
     def zero(cls, n: int, d: int) -> "AlgebraElement":
         return cls(n, d)
 

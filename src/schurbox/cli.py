@@ -5,10 +5,10 @@ or engine disagreement.
 """
 
 import argparse
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 
 from . import serialize, structconst
 from .algebra import (
@@ -97,36 +97,55 @@ def cmd_apply(args) -> int:
     return 0
 
 
-def _table_rows(task) -> str:
-    """Render the table lines for one contiguous block of left factors.
+_TABLE_BLOCK = 16
+"""Left factors per table task: enough to amortize a task, few enough that
+the blocks arrive in order and each stays near a megabyte at n=3, d=4."""
 
-    Top-level so that process pools can pickle it; recomputes the basis list
-    from (n, d) instead of shipping graph objects between processes.  Each
-    graph is serialized once, and the engine runs only on the pairs whose
-    valencies meet in the middle row (bottom of g2 = top of g1): every such
-    pair has a nonzero product and every other pair a zero one.  A table
-    never asks for a product twice, so the engine is called directly, past
-    the ``basis_product`` memo.
+
+@lru_cache(maxsize=1)
+def _table_context(n: int, d: int):
+    """What every block of one table shape shares, built once per process.
+
+    The basis graphs, the JSON of each, a map from flattened matrix to basis
+    index, the basis indices grouped by bottom valencies, and per right
+    factor the line tail of a zero product.
     """
-    n, d, mod, start, stop = task
     graphs = enumerate_graphs(Params(n, d))
     records = [serialize.dumps(serialize.graph_record(g)) for g in graphs]
+    index_of = {g.sort_key: k for k, g in enumerate(graphs)}
     by_bottom: dict[tuple[int, ...], list[int]] = {}
     for k, g in enumerate(graphs):
         by_bottom.setdefault(g.bottom_valencies(), []).append(k)
-    lines = []
+    zero_tails = [serialize.table_line_tail(record, "[]") + "\n" for record in records]
+    return graphs, records, index_of, by_bottom, zero_tails
+
+
+def _table_rows(task) -> str:
+    """Render the table lines for one contiguous block of left factors.
+
+    Top-level so that process pools can pickle it; takes (n, d) instead of
+    graph objects.  The engine runs only on the pairs whose valencies meet
+    in the middle row (bottom of g2 = top of g1): every such pair has a
+    nonzero product and every other pair a zero one, whose line tail is
+    precomputed.  A table never asks for a product twice, so it calls the
+    raw fold directly, past the ``basis_product`` memo and without building
+    elements: the terms sorted by basis index are in ``items()`` order.
+    """
+    n, d, mod, start, stop = task
+    graphs, records, index_of, by_bottom, zero_tails = _table_context(n, d)
+    blocks = []
     for g1, record1 in zip(graphs[start:stop], records[start:stop]):
-        terms = ["[]"] * len(graphs)
+        tails = zero_tails.copy()
         for k in by_bottom.get(g1.top_valencies(), ()):
-            product = structconst.multiply_basis_euler(g1, graphs[k])
+            fold = structconst.euler_fold(g1, graphs[k])
+            terms = sorted((index_of[key], ways) for key, ways in fold.items())
             if mod is not None:
-                product = product.reduce(mod)
-            terms[k] = serialize.dumps(serialize.element_records(product))
-        lines.extend(
-            serialize.join_table_line(record1, record2, line_terms) + "\n"
-            for record2, line_terms in zip(records, terms)
-        )
-    return "".join(lines)
+                terms = [(i, ways % mod) for i, ways in terms if ways % mod]
+            terms_json = serialize.join_terms((records[i], coeff) for i, coeff in terms)
+            tails[k] = serialize.table_line_tail(records[k], terms_json) + "\n"
+        head = serialize.table_line_head(record1)
+        blocks.append(head + head.join(tails))
+    return "".join(blocks)
 
 
 def cmd_table(args) -> int:
@@ -138,20 +157,21 @@ def cmd_table(args) -> int:
             f"instance too large: {count}^2 basis products exceed the cap "
             f"{DEFAULT_ENUMERATION_CAP}"
         )
-    jobs = max(1, args.jobs)
-    bounds = range(0, count, max(1, math.ceil(count / jobs)))
-    chunks = [(p.n, p.d, args.mod, start, min(start + bounds.step, count)) for start in bounds]
+    blocks = [
+        (p.n, p.d, args.mod, start, min(start + _TABLE_BLOCK, count))
+        for start in range(0, count, _TABLE_BLOCK)
+    ]
     # the pool forks all its workers at the first submit, so never ask for
-    # more than there are chunks or processors
-    workers = min(len(chunks), os.cpu_count() or 1)
+    # more than there are jobs, blocks or processors
+    workers = min(max(1, args.jobs), len(blocks), os.cpu_count() or 1)
     tmp = args.out + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
             if workers == 1:
-                handle.writelines(map(_table_rows, chunks))
+                handle.writelines(map(_table_rows, blocks))
             else:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
-                    handle.writelines(pool.map(_table_rows, chunks))
+                    handle.writelines(pool.map(_table_rows, blocks))
         os.replace(tmp, args.out)
     except BaseException:
         if os.path.exists(tmp):

@@ -71,21 +71,35 @@ class BipartiteMultigraph:
             raise ValueError(f"multiplicity matrix must be square and nonempty: {matrix!r}")
         for row in matrix:
             for entry in row:
-                if not isinstance(entry, int) or entry < 0:
+                if not isinstance(entry, int) or isinstance(entry, bool) or entry < 0:
                     raise ValueError(f"multiplicities must be nonnegative integers, got {entry!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", sum(map(sum, matrix)))
+
+    @classmethod
+    def _trusted(cls, matrix: tuple[tuple[int, ...], ...], n: int, d: int) -> "BipartiteMultigraph":
+        """A graph taken as valid, without the checks of the public constructor.
+
+        The caller guarantees that ``matrix`` is a square tuple of tuples of
+        nonnegative ints with side n and total d, as an engine's composed
+        matrices are.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "matrix", matrix)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "d", d)
+        return g
 
     def __reduce__(self):
         return type(self), (self.matrix,)
 
     def top_valencies(self) -> tuple[int, ...]:
         """Edges at each top vertex (column sums); the content of the top configuration."""
-        return tuple(sum(row[j] for row in self.matrix) for j in range(self.n))
+        return tuple(map(sum, zip(*self.matrix)))
 
     def bottom_valencies(self) -> tuple[int, ...]:
         """Edges at each bottom vertex (row sums); the content of the bottom configuration."""
-        return tuple(sum(row) for row in self.matrix)
+        return tuple(map(sum, self.matrix))
 
     @property
     def sort_key(self) -> tuple[int, ...]:

@@ -265,22 +265,38 @@ def permutation_matrix(w: Permutation, p: Params) -> DenseOperator:
 
 
 @lru_cache(maxsize=8)
-def _transposition_matrices(n: int, d: int) -> tuple[DenseOperator, ...]:
-    """Read-only matrices of the adjacent transpositions (s, s + 1), s = 1 .. d - 1."""
+def _transposition_indices(n: int, d: int) -> tuple[np.ndarray, ...]:
+    """Read-only index maps of the adjacent transpositions (s, s + 1), s = 1 .. d - 1.
+
+    Entry i of map s is the position of the multi-index that the
+    transposition sends multi-index i to, the row of column i's one in its
+    :func:`permutation_matrix`.
+    """
     p = Params(n, d)
-    perms = tuple(permutation_matrix(Permutation.transposition(d, s, s + 1), p) for s in range(1, d))
-    for perm in perms:
-        perm.matrix.flags.writeable = False
-    return perms
+    indices = enumerate_multi_indices(p, cap=ORACLE_CAP)
+    index_of = {index: k for k, index in enumerate(indices)}
+    maps = []
+    for s in range(1, d):
+        w = Permutation.transposition(d, s, s + 1)
+        sigma = np.array([index_of[act_on_index(w, index)] for index in indices], dtype=np.intp)
+        sigma.flags.writeable = False
+        maps.append(sigma)
+    return tuple(maps)
 
 
 def commutes_with_renaming(op: DenseOperator) -> bool:
     """Whether a matrix commutes with every adjacent-transposition matrix.
 
     Adjacent transpositions generate all renamings, so this is equivalent to
-    commuting with the whole action.
+    commuting with the whole action.  A transposition's matrix P permutes
+    basis vectors by an involution sigma, so ``op @ P == P @ op`` exactly
+    when reindexing both rows and columns of op by sigma leaves it unchanged;
+    no product is formed.
     """
-    return all(op @ perm == perm @ op for perm in _transposition_matrices(op.n, op.d))
+    return all(
+        np.array_equal(op.matrix[np.ix_(sigma, sigma)], op.matrix)
+        for sigma in _transposition_indices(op.n, op.d)
+    )
 
 
 def check_commutant(g: BipartiteMultigraph) -> bool:

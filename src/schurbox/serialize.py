@@ -23,6 +23,9 @@ def graph_record(g: BipartiteMultigraph) -> dict:
 def graph_from_record(record) -> BipartiteMultigraph:
     if not isinstance(record, dict) or not {"n", "d", "matrix"} <= set(record):
         raise ValueError(f"a graph record needs keys n, d, matrix: {record!r}")
+    for key in ("n", "d"):
+        if not isinstance(record[key], int) or isinstance(record[key], bool):
+            raise ValueError(f"graph record field {key} must be an integer, got {record[key]!r}")
     g = BipartiteMultigraph(tuple(tuple(row) for row in record["matrix"]))
     if g.n != record["n"]:
         raise ValueError(f"matrix is {g.n}x{g.n} but the record says n={record['n']}")
@@ -62,12 +65,28 @@ def table_line(g1: BipartiteMultigraph, g2: BipartiteMultigraph, product: Algebr
     return dumps({"g1": graph_record(g1), "g2": graph_record(g2), "terms": element_records(product)})
 
 
-def join_table_line(g1_json: str, g2_json: str, terms_json: str) -> str:
-    """:func:`table_line` assembled from its three values already serialized.
+def join_terms(terms) -> str:
+    """:func:`element_records` serialized, from (graph JSON, coefficient) pairs in term order.
 
-    The same bytes, because :func:`dumps` sorts the keys as g1, g2, terms.
+    The same bytes as ``dumps(element_records(x))`` when the pairs follow
+    ``x.items()``, because :func:`dumps` sorts the keys as coeff, graph.
     """
-    return '{"g1":' + g1_json + ',"g2":' + g2_json + ',"terms":' + terms_json + "}"
+    return "[" + ",".join(f'{{"coeff":"{coeff}","graph":{graph}}}' for graph, coeff in terms) + "]"
+
+
+def table_line_head(g1_json: str) -> str:
+    """The start of a :func:`table_line`, up to the serialized g2; see :func:`table_line_tail`."""
+    return '{"g1":' + g1_json + ',"g2":'
+
+
+def table_line_tail(g2_json: str, terms_json: str) -> str:
+    """The rest of a :func:`table_line` from its serialized values.
+
+    ``table_line_head(g1 JSON) + table_line_tail(g2 JSON, terms JSON)`` is
+    the same bytes as :func:`table_line`, because :func:`dumps` sorts the
+    keys as g1, g2, terms.
+    """
+    return g2_json + ',"terms":' + terms_json + "}"
 
 
 def load_json_file(path: str):

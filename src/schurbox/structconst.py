@@ -22,10 +22,14 @@ box t to bottom box s.  Word matrices are in bijection with middle
 configurations, so their number per composed graph is the structure
 constant.  :func:`multiply_basis_euler`, the default engine, reaches that
 number arithmetically by Green's product rule, one middle vertex at a time,
-over per-vertex contingency tables that are memoized by their margins (all
-products at n=3, d=4 together need only 71 distinct margin pairs);
-:func:`multiply_basis_mendez` instead builds every word matrix explicitly
-and counts them.  Euler functions themselves are a reference API only.
+over per-vertex moves (the nonzero entries of each contingency table) that
+are memoized by the vertex's row of g2 and column of g1.  The fold is the
+kernel :func:`euler_fold`, which returns the raw {flattened composed
+matrix: coefficient} counts; ``table`` serializes those directly, and
+:func:`multiply_basis_euler` wraps them as an element without re-validating
+graphs it built itself.  :func:`multiply_basis_mendez` instead builds every
+word matrix explicitly and counts them.  Euler functions themselves are a
+reference API only.
 
 >>> g1 = BipartiteMultigraph(((2, 1), (0, 1)))
 >>> g2 = BipartiteMultigraph(((2, 0), (1, 1)))
@@ -265,9 +269,24 @@ def _tables(row_sums: tuple[int, ...], col_sums: tuple[int, ...]) -> Iterator[tu
 
 
 @lru_cache(maxsize=4096)
-def _flat_tables(row_sums: tuple[int, ...], col_sums: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """:func:`_tables` with each table flattened row by row; memoized, since few margins recur."""
-    return tuple(sum(table, ()) for table in _tables(row_sums, col_sums))
+def _vertex_moves(
+    g2_row: tuple[int, ...], g1_column: tuple[int, ...]
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The fold's moves at one middle vertex v, from row v of g2 and column v of g1.
+
+    One move per contingency table between the g2 edges arriving at v (by top
+    box t) and the g1 edges leaving v (by bottom box s): the nonzero entries
+    k of the table as (s * n + t, k) pairs, the cell of the flattened
+    composed matrix that they add to.  Memoized, since few margins recur.
+    """
+    n = len(g2_row)
+    tops = [t for t in range(n) if g2_row[t]]
+    bottoms = [s for s in range(n) if g1_column[s]]
+    cells = [s * n + t for t in tops for s in bottoms]
+    tables = _tables(tuple(g2_row[t] for t in tops), tuple(g1_column[s] for s in bottoms))
+    return tuple(
+        tuple((cell, k) for cell, k in zip(cells, sum(table, ())) if k) for table in tables
+    )
 
 
 def _label_pairings(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> Iterator[dict[Pair, int]]:
@@ -336,41 +355,54 @@ def multiply_basis_mendez(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> A
     return AlgebraElement(g1.n, g1.d, Counter(wm.graph() for wm in enumerate_word_matrices(g1, g2)))
 
 
-def multiply_basis_euler(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> AlgebraElement:
-    """Product of basis operators by Green's product rule, one middle vertex at a time.
+def euler_fold(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> dict[tuple[int, ...], int]:
+    """The product of two basis operators as raw counts: {flattened composed matrix: coefficient}.
 
-    Euler functions factor over the middle vertices, and up to parallel copies
-    the bijections at vertex v are the contingency tables whose entry (t, s)
-    counts balls going from top box t through v to bottom box s.  The fold maps
-    each partial composed matrix to its number of partial word matrices; an
-    entry k adds k balls to composed entry (s, t) and interleaves them with
-    the ``prefix`` already there in C(prefix + k, k) ways.
+    Green's product rule, one middle vertex at a time.  Euler functions
+    factor over the middle vertices, and up to parallel copies the
+    bijections at vertex v are the contingency tables whose entry (t, s)
+    counts balls going from top box t through v to bottom box s.  The fold
+    maps each partial composed matrix, flattened row by row, to its number of
+    partial word matrices; an entry k adds k balls to composed entry (s, t)
+    and interleaves them with the ``prefix`` already there in
+    C(prefix + k, k) ways.  Every coefficient is positive; the map is empty
+    when the valencies do not meet in the middle row.
     """
     _check_same_shape(g1, g2)
     n = g1.n
     if g2.bottom_valencies() != g1.top_valencies():
-        return AlgebraElement.zero(n, g1.d)
+        return {}
     states = {(0,) * (n * n): 1}
-    for v in range(n):
-        tops = [t for t in range(n) if g2.matrix[v][t]]
-        bottoms = [s for s in range(n) if g1.matrix[s][v]]
-        cells = [s * n + t for t in tops for s in bottoms]
-        margins = (tuple(g2.matrix[v][t] for t in tops), tuple(g1.matrix[s][v] for s in bottoms))
-        tables = _flat_tables(*margins)
+    for g2_row, g1_column in zip(g2.matrix, zip(*g1.matrix)):
+        moves = _vertex_moves(g2_row, g1_column)
         folded: dict[tuple[int, ...], int] = {}
         for composed, weight in states.items():
-            for table in tables:
+            for move in moves:
                 entries = list(composed)
                 ways = weight
-                for cell, k in zip(cells, table):
-                    if k:
-                        ways *= math.comb(entries[cell] + k, k)
-                        entries[cell] += k
+                for cell, k in move:
+                    prefix = entries[cell]
+                    if prefix:
+                        ways *= math.comb(prefix + k, k)
+                    entries[cell] = prefix + k
                 key = tuple(entries)
                 folded[key] = folded.get(key, 0) + ways
         states = folded
-    graphs = (BipartiteMultigraph(tuple(key[s * n : (s + 1) * n] for s in range(n))) for key in states)
-    return AlgebraElement(n, g1.d, zip(graphs, states.values()))
+    return states
+
+
+def multiply_basis_euler(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> AlgebraElement:
+    """Product of basis operators by Green's product rule: :func:`euler_fold` as an element.
+
+    The composed graphs are valid by construction, so they and the element
+    are built without re-validation.
+    """
+    n, d = g1.n, g1.d
+    terms = {
+        BipartiteMultigraph._trusted(tuple(key[s * n : (s + 1) * n] for s in range(n)), n, d): ways
+        for key, ways in euler_fold(g1, g2).items()
+    }
+    return AlgebraElement._from_terms(n, d, terms)
 
 
 def middle_fillings(

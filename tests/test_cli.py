@@ -1,7 +1,12 @@
 """End-to-end command-line behavior, including exit codes and determinism."""
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -318,3 +323,72 @@ def test_table_workers_capped_by_cpus(capsys, tmp_path, monkeypatch):
     assert run(capsys, "table", "-n", "2", "-d", "3", "--out", str(wide), "--jobs", "10000")[0] == 0
     assert all(workers <= (os.cpu_count() or 1) for workers in requested)
     assert wide.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"n": 2, "d": 2, "matrix": [[True, 0], [0, True]]},
+        {"n": True, "d": 1, "matrix": [[1]]},
+        {"n": 1, "d": True, "matrix": [[1]]},
+    ],
+)
+def test_multiply_rejects_json_booleans(capsys, tmp_path, record):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run(capsys, "multiply", str(path), str(path))
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
+
+
+TABLE_3_4_SHA256 = "3e53c8d1cd12f5ea79dacbcf8d6dfc483beba7fa599bb79c4436857ae9746ed6"
+
+
+def test_table_3_4_bytes_pinned(capsys, tmp_path):
+    out_path = tmp_path / "t.jsonl"
+    assert run(capsys, "table", "-n", "3", "-d", "4", "--jobs", "1", "--out", str(out_path))[0] == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == TABLE_3_4_SHA256
+
+
+def test_table_mod_2_at_3_3_drops_zero_residues(capsys, tmp_path):
+    out_path = tmp_path / "t.jsonl"
+    assert run(capsys, "table", "-n", "3", "-d", "3", "--mod", "2", "--out", str(out_path))[0] == 0
+    graphs = enumerate_graphs(Params(3, 3))
+    lines = out_path.read_text().split("\n")
+    assert lines[-1] == ""
+    assert len(lines) == len(graphs) ** 2 + 1
+    shrunk = 0
+    for k, (g1, g2) in enumerate((g1, g2) for g1 in graphs for g2 in graphs):
+        product = structconst.multiply_basis_euler(g1, g2)
+        reduced = product.reduce(2)
+        assert lines[k] == table_line(g1, g2, reduced)
+        shrunk += len(reduced.items()) < len(product.items())
+    assert shrunk == 657
+
+
+def test_table_3_4_streams_in_small_memory(capsys, tmp_path):
+    # blocks of left factors are written as they are made, from precomputed
+    # JSON, so the whole 31.6 MB table is never held
+    cli._table_context.cache_clear()
+    structconst._vertex_moves.cache_clear()
+    out_path = tmp_path / "t.jsonl"
+    tracemalloc.start()
+    try:
+        code = run(capsys, "table", "-n", "3", "-d", "4", "--jobs", "1", "--out", str(out_path))[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 2**20
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "schurbox", "dim", "-n", "2", "-d", "2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"binomial": 10, "d": 2, "enumerated": 10, "n": 2}

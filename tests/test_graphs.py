@@ -52,6 +52,8 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         BipartiteMultigraph(((1.0,),))
     with pytest.raises(ValueError):
+        BipartiteMultigraph(((True, 0), (0, True)))
+    with pytest.raises(ValueError):
         BipartiteMultigraph(())
 
 

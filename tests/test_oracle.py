@@ -201,16 +201,27 @@ def test_matmul_keeps_entries_int64_would_truncate():
     assert product.tolist() == [[Fraction(5, 6), 1], [Fraction(1, 3), 1]]
 
 
-def test_transposition_matrices_built_once_per_shape(monkeypatch):
-    calls = []
-
-    def counting_permutation_matrix(w, p):
-        calls.append(p)
-        return permutation_matrix(w, p)
-
-    monkeypatch.setattr(oracle, "permutation_matrix", counting_permutation_matrix)
+def test_transposition_indices_built_once_per_shape(monkeypatch):
+    # the commutant check reindexes by cached index maps and builds no matrix
+    monkeypatch.setattr(oracle, "permutation_matrix", None)
     for p in (Params(2, 5), Params(3, 3)):
-        oracle._transposition_matrices.cache_clear()
-        calls.clear()
+        oracle._transposition_indices.cache_clear()
         assert verify.check_commutant(p).passed
-        assert calls == [p] * (p.d - 1)
+        assert oracle._transposition_indices.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("p", [Params(2, 3), Params(3, 2)])
+def test_commutes_with_renaming_agrees_with_transposition_products(p):
+    perms = [permutation_matrix(Permutation.transposition(p.d, s, s + 1), p) for s in range(1, p.d)]
+    table = pair_table(p.n, p.d)
+    seen = set()
+    for g in enumerate_graphs(p):
+        op = operator_matrix(g)
+        broken = op.copy()
+        r, c = table.positions[g][0]
+        broken.matrix[r, c] += 1
+        for m in (op, broken):
+            expected = all(m @ perm == perm @ m for perm in perms)
+            assert commutes_with_renaming(m) == expected
+            seen.add(expected)
+    assert seen == {True, False}

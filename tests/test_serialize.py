@@ -14,7 +14,10 @@ from schurbox.serialize import (
     element_records,
     graph_from_record,
     graph_record,
+    join_terms,
     table_line,
+    table_line_head,
+    table_line_tail,
     vector_from_records,
     vector_records,
 )
@@ -38,6 +41,12 @@ def test_graph_record_validation():
         graph_from_record({"n": 3, "d": 4, "matrix": [[2, 1], [0, 1]]})
     with pytest.raises(ValueError, match="says d="):
         graph_from_record({"n": 2, "d": 5, "matrix": [[2, 1], [0, 1]]})
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        graph_from_record({"n": 2, "d": 2, "matrix": [[True, 0], [0, True]]})
+    with pytest.raises(ValueError, match="must be an integer"):
+        graph_from_record({"n": True, "d": 1, "matrix": [[1]]})
+    with pytest.raises(ValueError, match="must be an integer"):
+        graph_from_record({"n": 1, "d": True, "matrix": [[1]]})
 
 
 def test_element_roundtrip_with_extreme_coefficients():
@@ -86,3 +95,12 @@ def test_table_line_parses_back():
     assert graph_from_record(record["g2"]) == G2
     assert element_from_records(record["terms"], 2, 4) == product
     assert "\n" not in line
+
+
+def test_table_line_halves_and_term_joiner_match_dumps():
+    for x in (AlgebraElement(2, 4, [(G1, 2), (G2, 10**30)]), AlgebraElement.zero(2, 4)):
+        terms = [(dumps(graph_record(g)), c) for g, c in x.items()]
+        terms_json = join_terms(terms)
+        assert terms_json == dumps(element_records(x))
+        head = table_line_head(dumps(graph_record(G1)))
+        assert head + table_line_tail(dumps(graph_record(G2)), terms_json) == table_line(G1, G2, x)

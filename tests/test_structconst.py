@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from schurbox.algebra import basis_product
+from schurbox.algebra import AlgebraElement, basis_product
 from schurbox.combinatorics import Params, all_permutations, enumerate_configurations
 from schurbox.graphs import (
     BipartiteMultigraph,
@@ -15,12 +15,14 @@ from schurbox.graphs import (
     pair_graph,
 )
 from schurbox.oracle import multiply_basis_oracle
+from schurbox.serialize import dumps, element_records, graph_record, join_terms
 from schurbox.structconst import (
     EulerFunction,
     coeff_by_counting,
     compose_euler,
     enumerate_euler_functions,
     enumerate_word_matrices,
+    euler_fold,
     euler_function_count,
     format_word_matrix,
     letter_labels,
@@ -265,6 +267,23 @@ def test_euler_matches_counting_on_every_compatible_pair():
         assert len(pairs) == expected
         for g1, g2 in pairs:
             assert multiply_basis_euler(g1, g2) == multiply_basis_counting(g1, g2), (g1, g2)
+
+
+def test_euler_fold_and_term_joiner_agree_with_the_element_path():
+    p = Params(3, 3)
+    graphs = enumerate_graphs(p)
+    index_of = {g.sort_key: k for k, g in enumerate(graphs)}
+    records = [dumps(graph_record(g)) for g in graphs]
+    for g1, g2 in compatible_pairs(p):
+        fold = euler_fold(g1, g2)
+        product = multiply_basis_euler(g1, g2)
+        # the unchecked element equals one built through every check
+        checked = {BipartiteMultigraph((key[0:3], key[3:6], key[6:9])): c for key, c in fold.items()}
+        assert product == AlgebraElement(3, 3, checked)
+        assert fold == {g.sort_key: c for g, c in product.items()}
+        terms = sorted((index_of[key], c) for key, c in fold.items())
+        assert join_terms((records[i], c) for i, c in terms) == dumps(element_records(product))
+    assert euler_fold(graphs[0], graphs[-1]) == {}
 
 
 def column_multinomial(g):
