@@ -1,75 +1,44 @@
-"""Dense ground truth: basis operators as explicit 0/1 matrices.
+"""Dense ground truth: one integer label grid per shape.
 
-Everything here is brute force on purpose.  Matrices are built entry by
-entry from the defining condition and hold plain Python ints (object-dtype
-numpy arrays).  Products are exact: they run in int64 when a bound on the
-operands proves that no partial sum can overflow, and fall back to the
-object-dtype product otherwise.  Nothing is shared with the combinatorial
-engines beyond the pair-graph dictionary itself.  The module refuses
-instances with more than 4096 basis vectors; it exists to certify the fast
-paths, not to replace them.
+Green's product rule (J. A. Green, *Polynomial Representations of GL_n*,
+LNM 830, §2.3) indexes the basis by the renaming orbits on pairs of
+multi-indices, and needs one thing from a dense model: the N×N array that
+gives the orbit label of each index pair.  :func:`pair_table` builds that
+array in numpy from the multi-indices alone, never calling
+:func:`graphs.pair_graph`, so the oracle stays independent of the
+combinatorial engines.  Everything else here reads it: the 0/1 matrix of a
+basis operator is ``labels == label``, the product of two basis operators is
+one column of middle-index counts, and commuting with the renaming action is
+one reindexing of the grid per adjacent transposition.  Matrices handed out
+hold plain Python ints (object-dtype numpy arrays), so arithmetic on them is
+exact.  The module refuses instances with more than 4096 basis vectors; it
+exists to certify the fast paths, not to replace them.
 """
 
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .combinatorics import (
-    MultiIndex,
     Params,
     Permutation,
     TooLargeError,
     act_on_index,
     enumerate_multi_indices,
-    to_configuration,
     to_multi_index,
 )
-from .graphs import BipartiteMultigraph, canonical_pair, pair_graph
+from .graphs import BipartiteMultigraph, canonical_configuration, canonical_pair
 from .algebra import AlgebraElement
 
 ORACLE_CAP = 4096
-_INT64_MAX = 2**63 - 1
-
-OrbitKey = tuple[tuple[int, ...], ...]
-"""A multiplicity matrix, as the key of a renaming orbit of index pairs."""
+_BLOCK_CELLS = 2**18
+"""Ball cells held at once while the grid is built: rows x N x d int32 values."""
 
 
 class NotInSpanError(ValueError):
     """A matrix is not a combination of the basis operators."""
-
-
-def _zeros(size: int) -> np.ndarray:
-    return np.zeros((size, size), dtype=object)
-
-
-def _as_int64(m: np.ndarray) -> np.ndarray | None:
-    """m as an int64 array, or None unless every entry is an integer that fits."""
-    try:
-        m64 = m.astype(np.int64)
-    except (OverflowError, TypeError, ValueError):
-        return None
-    return m64 if (m64 == m).all() else None
-
-
-def _max_abs(m: np.ndarray) -> int:
-    return max(int(m.max(initial=0)), -int(m.min(initial=0)))
-
-
-def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, exactly, as an object-dtype array; in int64 when that cannot overflow.
-
-    Every entry of the product is a sum of ``a.shape[1]`` terms, each at most
-    ``max|a| * max|b|`` in absolute value, so when that bound (taken in Python
-    ints) fits in int64 no partial sum can overflow, whatever the order of
-    summation.  Otherwise the product runs on Python ints.
-    """
-    a64, b64 = _as_int64(a), _as_int64(b)
-    if a64 is None or b64 is None or a.shape[1] * _max_abs(a64) * _max_abs(b64) > _INT64_MAX:
-        return a @ b
-    return (a64 @ b64).astype(object)
 
 
 @dataclass(eq=False)
@@ -83,7 +52,7 @@ class DenseOperator:
     def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
         if (self.n, self.d) != (other.n, other.d):
             raise ValueError(f"shape mismatch: ({self.n},{self.d}) vs ({other.n},{other.d})")
-        return DenseOperator(self.n, self.d, _exact_product(self.matrix, other.matrix))
+        return DenseOperator(self.n, self.d, self.matrix @ other.matrix)
 
     def __eq__(self, other) -> bool:
         return (
@@ -97,11 +66,17 @@ class DenseOperator:
 
 
 class PairTable:
-    """Every basis pair of one shape, keyed by its graph.
+    """The orbit label of every pair of multi-indices of one shape.
 
-    ``positions[g]`` lists the (row, column) pairs whose graph is g, in row
-    scan order; the lists partition the full square.  ``graph_at[r][c]`` is
-    the interned graph of pair (r, c).
+    ``labels[r, c]`` (a read-only int32 array) is the label of the renaming
+    orbit of the r-th and c-th multi-indices, in multi-index order;
+    ``graphs[label]`` is that orbit's graph and ``label_of`` inverts it.
+
+    A pair (x, y) puts ball k in cell ``(x_k - 1)·n + (y_k - 1)`` of the
+    n×n grid, and its orbit is the multiset of those cells.  Sorted along
+    the balls and read as the digits of a base-n² number, the cells pack into
+    one key below (n²)^d = N² <= 2^24.  Labels number the keys that occur in
+    increasing order, through a dense lookup over all N² possible keys.
     """
 
     def __init__(self, p: Params):
@@ -112,20 +87,37 @@ class PairTable:
         self.p = p
         self.indices = enumerate_multi_indices(p, cap=ORACLE_CAP)
         self.index_of = {index: k for k, index in enumerate(self.indices)}
-        self.configs = [to_configuration(index, p.n) for index in self.indices]
-        interned: dict[BipartiteMultigraph, BipartiteMultigraph] = {}
-        positions: dict[BipartiteMultigraph, list[tuple[int, int]]] = {}
-        graph_at = []
-        for r, a in enumerate(self.configs):
-            row = []
-            for c, b in enumerate(self.configs):
-                g = pair_graph(a, b)
-                g = interned.setdefault(g, g)
-                positions.setdefault(g, []).append((r, c))
-                row.append(g)
-            graph_at.append(row)
-        self.positions = positions
-        self.graph_at = graph_at
+        n, d, size = p.n, p.d, len(self.indices)
+        base = n * n
+        digits = np.array(self.indices, dtype=np.int32) - 1
+        keys = np.empty((size, size), dtype=np.int32)
+        rank = np.zeros(size * size, dtype=np.int32)  # 1 at each key that occurs, then its label
+        block = max(1, _BLOCK_CELLS // (size * d))
+        for r in range(0, size, block):
+            cells = digits[r : r + block, None, :] * n + digits[None, :, :]
+            cells.sort(axis=2)
+            key = cells[:, :, 0]
+            for k in range(1, d):
+                key = key * base + cells[:, :, k]
+            keys[r : r + block] = key
+            rank[key] = 1
+        found = np.flatnonzero(rank)
+        np.cumsum(rank, out=rank)
+        rank -= 1
+        for r in range(0, size, block):
+            keys[r : r + block] = rank[keys[r : r + block]]
+        keys.flags.writeable = False
+        self.labels = keys
+
+        graphs = []
+        for key in found.tolist():
+            matrix = [[0] * n for _ in range(n)]
+            for _ in range(d):
+                key, cell = divmod(key, base)
+                matrix[cell // n][cell % n] += 1
+            graphs.append(BipartiteMultigraph(tuple(map(tuple, matrix))))
+        self.graphs = tuple(graphs)
+        self.label_of = {g: label for label, g in enumerate(self.graphs)}
 
     @property
     def size(self) -> int:
@@ -138,55 +130,9 @@ def pair_table(n: int, d: int) -> PairTable:
 
 
 def operator_matrix(g: BipartiteMultigraph) -> DenseOperator:
-    """0/1 matrix of a basis operator: entry (a, b) is 1 exactly when pair_graph(a, b) == g."""
+    """0/1 matrix of a basis operator: entry (r, c) is 1 exactly when pair (r, c) lies in the orbit of g."""
     table = pair_table(g.n, g.d)
-    m = _zeros(table.size)
-    for r, c in table.positions.get(g, ()):
-        m[r, c] = 1
-    return DenseOperator(g.n, g.d, m)
-
-
-@lru_cache(maxsize=8)
-def orbit_key_grid(n: int, d: int) -> tuple[tuple[OrbitKey, ...], ...]:
-    """Orbit key of every pair of multi-indices, in multi-index order.
-
-    Entry (r, c) is the multiplicity matrix counting the positions k with
-    (x_k, y_k) == (i, j) for the r-th index x and c-th index y, computed
-    from the indices alone: no configurations and no :class:`PairTable`.
-    """
-    p = Params(n, d)
-    if p.index_count > ORACLE_CAP:
-        raise TooLargeError(
-            f"instance too large for the dense oracle: {p.index_count} > {ORACLE_CAP} basis vectors"
-        )
-    indices = enumerate_multi_indices(p, cap=ORACLE_CAP)
-    interned: dict[OrbitKey, OrbitKey] = {}  # one object per orbit, however large the grid
-    grid = []
-    for x in indices:
-        row = []
-        for y in indices:
-            counts = [[0] * n for _ in range(n)]
-            for i, j in zip(x, y):
-                counts[i - 1][j - 1] += 1
-            key = tuple(map(tuple, counts))
-            row.append(interned.setdefault(key, key))
-        grid.append(tuple(row))
-    return tuple(grid)
-
-
-def orbit_operator_matrix(g: BipartiteMultigraph) -> DenseOperator:
-    """Matrix of the orbit-sum operator on multi-indices for the orbit keyed by g.
-
-    Read off :func:`orbit_key_grid`, without the configuration table;
-    agreeing entrywise with :func:`operator_matrix` is the standard
-    consistency check between the two pictures of the same basis.
-    """
-    grid = orbit_key_grid(g.n, g.d)
-    m = _zeros(len(grid))
-    for r, row in enumerate(grid):
-        for c, key in enumerate(row):
-            if key == g.matrix:
-                m[r, c] = 1
+    m = (table.labels == table.label_of[g]).astype(np.int64).astype(object)
     return DenseOperator(g.n, g.d, m)
 
 
@@ -198,59 +144,20 @@ def canonical_cell(g: BipartiteMultigraph) -> tuple[int, int]:
 
 
 def orbit_composition_counts(g: BipartiteMultigraph) -> Counter:
-    """Middle indices z at the canonical cell (x, y) of g, counted by the keys of (x, z) and (z, y).
+    """Middle indices z at the canonical cell (x, y) of g, counted by the orbits of (x, z) and (z, y).
 
-    The count under (g1, g2) is the coefficient of the g orbit operator in the
-    product of the g1 and g2 orbit operators, read off combinatorially.
+    The count under (g1, g2) is Green's coefficient of the g orbit operator
+    in the product of the g1 and g2 orbit operators.
     """
+    table = pair_table(g.n, g.d)
     x, y = canonical_cell(g)
-    grid = pair_table(g.n, g.d).graph_at
-    return Counter((grid[x][z], grid[z][y]) for z in range(len(grid)))
+    counts = Counter(zip(table.labels[x].tolist(), table.labels[:, y].tolist()))
+    return Counter({(table.graphs[i], table.graphs[j]): count for (i, j), count in counts.items()})
 
 
 def orbit_composition_count(g1: BipartiteMultigraph, g2: BipartiteMultigraph, g: BipartiteMultigraph) -> int:
-    """Middle indices z with (x, z) keyed by g1 and (z, y) keyed by g2, at the canonical cell of g."""
+    """Middle indices z with (x, z) in the orbit of g1 and (z, y) in that of g2, at the canonical cell of g."""
     return orbit_composition_counts(g)[(g1, g2)]
-
-
-def first_composition_mismatch(
-    graphs: Sequence[BipartiteMultigraph],
-) -> tuple[BipartiteMultigraph, BipartiteMultigraph, BipartiteMultigraph] | None:
-    """First (g1, g2, g), scanning g1, then g2, then g, where the dense product disagrees with the count.
-
-    The dense side is the entry of ``operator_matrix(g1) @ operator_matrix(g2)``
-    at the canonical cell of g; the combinatorial side is
-    ``orbit_composition_counts(g)[(g1, g2)]``.  ``graphs`` are all the basis
-    graphs of one shape, so their operator matrices partition the square and
-    one grid of graph positions holds them all exactly: the matrix of
-    ``graphs[i]`` is ``labels == i``.  Only the G canonical-cell entries of
-    each of the G^2 products are computed, one g1 at a time, accumulating in
-    int64 (sums of at most N <= 4096 products of 0s and 1s).  Returns None
-    when all G^3 entries agree.
-    """
-    position = {g: i for i, g in enumerate(graphs)}
-    expected = [([], [], []) for _ in graphs]  # per g1: g2 positions, g positions, counts
-    for k, g in enumerate(graphs):
-        for (g1, g2), count in orbit_composition_counts(g).items():
-            js, ks, counts = expected[position[g1]]
-            js.append(position[g2])
-            ks.append(k)
-            counts.append(count)
-    grid = pair_table(graphs[0].n, graphs[0].d).graph_at
-    labels = np.array([[position[g] for g in row] for row in grid])
-    xs, ys = (list(axis) for axis in zip(*map(canonical_cell, graphs)))
-    rows = labels[xs]  # [k, z]: position of the graph of (x_k, z)
-    columns = labels[:, ys] == np.arange(len(graphs))[:, None, None]  # [j, z, k]: entry (z, y_k) of matrix j
-    for i, (g1, (js, ks, counts)) in enumerate(zip(graphs, expected)):
-        # [j, k]: entry (x_k, y_k) of matrix i times matrix j
-        product = np.einsum("kz,jzk->jk", rows == i, columns, dtype=np.int64)
-        want = np.zeros_like(product)
-        want[js, ks] = counts
-        differ = np.argwhere(product != want)
-        if len(differ):
-            j, k = differ[0]
-            return g1, graphs[j], graphs[k]
-    return None
 
 
 def permutation_matrix(w: Permutation, p: Params) -> DenseOperator:
@@ -258,7 +165,7 @@ def permutation_matrix(w: Permutation, p: Params) -> DenseOperator:
     if w.degree != p.d:
         raise ValueError(f"permutation degree {w.degree} does not match d={p.d}")
     table = pair_table(p.n, p.d)
-    m = _zeros(table.size)
+    m = np.zeros((table.size, table.size), dtype=object)
     for col, index in enumerate(table.indices):
         m[table.index_of[act_on_index(w, index)], col] = 1
     return DenseOperator(p.n, p.d, m)
@@ -291,7 +198,8 @@ def commutes_with_renaming(op: DenseOperator) -> bool:
     commuting with the whole action.  A transposition's matrix P permutes
     basis vectors by an involution sigma, so ``op @ P == P @ op`` exactly
     when reindexing both rows and columns of op by sigma leaves it unchanged;
-    no product is formed.
+    no product is formed.  On the label grid itself this checks every basis
+    operator at once, since the operators partition the square.
     """
     return all(
         np.array_equal(op.matrix[np.ix_(sigma, sigma)], op.matrix)
@@ -307,28 +215,56 @@ def check_commutant(g: BipartiteMultigraph) -> bool:
 def decompose(op: DenseOperator) -> AlgebraElement:
     """Expand a matrix in the basis operators, or raise :class:`NotInSpanError`.
 
-    The orbit positions partition all entries, so the expansion exists
-    exactly when the matrix is constant on each orbit, and the coefficient
-    can be read off at any one representative entry.
+    The orbits partition all entries, so the expansion exists exactly when
+    the matrix is constant on each orbit; the coefficient is read off at
+    each orbit's first cell in row-scan order.
     """
     table = pair_table(op.n, op.d)
-    terms = []
-    for g, positions in table.positions.items():
-        r0, c0 = positions[0]
-        value = op.matrix[r0, c0]
-        for r, c in positions[1:]:
-            if op.matrix[r, c] != value:
-                raise NotInSpanError(
-                    f"matrix is not constant on the orbit of {g}: "
-                    f"entry {(r0, c0)} is {value} but {(r, c)} is {op.matrix[r, c]}"
-                )
-        if value:
-            terms.append((g, int(value)))
-    return AlgebraElement(op.n, op.d, terms)
+    labels = table.labels.ravel()
+    entries = op.matrix.ravel()
+    first = np.unique(labels, return_index=True)[1]
+    values = entries[first]
+    differ = np.flatnonzero(entries != values[labels])
+    if len(differ):
+        cell = int(differ[0])
+        label = labels[cell]
+        r0, c0 = divmod(int(first[label]), table.size)
+        r, c = divmod(cell, table.size)
+        raise NotInSpanError(
+            f"matrix is not constant on the orbit of {table.graphs[label]}: "
+            f"entry {(r0, c0)} is {op.matrix[r0, c0]} but {(r, c)} is {op.matrix[r, c]}"
+        )
+    return AlgebraElement(op.n, op.d, [(g, int(value)) for g, value in zip(table.graphs, values) if value])
 
 
 def multiply_basis_oracle(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> AlgebraElement:
-    """Ground-truth product: multiply the dense matrices and expand the result."""
+    """Ground-truth product, read off one column of the dense product.
+
+    Every term of the product has g2's top valencies, so every term's orbit
+    meets column y, the index of the canonical configuration of those
+    valencies.  Entry z of that column counts the middle indices w with
+    (z, w) in the orbit of g1 and (w, y) in that of g2, a sum of at most N
+    zeros and ones.  The product lies in the span of the basis operators, so
+    the column must be constant on each orbit it meets; that value is the
+    orbit's coefficient.
+    """
     if (g1.n, g1.d) != (g2.n, g2.d):
         raise ValueError(f"graph shapes differ: ({g1.n},{g1.d}) vs ({g2.n},{g2.d})")
-    return decompose(operator_matrix(g1) @ operator_matrix(g2))
+    table = pair_table(g1.n, g1.d)
+    y = table.index_of[to_multi_index(canonical_configuration(g2.top_valencies()))]
+    orbits = table.labels[:, y]
+    middle = orbits == table.label_of[g2]
+    column = np.count_nonzero(table.labels[:, middle] == table.label_of[g1], axis=1)
+    found, first = np.unique(orbits, return_index=True)
+    coefficients = np.zeros(len(table.graphs), dtype=np.int64)
+    coefficients[found] = column[first]
+    differ = np.flatnonzero(coefficients[orbits] != column)
+    if len(differ):
+        z = int(differ[0])
+        z0 = int(np.argmax(orbits == orbits[z]))
+        raise NotInSpanError(
+            f"product is not constant on the orbit of {table.graphs[orbits[z]]}: "
+            f"entry {(z0, y)} is {column[z0]} but {(z, y)} is {column[z]}"
+        )
+    terms = zip(found.tolist(), column[first].tolist())
+    return AlgebraElement(g1.n, g1.d, [(table.graphs[label], value) for label, value in terms if value])

@@ -8,7 +8,9 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from . import oracle, serialize
+import numpy as np
+
+from . import oracle, serialize, structconst
 from .algebra import (
     ENGINE_NAMES,
     AlgebraElement,
@@ -18,7 +20,7 @@ from .algebra import (
     identity_element,
     multiply,
 )
-from .combinatorics import Params, enumerate_configurations
+from .combinatorics import Params, enumerate_configurations, to_configuration
 from .graphs import enumerate_graphs, graph_count, pair_graph
 from .oracle import ORACLE_CAP
 
@@ -72,15 +74,19 @@ def check_orbit_bijection(p: Params) -> CheckResult:
 
 def check_commutant(p: Params, corrupt: bool = False) -> CheckResult:
     graphs = enumerate_graphs(p)
+    table = oracle.pair_table(p.n, p.d)
     if corrupt:
-        # deliberately break one operator on a non-singleton orbit to prove
-        # that the harness notices
-        table = oracle.pair_table(p.n, p.d)
-        g = next(g for g in graphs if len(table.positions[g]) >= 2)
-        broken = oracle.operator_matrix(g)
-        r, c = table.positions[g][0]
-        broken.matrix[r, c] = 0
-        if not oracle.commutes_with_renaming(broken):
+        # deliberately relabel the first cell of the first orbit with two or
+        # more cells, clearing it from that operator, to prove that the
+        # harness notices
+        sizes = np.bincount(table.labels.ravel(), minlength=len(table.graphs))
+        g = next((g for g in graphs if sizes[table.label_of[g]] >= 2), None)
+        if g is None:
+            raise ValueError(f"nothing to corrupt: no orbit at n={p.n}, d={p.d} has two or more cells")
+        r, c = divmod(int(np.argmax(table.labels.ravel() == table.label_of[g])), table.size)
+        broken = table.labels.copy()
+        broken[r, c] = -1
+        if not oracle.commutes_with_renaming(oracle.DenseOperator(p.n, p.d, broken)):
             counterexample = serialize.dumps(
                 {"corrupted": serialize.graph_record(g), "cleared-entry": [r, c]}
             )
@@ -91,14 +97,15 @@ def check_commutant(p: Params, corrupt: bool = False) -> CheckResult:
                 counterexample,
             )
         return CheckResult("commutant", False, "self-test failed to detect the corruption", None)
-    for g in graphs:
-        if not oracle.check_commutant(g):
-            return CheckResult(
-                "commutant",
-                False,
-                f"operator of {g} does not commute with renaming",
-                serialize.dumps(serialize.graph_record(g)),
-            )
+    # one check on the label grid covers every basis operator: they partition the square
+    if not oracle.commutes_with_renaming(oracle.DenseOperator(p.n, p.d, table.labels)):
+        g = next(g for g in graphs if not oracle.check_commutant(g))
+        return CheckResult(
+            "commutant",
+            False,
+            f"operator of {g} does not commute with renaming",
+            serialize.dumps(serialize.graph_record(g)),
+        )
     return CheckResult(
         "commutant", True, f"{len(graphs)} operators x {max(p.d - 1, 0)} generators", None
     )
@@ -179,28 +186,58 @@ def check_identity(p: Params) -> CheckResult:
 
 
 def check_t_basis(p: Params) -> CheckResult:
+    """The label grid against pair graphs, then Green's counts against the ``euler`` fold.
+
+    Every cell's label must name the graph :func:`pair_graph` gives for its
+    configuration pair.  Then, for every (g1, g2), the middle-index counts
+    at the canonical cells must equal the fold's coefficients: on a
+    valency-compatible pair the fold gives every nonzero coefficient, and on
+    any other pair no count may fall.  The first mismatch in g1, g2, g order
+    is reported.
+    """
     graphs = enumerate_graphs(p)
-    for g in graphs:
-        if oracle.orbit_operator_matrix(g) != oracle.operator_matrix(g):
-            return CheckResult(
-                "t-basis",
-                False,
-                f"orbit and configuration matrices differ at {g}",
-                serialize.dumps(serialize.graph_record(g)),
-            )
-    mismatch = oracle.first_composition_mismatch(graphs)
-    if mismatch is not None:
-        g1, g2, g = mismatch
-        counterexample = serialize.dumps(
-            {
-                "g1": serialize.graph_record(g1),
-                "g2": serialize.graph_record(g2),
-                "g": serialize.graph_record(g),
-            }
-        )
+    table = oracle.pair_table(p.n, p.d)
+    configs = [to_configuration(index, p.n) for index in table.indices]
+    differ = set()
+    for a, row in zip(configs, table.labels.tolist()):
+        for b, label in zip(configs, row):
+            g, h = pair_graph(a, b), table.graphs[label]
+            if g != h:
+                differ.update((g, h))
+    if differ:
+        g = min(differ, key=lambda g: g.sort_key)
         return CheckResult(
-            "t-basis", False, f"composition count mismatch at {g1} * {g2} -> {g}", counterexample
+            "t-basis",
+            False,
+            f"orbit and configuration matrices differ at {g}",
+            serialize.dumps(serialize.graph_record(g)),
         )
+    position = {g.sort_key: k for k, g in enumerate(graphs)}  # the fold keys graphs by sort key
+    counted = [{} for _ in graphs]  # per g1 position: {g2 position: {g position: count}}
+    for k, g in enumerate(graphs):
+        for (g1, g2), count in oracle.orbit_composition_counts(g).items():
+            counted[position[g1.sort_key]].setdefault(position[g2.sort_key], {})[k] = count
+    by_bottom = {}
+    for j, g2 in enumerate(graphs):
+        by_bottom.setdefault(g2.bottom_valencies(), []).append(j)
+    for i, g1 in enumerate(graphs):
+        for j in sorted(set(by_bottom.get(g1.top_valencies(), ())).union(counted[i])):
+            folded = structconst.euler_fold(g1, graphs[j])  # empty on an incompatible pair
+            want = {position[key]: value for key, value in folded.items()}
+            got = counted[i].get(j, {})
+            wrong = [k for k in want.keys() | got.keys() if want.get(k, 0) != got.get(k, 0)]
+            if wrong:
+                g2, g = graphs[j], graphs[min(wrong)]
+                counterexample = serialize.dumps(
+                    {
+                        "g1": serialize.graph_record(g1),
+                        "g2": serialize.graph_record(g2),
+                        "g": serialize.graph_record(g),
+                    }
+                )
+                return CheckResult(
+                    "t-basis", False, f"composition count mismatch at {g1} * {g2} -> {g}", counterexample
+                )
     return CheckResult(
         "t-basis",
         True,
@@ -217,6 +254,8 @@ def run_checks(
     unknown = [name for name in selected if name not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; choose from {CHECK_NAMES}")
+    if corrupt and "commutant" not in selected:
+        raise ValueError("corrupting an operator needs the commutant check, which is not selected")
     results = []
     for name in CHECK_NAMES:
         if name not in selected:

@@ -13,7 +13,13 @@ import time
 from collections import Counter
 
 from schurbox.algebra import AlgebraElement, VectorElement, apply, identity_element, multiply
-from schurbox.combinatorics import Configuration, Params, enumerate_configurations, to_multi_index
+from schurbox.combinatorics import (
+    Configuration,
+    Params,
+    enumerate_configurations,
+    to_configuration,
+    to_multi_index,
+)
 from schurbox.graphs import (
     BipartiteMultigraph,
     canonical_pair,
@@ -26,7 +32,6 @@ from schurbox.oracle import (
     multiply_basis_oracle,
     operator_matrix,
     orbit_composition_count,
-    orbit_operator_matrix,
     pair_table,
 )
 from schurbox.structconst import (
@@ -142,9 +147,11 @@ def test_08_orbit_sum_basis_consistency():
     started = time.monotonic()
     p = Params(2, 2)
     graphs = enumerate_graphs(p)
-    for g in graphs:
-        assert orbit_operator_matrix(g) == operator_matrix(g)
     table = pair_table(p.n, p.d)
+    configs = [to_configuration(index, p.n) for index in table.indices]
+    for g in graphs:
+        expected = [[int(pair_graph(a, b) == g) for b in configs] for a in configs]
+        assert operator_matrix(g).matrix.tolist() == expected
     for g1, g2 in itertools.product(graphs, repeat=2):
         product = operator_matrix(g1) @ operator_matrix(g2)
         for g in graphs:

@@ -18,7 +18,7 @@ from schurbox.algebra import (
     is_prime,
     multiply,
 )
-from schurbox.combinatorics import Configuration, Params, enumerate_configurations
+from schurbox.combinatorics import Configuration, Params, enumerate_configurations, to_configuration
 from schurbox.graphs import BipartiteMultigraph, diagonal_graph, enumerate_graphs
 from schurbox.oracle import operator_matrix, pair_table
 
@@ -128,11 +128,11 @@ def test_apply_basis_diagonal_fixes():
 def test_apply_basis_matches_oracle_columns():
     # the preimage set of b is exactly the 1-entries of b's operator column
     p = Params(2, 3)
-    table = pair_table(p.n, p.d)
+    configs = [to_configuration(index, p.n) for index in pair_table(p.n, p.d).indices]
     for g in enumerate_graphs(p):
         op = operator_matrix(g)
-        for y, b in enumerate(table.configs):
-            expected = {table.configs[x] for x in range(table.size) if op.matrix[x, y] == 1}
+        for y, b in enumerate(configs):
+            expected = {a for x, a in enumerate(configs) if op.matrix[x, y] == 1}
             assert apply_basis(g, b) == expected
 
 

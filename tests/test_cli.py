@@ -255,6 +255,23 @@ def test_verify_corrupt_self_test(capsys):
     assert json.loads(out.strip().split("\n")[-1])["passed"] is False
 
 
+@pytest.mark.parametrize(
+    "boxes, balls, checks", [("2", "1", "commutant"), ("1", "3", "all")], ids=["one-ball", "one-box"]
+)
+def test_verify_corrupt_without_a_two_cell_orbit_is_an_input_error(capsys, boxes, balls, checks):
+    code, out, err = run(capsys, "verify", "-n", boxes, "-d", balls, "--checks", checks, "--corrupt")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: nothing to corrupt: no orbit at n={boxes}, d={balls} has two or more cells\n"
+
+
+def test_verify_corrupt_needs_the_commutant_check(capsys):
+    code, out, err = run(capsys, "verify", "-n", "2", "-d", "2", "--checks", "identity", "--corrupt")
+    assert code == 1
+    assert out == ""
+    assert err == "error: corrupting an operator needs the commutant check, which is not selected\n"
+
+
 def test_verify_unknown_check(capsys):
     code, out, err = run(capsys, "verify", "-n", "2", "-d", "2", "--checks", "bogus")
     assert code == 1

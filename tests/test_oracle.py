@@ -1,7 +1,9 @@
 """The dense matrix oracle and its self-checks."""
 
+import copy
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +17,10 @@ from schurbox.combinatorics import (
     TooLargeError,
     all_permutations,
     enumerate_multi_indices,
+    to_configuration,
 )
-from schurbox.graphs import BipartiteMultigraph, enumerate_graphs, orbit_representative, pair_graph
+from schurbox.graphs import BipartiteMultigraph, enumerate_graphs, pair_graph
+from schurbox.structconst import multiply_basis_euler
 from schurbox.oracle import (
     ORACLE_CAP,
     DenseOperator,
@@ -27,8 +31,6 @@ from schurbox.oracle import (
     multiply_basis_oracle,
     operator_matrix,
     orbit_composition_count,
-    orbit_key_grid,
-    orbit_operator_matrix,
     pair_table,
     permutation_matrix,
 )
@@ -39,15 +41,28 @@ G3 = BipartiteMultigraph(((3, 0), (0, 1)))
 G4 = BipartiteMultigraph(((2, 1), (1, 0)))
 
 
+def _configs(table):
+    return [to_configuration(index, table.p.n) for index in table.indices]
+
+
+def _first_cell(table, g):
+    """First cell of g's orbit in row-scan order."""
+    return divmod(int(np.argmax(table.labels.ravel() == table.label_of[g])), table.size)
+
+
 def test_pair_table_partitions_the_square():
     table = pair_table(2, 3)
     assert table.size == 8
-    total = sum(len(positions) for positions in table.positions.values())
-    assert total == 64
-    for g, positions in table.positions.items():
-        for r, c in positions:
-            assert table.graph_at[r][c] == g
-            assert pair_graph(table.configs[r], table.configs[c]) == g
+    assert table.labels.shape == (8, 8)
+    assert not table.labels.flags.writeable
+    assert sorted(table.graphs, key=lambda g: g.sort_key) == enumerate_graphs(Params(2, 3))
+    assert all(table.label_of[g] == label for label, g in enumerate(table.graphs))
+    sizes = np.bincount(table.labels.ravel(), minlength=len(table.graphs))
+    assert sizes.sum() == 64
+    assert sizes.min() >= 1
+    configs = _configs(table)
+    for r, c in itertools.product(range(table.size), repeat=2):
+        assert pair_graph(configs[r], configs[c]) == table.graphs[table.labels[r, c]]
 
 
 def test_pair_table_cap():
@@ -56,33 +71,52 @@ def test_pair_table_cap():
     with pytest.raises(TooLargeError):
         pair_table(2, 13)
     with pytest.raises(TooLargeError):
-        orbit_operator_matrix(BipartiteMultigraph(((13, 0), (0, 0))))
+        operator_matrix(BipartiteMultigraph(((13, 0), (0, 0))))
 
 
 def test_operator_matrix_entries():
     table = pair_table(2, 2)
+    configs = _configs(table)
     for g in enumerate_graphs(Params(2, 2)):
         m = operator_matrix(g).matrix
         for r in range(table.size):
             for c in range(table.size):
-                expected = 1 if pair_graph(table.configs[r], table.configs[c]) == g else 0
+                expected = 1 if pair_graph(configs[r], configs[c]) == g else 0
+                assert type(m[r, c]) is int
                 assert m[r, c] == expected
 
 
-def test_orbit_key_grid_matches_orbit_representative():
+def test_label_grid_matches_orbit_keys():
+    # the orbit key of (x, y) counts the positions k with (x_k, y_k) == (i, j)
     indices = enumerate_multi_indices(Params(2, 3))
-    grid = orbit_key_grid(2, 3)
-    assert len(grid) == len(indices) == 8
+    table = pair_table(2, 3)
+    assert table.indices == indices
     for r, x in enumerate(indices):
-        assert len(grid[r]) == len(indices)
         for c, y in enumerate(indices):
-            assert grid[r][c] == orbit_representative(x, y, 2).matrix
+            counts = [[0, 0], [0, 0]]
+            for i, j in zip(x, y):
+                counts[i - 1][j - 1] += 1
+            assert table.graphs[table.labels[r, c]].matrix == tuple(map(tuple, counts))
+
+
+@pytest.mark.parametrize("p", [Params(2, 3), Params(3, 2)])
+def test_label_grid_matches_pair_graph_on_every_cell(p):
+    table = pair_table(p.n, p.d)
+    configs = _configs(table)
+    cells = 0
+    for r, a in enumerate(configs):
+        for c, b in enumerate(configs):
+            assert table.graphs[table.labels[r, c]] == pair_graph(a, b)
+            cells += 1
+    assert cells == p.index_count**2
 
 
 def test_orbit_matrix_equals_configuration_matrix():
     for p in (Params(2, 3), Params(3, 2)):
+        configs = _configs(pair_table(p.n, p.d))
         for g in enumerate_graphs(p):
-            assert orbit_operator_matrix(g) == operator_matrix(g)
+            expected = np.array([[int(pair_graph(a, b) == g) for b in configs] for a in configs], dtype=object)
+            assert operator_matrix(g) == DenseOperator(p.n, p.d, expected)
 
 
 def test_permutation_matrix_is_an_action():
@@ -101,9 +135,9 @@ def test_basis_operators_commute_with_renaming():
 
 def test_corrupted_operator_fails_checks():
     table = pair_table(2, 2)
-    g = next(g for g in enumerate_graphs(Params(2, 2)) if len(table.positions[g]) >= 2)
+    g = next(g for g in enumerate_graphs(Params(2, 2)) if operator_matrix(g).matrix.sum() >= 2)
     broken = operator_matrix(g).copy()
-    r, c = table.positions[g][0]
+    r, c = _first_cell(table, g)
     broken.matrix[r, c] = 0
     assert not commutes_with_renaming(broken)
     with pytest.raises(NotInSpanError, match="not constant on the orbit"):
@@ -139,6 +173,34 @@ def test_oracle_worked_product():
         multiply_basis_oracle(G1, BipartiteMultigraph(((1,),)))
 
 
+def test_oracle_squares_a_dense_factor_at_1024_vectors():
+    # one column of the product, not the 1024 x 1024 matrices
+    g = BipartiteMultigraph(((3, 2), (2, 3)))
+    pair_table.cache_clear()
+    tracemalloc.start()
+    try:
+        product = multiply_basis_oracle(g, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        pair_table.cache_clear()
+    assert product == multiply_basis_euler(g, g)
+    assert peak < 32 * 2**20
+
+
+def test_oracle_product_rejects_a_relabelled_cell(monkeypatch):
+    # a product column that is not constant on an orbit is not in the span
+    table = pair_table(2, 2)
+    broken = copy.copy(table)
+    broken.labels = table.labels.copy()
+    broken.labels[0, 0] = table.label_of[BipartiteMultigraph(((1, 0), (1, 0)))]
+    monkeypatch.setattr(oracle, "pair_table", lambda n, d: broken)
+    g1 = BipartiteMultigraph(((0, 1), (0, 1)))
+    g2 = BipartiteMultigraph(((0, 0), (2, 0)))
+    with pytest.raises(NotInSpanError, match=r"product is not constant on the orbit of \[\[1,0\],\[1,0\]\]"):
+        multiply_basis_oracle(g1, g2)
+
+
 def test_orbit_composition_count_matches_products():
     p = Params(2, 2)
     graphs = enumerate_graphs(p)
@@ -166,18 +228,18 @@ def test_exact_arithmetic_stays_integral():
 @pytest.mark.parametrize(
     "a, b",
     [
-        # 0/1 operands: the int64 path
+        # 0/1 operands
         (
             np.array([[(i * j + i) % 2 for j in range(8)] for i in range(8)], dtype=object),
             np.array([[int((i + j) % 3 == 0) for j in range(8)] for i in range(8)], dtype=object),
         ),
-        # entries around 2**40 at size 8: the bound fails, and the entries
-        # of the product (about 2**83) do not fit in int64 either
+        # entries around 2**40 at size 8: the entries of the product (about
+        # 2**83) do not fit in int64
         (
             np.array([[2**40 + 3 * i + j for j in range(8)] for i in range(8)], dtype=object),
             np.array([[2**40 - i * j for j in range(8)] for i in range(8)], dtype=object),
         ),
-        # one entry beyond int64: the conversion fails, the object product runs
+        # one entry beyond int64
         (
             np.array([[2**64 + 1, 1], [0, 3]], dtype=object),
             np.array([[1, 2], [3, 4]], dtype=object),
@@ -218,7 +280,7 @@ def test_commutes_with_renaming_agrees_with_transposition_products(p):
     for g in enumerate_graphs(p):
         op = operator_matrix(g)
         broken = op.copy()
-        r, c = table.positions[g][0]
+        r, c = _first_cell(table, g)
         broken.matrix[r, c] += 1
         for m in (op, broken):
             expected = all(m @ perm == perm @ m for perm in perms)

@@ -1,11 +1,12 @@
 """The consistency suites behind the verify command."""
 
+import copy
 import json
 import tracemalloc
 
 import pytest
 
-from schurbox import oracle
+from schurbox import oracle, structconst
 from schurbox.combinatorics import Params
 from schurbox.graphs import enumerate_graphs
 from schurbox.serialize import graph_from_record
@@ -90,16 +91,18 @@ def _named(result):
     return tuple(graph_from_record(record[key]) for key in ("g1", "g2", "g"))
 
 
-@pytest.mark.parametrize("nonzero", [True, False], ids=["nonzero-count", "zero-count"])
-def test_t_basis_names_the_wrong_count(monkeypatch, nonzero):
+@pytest.mark.parametrize("case", ["nonzero-count", "zero-count", "incompatible-pair"])
+def test_t_basis_names_the_wrong_count(monkeypatch, case):
     p = Params(2, 3)
     graphs = enumerate_graphs(p)
     g = graphs[7]
     counts = oracle.orbit_composition_counts(g)
-    if nonzero:
+    if case == "nonzero-count":
         g1, g2 = max(counts, key=lambda pair: (counts[pair], pair[0].sort_key, pair[1].sort_key))
-    else:
+    elif case == "zero-count":
         g1, g2 = next((a, b) for a in graphs for b in graphs if (a, b) not in counts)
+    else:  # a pair whose valencies do not meet, so the fold never looks at it
+        g1, g2 = next((a, b) for a in graphs[9:] for b in graphs if b.bottom_valencies() != a.top_valencies())
     _miscount(monkeypatch, [(g1, g2, g)])
     result = check_t_basis(p)
     assert not result.passed
@@ -115,18 +118,44 @@ def test_t_basis_reports_the_first_wrong_count_in_scan_order(monkeypatch):
     assert _named(check_t_basis(Params(2, 3))) == wrong[2]
 
 
-def test_t_basis_compares_orbit_matrices_first(monkeypatch):
+@pytest.mark.parametrize("nonzero", [True, False], ids=["nonzero-coefficient", "zero-coefficient"])
+def test_t_basis_names_a_wrong_euler_coefficient(monkeypatch, nonzero):
     p = Params(2, 3)
-    g = enumerate_graphs(p)[4]
-    right = oracle.operator_matrix
+    graphs = enumerate_graphs(p)
+    right = structconst.euler_fold
+    g1, g2 = next((a, b) for a in graphs[5:] for b in graphs if len(right(a, b)) >= 2)
+    folded = right(g1, g2)
+    if nonzero:
+        g = next(h for h in reversed(graphs) if h.sort_key in folded)
+    else:
+        g = next(h for h in graphs if h.sort_key not in folded)
 
-    def perturbed(h):
-        m = right(h)
-        if h == g:
-            m.matrix[0, 0] = 1 - m.matrix[0, 0]
-        return m
+    def off_by_one(a, b):
+        result = right(a, b)
+        if (a, b) == (g1, g2):
+            result[g.sort_key] = result.get(g.sort_key, 0) + 1
+        return result
 
-    monkeypatch.setattr(oracle, "operator_matrix", perturbed)
+    monkeypatch.setattr(structconst, "euler_fold", off_by_one)
+    result = check_t_basis(p)
+    assert not result.passed
+    assert result.detail == f"composition count mismatch at {g1} * {g2} -> {g}"
+    assert _named(result) == (g1, g2, g)
+
+
+def test_t_basis_names_a_relabelled_cell(monkeypatch):
+    # one cell of the label grid moved to another orbit: both orbits' matrices
+    # now differ from their configuration matrices, and the first is named
+    p = Params(2, 3)
+    graphs = enumerate_graphs(p)
+    table = oracle.pair_table(p.n, p.d)
+    was = table.graphs[table.labels[0, 2]]
+    now = next(g for g in graphs if g != was)
+    broken = copy.copy(table)
+    broken.labels = table.labels.copy()
+    broken.labels[0, 2] = table.label_of[now]
+    monkeypatch.setattr(oracle, "pair_table", lambda n, d: broken)
+    g = min(was, now, key=graphs.index)
     result = check_t_basis(p)
     assert not result.passed
     assert result.detail == f"orbit and configuration matrices differ at {g}"
@@ -136,7 +165,6 @@ def test_t_basis_compares_orbit_matrices_first(monkeypatch):
 def test_t_basis_keeps_no_cube_of_coefficients():
     # 56^3 int64 expected counts at (2,5) alone would take 1.4 MB
     oracle.pair_table.cache_clear()
-    oracle.orbit_key_grid.cache_clear()
     tracemalloc.start()
     try:
         result = check_t_basis(Params(2, 5))
