@@ -7,10 +7,9 @@ or engine disagreement.
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
-from . import serialize, structconst
+from . import oracle, serialize, structconst
 from .algebra import (
     ENGINE_NAMES,
     AlgebraElement,
@@ -21,7 +20,6 @@ from .algebra import (
 )
 from .combinatorics import DEFAULT_ENUMERATION_CAP, Configuration, Params, TooLargeError
 from .graphs import enumerate_graphs, graph_count
-from .oracle import ORACLE_CAP
 from .render import (
     render_graph_ascii,
     render_graph_dot,
@@ -70,7 +68,7 @@ def cmd_multiply(args) -> int:
             f"factors live in different algebras: (n,d)=({g1.n},{g1.d}) vs ({g2.n},{g2.d})"
         )
     if args.engine == "all":
-        outputs = engine_outputs(g1, g2, Params(g1.n, g1.d).index_count <= ORACLE_CAP)
+        outputs = engine_outputs(g1, g2, oracle.in_reach(Params(g1.n, g1.d)))
         product = outputs["counting"]
         if any(result != product for result in outputs.values()):
             print(f"error: engines disagree at {g1} * {g2}", file=sys.stderr)
@@ -97,18 +95,18 @@ def cmd_apply(args) -> int:
     return 0
 
 
-_TABLE_BLOCK = 16
-"""Left factors per table task: enough to amortize a task, few enough that
-the blocks arrive in order and each stays near a megabyte at n=3, d=4."""
-
-
 @lru_cache(maxsize=1)
 def _table_context(n: int, d: int):
-    """What every block of one table shape shares, built once per process.
+    """What a table of one shape needs besides the folds, built once per process.
 
     The basis graphs, the JSON of each, a map from flattened matrix to basis
-    index, the basis indices grouped by bottom valencies, and per right
-    factor the line tail of a zero product.
+    index, the basis indices grouped by bottom valencies, per right factor
+    the line tail of a zero product, and the generators of the symmetry
+    group as basis-index maps: one per adjacent box swap (s, s + 1), which
+    relabels rows and columns alike, then the transpose last.  Relabelling
+    boxes is an automorphism of the algebra and transposing an
+    anti-automorphism, so c(g1, g2; g) = c(σg1σᵀ, σg2σᵀ; σgσᵀ)
+    = c(g2ᵀ, g1ᵀ; gᵀ).
     """
     graphs = enumerate_graphs(Params(n, d))
     records = [serialize.dumps(serialize.graph_record(g)) for g in graphs]
@@ -117,38 +115,52 @@ def _table_context(n: int, d: int):
     for k, g in enumerate(graphs):
         by_bottom.setdefault(g.bottom_valencies(), []).append(k)
     zero_tails = [serialize.table_line_tail(record, "[]") + "\n" for record in records]
-    return graphs, records, index_of, by_bottom, zero_tails
+    # each generator as the flattened cell that every cell of the image reads
+    cells = [divmod(cell, n) for cell in range(n * n)]
+    swaps = []
+    for s in range(n - 1):
+        box = list(range(n))
+        box[s], box[s + 1] = s + 1, s
+        swaps.append([box[i] * n + box[j] for i, j in cells])
+    flats = swaps + [[j * n + i for i, j in cells]]
+    generators = [
+        [index_of[tuple(map(g.sort_key.__getitem__, flat))] for g in graphs] for flat in flats
+    ]
+    return graphs, records, index_of, by_bottom, zero_tails, generators
 
 
-def _table_rows(task) -> str:
-    """Render the table lines for one contiguous block of left factors.
+def _orbit(i: int, k: int, indices: tuple[int, ...], generators) -> dict:
+    """Every pair in the symmetry orbit of (i, k), with its product's term indices.
 
-    Top-level so that process pools can pickle it; takes (n, d) instead of
-    graph objects.  The engine runs only on the pairs whose valencies meet
-    in the middle row (bottom of g2 = top of g1): every such pair has a
-    nonzero product and every other pair a zero one, whose line tail is
-    precomputed.  A table never asks for a product twice, so it calls the
-    raw fold directly, past the ``basis_product`` memo and without building
-    elements: the terms sorted by basis index are in ``items()`` order.
+    A swap m sends the pair (i, k) to (m[i], m[k]) and the transpose t to
+    (t[k], t[i]); each sends a term index x to m[x] or t[x].  The
+    coefficients ride along unchanged.
     """
-    n, d, mod, start, stop = task
-    graphs, records, index_of, by_bottom, zero_tails = _table_context(n, d)
-    blocks = []
-    for g1, record1 in zip(graphs[start:stop], records[start:stop]):
-        tails = zero_tails.copy()
-        for k in by_bottom.get(g1.top_valencies(), ()):
-            fold = structconst.euler_fold(g1, graphs[k])
-            terms = sorted((index_of[key], ways) for key, ways in fold.items())
-            if mod is not None:
-                terms = [(i, ways % mod) for i, ways in terms if ways % mod]
-            terms_json = serialize.join_terms((records[i], coeff) for i, coeff in terms)
-            tails[k] = serialize.table_line_tail(records[k], terms_json) + "\n"
-        head = serialize.table_line_head(record1)
-        blocks.append(head + head.join(tails))
-    return "".join(blocks)
+    *swaps, transpose = generators
+    orbit = {(i, k): indices}
+    queue = [(i, k, indices)]
+    for i, k, indices in queue:
+        images = [(m[i], m[k], m) for m in swaps] + [(transpose[k], transpose[i], transpose)]
+        for a, b, m in images:
+            if (a, b) not in orbit:
+                image = tuple(map(m.__getitem__, indices))
+                orbit[a, b] = image
+                queue.append((a, b, image))
+    return orbit
 
 
 def cmd_table(args) -> int:
+    """Write every basis product, folding one pair per symmetry orbit.
+
+    The engine runs only on the pairs whose valencies meet in the middle row
+    (bottom of g2 = top of g1): every such pair has a nonzero product and
+    every other pair a zero one, whose line tail is precomputed.  The first
+    compatible pair of an orbit met in table order is folded; the terms of
+    every other pair in its orbit are the relabelled terms, held until that
+    pair's row is written.  A table never asks for a product twice, so it
+    calls the raw fold directly, past the ``basis_product`` memo and without
+    building elements.  ``--jobs`` is accepted and ignored.
+    """
     check_modulus(args.mod)
     p = Params(args.boxes, args.balls)
     count = graph_count(p)
@@ -157,21 +169,28 @@ def cmd_table(args) -> int:
             f"instance too large: {count}^2 basis products exceed the cap "
             f"{DEFAULT_ENUMERATION_CAP}"
         )
-    blocks = [
-        (p.n, p.d, args.mod, start, min(start + _TABLE_BLOCK, count))
-        for start in range(0, count, _TABLE_BLOCK)
-    ]
-    # the pool forks all its workers at the first submit, so never ask for
-    # more than there are jobs, blocks or processors
-    workers = min(max(1, args.jobs), len(blocks), os.cpu_count() or 1)
+    graphs, records, index_of, by_bottom, zero_tails, generators = _table_context(p.n, p.d)
+    # pair -> (term indices, coefficients), for pairs whose orbit is folded but row not yet written
+    pending: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
     tmp = args.out + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            if workers == 1:
-                handle.writelines(map(_table_rows, blocks))
-            else:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    handle.writelines(pool.map(_table_rows, blocks))
+            for i, (g1, record1) in enumerate(zip(graphs, records)):
+                tails = zero_tails.copy()
+                for k in by_bottom.get(g1.top_valencies(), ()):
+                    if (i, k) not in pending:
+                        fold = structconst.euler_fold(g1, graphs[k]).items()
+                        if args.mod is not None:
+                            fold = [(key, ways % args.mod) for key, ways in fold if ways % args.mod]
+                        ways = tuple(w for _, w in fold)
+                        indices = tuple(index_of[key] for key, _ in fold)
+                        for pair, image in _orbit(i, k, indices, generators).items():
+                            pending[pair] = image, ways
+                    terms = sorted(zip(*pending.pop((i, k))))
+                    terms_json = serialize.join_terms((records[x], coeff) for x, coeff in terms)
+                    tails[k] = serialize.table_line_tail(records[k], terms_json) + "\n"
+                head = serialize.table_line_head(record1)
+                handle.write(head + head.join(tails))
         os.replace(tmp, args.out)
     except BaseException:
         if os.path.exists(tmp):
@@ -276,7 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="tabulate every basis product to a file")
     _add_params(table)
     table.add_argument("--mod", type=int, help="reduce coefficients modulo this prime")
-    table.add_argument("--jobs", type=int, default=1, help="worker processes (at most one per CPU)")
+    table.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted and ignored: table runs in one process",
+    )
     _add_out(table, required=True)
     table.set_defaults(func=cmd_table)
 

@@ -11,8 +11,9 @@ basis operator is ``labels == label``, the product of two basis operators is
 one column of middle-index counts, and commuting with the renaming action is
 one reindexing of the grid per adjacent transposition.  Matrices handed out
 hold plain Python ints (object-dtype numpy arrays), so arithmetic on them is
-exact.  The module refuses instances with more than 4096 basis vectors; it
-exists to certify the fast paths, not to replace them.
+exact.  The module refuses instances with more than 4096 basis vectors or
+more than 2^17 orbits (:func:`in_reach`); it exists to certify the fast
+paths, not to replace them.
 """
 
 from collections import Counter
@@ -29,10 +30,12 @@ from .combinatorics import (
     enumerate_multi_indices,
     to_multi_index,
 )
-from .graphs import BipartiteMultigraph, canonical_configuration, canonical_pair
+from .graphs import BipartiteMultigraph, canonical_configuration, canonical_pair, graph_count
 from .algebra import AlgebraElement
 
 ORACLE_CAP = 4096
+ORBIT_CAP = 2**17
+"""Orbits, one graph object each: (5,5), (9,3) and (6,4) fit, (8,4)'s 766,480 do not."""
 _BLOCK_CELLS = 2**18
 """Ball cells held at once while the grid is built: rows x N x d int32 values."""
 
@@ -65,6 +68,11 @@ class DenseOperator:
         return DenseOperator(self.n, self.d, self.matrix.copy())
 
 
+def in_reach(p: Params) -> bool:
+    """Whether the dense oracle takes shape p: at most ORACLE_CAP basis vectors and ORBIT_CAP orbits."""
+    return p.index_count <= ORACLE_CAP and graph_count(p) <= ORBIT_CAP
+
+
 class PairTable:
     """The orbit label of every pair of multi-indices of one shape.
 
@@ -80,9 +88,10 @@ class PairTable:
     """
 
     def __init__(self, p: Params):
-        if p.index_count > ORACLE_CAP:
+        if not in_reach(p):
             raise TooLargeError(
-                f"instance too large for the dense oracle: {p.index_count} > {ORACLE_CAP} basis vectors"
+                f"instance too large for the dense oracle: {p.index_count} basis vectors "
+                f"(cap {ORACLE_CAP}), {graph_count(p)} orbits (cap {ORBIT_CAP})"
             )
         self.p = p
         self.indices = enumerate_multi_indices(p, cap=ORACLE_CAP)

@@ -22,7 +22,6 @@ from .algebra import (
 )
 from .combinatorics import Params, enumerate_configurations, to_configuration
 from .graphs import enumerate_graphs, graph_count, pair_graph
-from .oracle import ORACLE_CAP
 
 CHECK_NAMES = ("orbit-bijection", "commutant", "engines", "assoc", "identity", "t-basis")
 
@@ -113,7 +112,7 @@ def check_commutant(p: Params, corrupt: bool = False) -> CheckResult:
 
 def check_engines(p: Params, seed: int = 0) -> CheckResult:
     graphs = enumerate_graphs(p)
-    with_oracle = p.index_count <= ORACLE_CAP
+    with_oracle = oracle.in_reach(p)
     sampled = ""
     if len(graphs) ** 2 > ENGINE_PAIR_LIMIT:
         rng = random.Random(seed)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from schurbox import cli, structconst
+from schurbox import cli, oracle, structconst
 from schurbox.algebra import AlgebraElement, basis_product
 from schurbox.cli import main
 from schurbox.combinatorics import Params
@@ -125,6 +125,15 @@ def test_multiply_engine_disagreement_exits_2(capsys, graph_files, monkeypatch):
     assert code == 2
     assert "disagree" in err
     assert "mendez" in err
+
+
+@pytest.mark.parametrize("reached, code", [(True, 2), (False, 0)])
+def test_multiply_all_asks_the_oracle_only_in_reach(capsys, graph_files, monkeypatch, reached, code):
+    # a sabotaged oracle is noticed only when oracle.in_reach admits the shape
+    monkeypatch.setattr(oracle, "multiply_basis_oracle", lambda g1, g2: AlgebraElement.zero(g1.n, g1.d))
+    monkeypatch.setattr(oracle, "in_reach", lambda p: reached)
+    argv = ("multiply", graph_files["g1"], graph_files["g2"], "--engine", "all")
+    assert run(capsys, *argv)[0] == code
 
 
 def test_multiply_out_file(capsys, graph_files, tmp_path):
@@ -314,32 +323,32 @@ def test_usage_error_exits_1(capsys):
     assert "error:" in err
 
 
-def test_table_workers_capped_by_cpus(capsys, tmp_path, monkeypatch):
-    # the pool forks every requested worker up front; a huge --jobs must not
-    # ask for more than the machine has (the fake pool maps serially, so no
-    # process is started here)
-    requested = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
+def test_table_ignores_jobs_and_starts_no_pool(capsys, tmp_path):
+    # table runs in one process; --jobs stays accepted so existing command
+    # lines keep working
     serial = tmp_path / "serial.jsonl"
     wide = tmp_path / "wide.jsonl"
     assert run(capsys, "table", "-n", "2", "-d", "3", "--out", str(serial), "--jobs", "1")[0] == 0
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
     assert run(capsys, "table", "-n", "2", "-d", "3", "--out", str(wide), "--jobs", "10000")[0] == 0
-    assert all(workers <= (os.cpu_count() or 1) for workers in requested)
     assert wide.read_bytes() == serial.read_bytes()
+    assert not hasattr(cli, "ProcessPoolExecutor")
+
+
+@pytest.mark.parametrize("boxes, balls, folds", [(3, 3, 276), (3, 4, 1647)])
+def test_table_folds_one_pair_per_symmetry_orbit(capsys, tmp_path, monkeypatch, boxes, balls, folds):
+    # 2,973 and 18,711 valency-compatible pairs fall into 276 and 1,647 orbits
+    # under box relabelling and transposition
+    calls = []
+    fold = structconst.euler_fold
+
+    def counted(g1, g2):
+        calls.append((g1, g2))
+        return fold(g1, g2)
+
+    monkeypatch.setattr(structconst, "euler_fold", counted)
+    out_path = tmp_path / "t.jsonl"
+    assert run(capsys, "table", "-n", str(boxes), "-d", str(balls), "--out", str(out_path))[0] == 0
+    assert len(calls) == len(set(calls)) == folds
 
 
 @pytest.mark.parametrize(
@@ -368,25 +377,38 @@ def test_table_3_4_bytes_pinned(capsys, tmp_path):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == TABLE_3_4_SHA256
 
 
-def test_table_mod_2_at_3_3_drops_zero_residues(capsys, tmp_path):
+def table_lines_shrunk_by_mod(capsys, tmp_path, p, mod):
+    """Check every line of a table against the element path; count the products --mod shrinks."""
     out_path = tmp_path / "t.jsonl"
-    assert run(capsys, "table", "-n", "3", "-d", "3", "--mod", "2", "--out", str(out_path))[0] == 0
-    graphs = enumerate_graphs(Params(3, 3))
+    argv = ("table", "-n", str(p.n), "-d", str(p.d), "--mod", str(mod), "--out", str(out_path))
+    assert run(capsys, *argv)[0] == 0
+    graphs = enumerate_graphs(p)
     lines = out_path.read_text().split("\n")
     assert lines[-1] == ""
     assert len(lines) == len(graphs) ** 2 + 1
     shrunk = 0
     for k, (g1, g2) in enumerate((g1, g2) for g1 in graphs for g2 in graphs):
         product = structconst.multiply_basis_euler(g1, g2)
-        reduced = product.reduce(2)
+        reduced = product.reduce(mod)
         assert lines[k] == table_line(g1, g2, reduced)
         shrunk += len(reduced.items()) < len(product.items())
-    assert shrunk == 657
+    return shrunk
+
+
+def test_table_mod_2_at_3_3_drops_zero_residues(capsys, tmp_path):
+    assert table_lines_shrunk_by_mod(capsys, tmp_path, Params(3, 3), 2) == 657
+
+
+@pytest.mark.parametrize("boxes, balls", [(1, 3), (4, 2)])
+def test_table_mod_3_lines_without_and_with_three_swaps(capsys, tmp_path, boxes, balls):
+    # one box has no swap to relabel by, four have three
+    table_lines_shrunk_by_mod(capsys, tmp_path, Params(boxes, balls), 3)
 
 
 def test_table_3_4_streams_in_small_memory(capsys, tmp_path):
-    # blocks of left factors are written as they are made, from precomputed
-    # JSON, so the whole 31.6 MB table is never held
+    # rows are written as they are made, from precomputed JSON, so the whole
+    # 31.6 MB table is never held; the relabelled terms of orbit pairs whose
+    # rows are still to come peak near 5 MiB
     cli._table_context.cache_clear()
     structconst._vertex_moves.cache_clear()
     out_path = tmp_path / "t.jsonl"

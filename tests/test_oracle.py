@@ -74,6 +74,30 @@ def test_pair_table_cap():
         operator_matrix(BipartiteMultigraph(((13, 0), (0, 0))))
 
 
+@pytest.mark.parametrize(
+    "shape, reached",
+    [((2, 12), True), ((5, 5), True), ((9, 3), True), ((6, 4), True),
+     ((2, 13), False), ((8, 4), False), ((64, 2), False), ((4096, 1), False)],
+)
+def test_in_reach_bounds_vectors_and_orbits(shape, reached):
+    assert oracle.in_reach(Params(*shape)) is reached
+
+
+def test_orbit_cap_refuses_before_allocating():
+    # 16^3 = 4096 vectors is within the vector cap, but C(258, 3) = 2,829,056
+    # orbits would each need a graph object
+    assert Params(16, 3).index_count == ORACLE_CAP
+    pair_table.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError, match="2829056 orbits"):
+            pair_table(16, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_operator_matrix_entries():
     table = pair_table(2, 2)
     configs = _configs(table)

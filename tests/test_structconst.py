@@ -311,3 +311,30 @@ def test_default_engine_column_multinomial_checksum(matrix, terms):
     assert all(coeff > 0 for _, coeff in product.items())
     total = sum(coeff * column_multinomial(h) for h, coeff in product.items())
     assert total == column_multinomial(g) ** 2
+
+
+def transposed(g):
+    return BipartiteMultigraph(tuple(zip(*g.matrix)))
+
+
+def relabelled(g, sigma):
+    """σgσᵀ: box i of both rows becomes box sigma[i]."""
+    rows = [[0] * g.n for _ in range(g.n)]
+    for i, row in enumerate(g.matrix):
+        for j, m in enumerate(row):
+            rows[sigma[i]][sigma[j]] = m
+    return BipartiteMultigraph(tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("n, d", [(2, 4), (3, 3)])
+def test_counting_is_symmetric_under_transpose_and_box_relabelling(n, d):
+    # c(g1, g2; g) = c(g2ᵀ, g1ᵀ; gᵀ) = c(σg1σᵀ, σg2σᵀ; σgσᵀ) for every σ in S_n:
+    # the identities a table uses to fold one pair per orbit
+    products = {(g1, g2): multiply_basis_counting(g1, g2) for g1, g2 in compatible_pairs(Params(n, d))}
+    for (g1, g2), product in products.items():
+        image = products[transposed(g2), transposed(g1)]
+        assert image == AlgebraElement(n, d, [(transposed(g), c) for g, c in product.items()])
+        for sigma in itertools.permutations(range(n)):
+            image = products[relabelled(g1, sigma), relabelled(g2, sigma)]
+            expected = AlgebraElement(n, d, [(relabelled(g, sigma), c) for g, c in product.items()])
+            assert image == expected, (g1, g2, sigma)

@@ -59,6 +59,13 @@ def test_engines_check_exhaustive_small_shapes():
     assert "oracle" in result.detail
 
 
+def test_engines_check_leaves_out_the_oracle_beyond_its_reach(monkeypatch):
+    monkeypatch.setattr(oracle, "in_reach", lambda p: False)
+    result = check_engines(Params(2, 2))
+    assert result.passed
+    assert "oracle" not in result.detail
+
+
 def test_assoc_check_samples_without_listing_every_triple():
     # 165^3 triples at (3,3); only the 200 sampled ones may be built
     tracemalloc.start()
