@@ -40,7 +40,6 @@ from .graphs import (
     graph_count,
     pair_graph,
 )
-from .oracle import ORACLE_CAP, NotInSpanError, multiply_basis_oracle, operator_matrix
 from .structconst import (
     EulerFunction,
     WordMatrix,
@@ -56,6 +55,17 @@ from .structconst import (
 from .verify import CHECK_NAMES, CheckResult, run_checks
 
 __version__ = "0.1.0"
+
+# the oracle imports numpy, which nothing else here needs: load it on first access
+_ORACLE_EXPORTS = ("ORACLE_CAP", "NotInSpanError", "multiply_basis_oracle", "operator_matrix")
+
+
+def __getattr__(name):
+    if name in _ORACLE_EXPORTS:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ENGINE_NAMES",

@@ -24,6 +24,7 @@ canonical residues 0..mod-1; nothing is ever rounded or truncated.
 ['|123|4|', '|124|3|']
 """
 
+import importlib
 import itertools
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import lru_cache
@@ -340,23 +341,26 @@ def identity_element(p: Params) -> AlgebraElement:
     return AlgebraElement(p.n, p.d, [(diagonal_graph(c), 1) for c in compositions(p.d, p.n)])
 
 
-@lru_cache(maxsize=None)
-def _engine_modules() -> dict:
-    from . import oracle, structconst  # deferred: both modules build on this one
-
-    return {"oracle": oracle, "structconst": structconst}
+_engine_modules: dict = {}  # module name -> module, filled on an engine's first use
 
 
 def engine_function(name: str) -> Callable[[BipartiteMultigraph, BipartiteMultigraph], AlgebraElement]:
     """The named engine's basis-product function.
 
-    Read from its module on every call, so that a patched module attribute
-    takes effect; only the deferred import is done once.
+    Only the engine's own module is imported, on first use: ``oracle`` loads
+    numpy, which the other engines never need.  The function is read from
+    its module on every call, so that a patched module attribute takes
+    effect.
     """
-    if name not in _ENGINES:
-        raise ValueError(f"unknown engine {name!r}; choose one of {ENGINE_NAMES}")
-    module, attr = _ENGINES[name]
-    return getattr(_engine_modules()[module], attr)
+    try:
+        module, attr = _ENGINES[name]
+    except KeyError:
+        raise ValueError(f"unknown engine {name!r}; choose one of {ENGINE_NAMES}") from None
+    loaded = _engine_modules.get(module)
+    if loaded is None:
+        # deferred: both engine modules build on this one
+        loaded = _engine_modules[module] = importlib.import_module(f".{module}", __package__)
+    return getattr(loaded, attr)
 
 
 @lru_cache(maxsize=2**16)

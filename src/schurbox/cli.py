@@ -9,7 +9,7 @@ import os
 import sys
 from functools import lru_cache
 
-from . import oracle, serialize, structconst
+from . import serialize, structconst
 from .algebra import (
     ENGINE_NAMES,
     AlgebraElement,
@@ -68,6 +68,8 @@ def cmd_multiply(args) -> int:
             f"factors live in different algebras: (n,d)=({g1.n},{g1.d}) vs ({g2.n},{g2.d})"
         )
     if args.engine == "all":
+        from . import oracle  # loads numpy, which the other engines never need
+
         outputs = engine_outputs(g1, g2, oracle.in_reach(Params(g1.n, g1.d)))
         product = outputs["counting"]
         if any(result != product for result in outputs.values()):
@@ -202,7 +204,7 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     p = Params(args.boxes, args.balls)
     names = None
-    if args.checks and args.checks != "all":
+    if args.checks != "all":
         names = tuple(name.strip() for name in args.checks.split(",") if name.strip())
     results = run_checks(p, names, seed=args.seed, corrupt=args.corrupt)
     for result in results:
@@ -325,9 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses: building one costs about a millisecond."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

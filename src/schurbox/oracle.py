@@ -13,7 +13,8 @@ one reindexing of the grid per adjacent transposition.  Matrices handed out
 hold plain Python ints (object-dtype numpy arrays), so arithmetic on them is
 exact.  The module refuses instances with more than 4096 basis vectors or
 more than 2^17 orbits (:func:`in_reach`); it exists to certify the fast
-paths, not to replace them.
+paths, not to replace them.  It is the package's only numpy importer, and
+the rest of the package imports it only on the paths that read it.
 """
 
 from collections import Counter
@@ -131,6 +132,14 @@ class PairTable:
     @property
     def size(self) -> int:
         return len(self.indices)
+
+    def orbit_sizes(self) -> list[int]:
+        """The number of cells carrying each label, in label order."""
+        return np.bincount(self.labels.ravel(), minlength=len(self.graphs)).tolist()
+
+    def first_cell(self, label: int) -> tuple[int, int]:
+        """Row and column of the first cell carrying ``label``, in row-scan order."""
+        return divmod(int(np.argmax(self.labels.ravel() == label)), self.size)
 
 
 @lru_cache(maxsize=8)

@@ -26,7 +26,10 @@ def graph_from_record(record) -> BipartiteMultigraph:
     for key in ("n", "d"):
         if not isinstance(record[key], int) or isinstance(record[key], bool):
             raise ValueError(f"graph record field {key} must be an integer, got {record[key]!r}")
-    g = BipartiteMultigraph(tuple(tuple(row) for row in record["matrix"]))
+    matrix = record["matrix"]
+    if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
+        raise ValueError(f"graph record field matrix must be a list of lists, got {matrix!r}")
+    g = BipartiteMultigraph(tuple(map(tuple, matrix)))
     if g.n != record["n"]:
         raise ValueError(f"matrix is {g.n}x{g.n} but the record says n={record['n']}")
     if g.d != record["d"]:

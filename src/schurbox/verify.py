@@ -1,16 +1,16 @@
 """Cross-check suites: every consistency property the tool promises, at one shape.
 
 Each suite returns a :class:`CheckResult`; a failure carries the first
-counterexample fully serialized so it can be replayed by hand.
+counterexample fully serialized so it can be replayed by hand.  The suites
+that read the dense oracle (``commutant``, ``engines``, ``t-basis``) import
+it, and numpy with it, when they run.
 """
 
 import itertools
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import oracle, serialize, structconst
+from . import serialize, structconst
 from .algebra import (
     ENGINE_NAMES,
     AlgebraElement,
@@ -72,17 +72,19 @@ def check_orbit_bijection(p: Params) -> CheckResult:
 
 
 def check_commutant(p: Params, corrupt: bool = False) -> CheckResult:
+    from . import oracle
+
     graphs = enumerate_graphs(p)
     table = oracle.pair_table(p.n, p.d)
     if corrupt:
         # deliberately relabel the first cell of the first orbit with two or
         # more cells, clearing it from that operator, to prove that the
         # harness notices
-        sizes = np.bincount(table.labels.ravel(), minlength=len(table.graphs))
+        sizes = table.orbit_sizes()
         g = next((g for g in graphs if sizes[table.label_of[g]] >= 2), None)
         if g is None:
             raise ValueError(f"nothing to corrupt: no orbit at n={p.n}, d={p.d} has two or more cells")
-        r, c = divmod(int(np.argmax(table.labels.ravel() == table.label_of[g])), table.size)
+        r, c = table.first_cell(table.label_of[g])
         broken = table.labels.copy()
         broken[r, c] = -1
         if not oracle.commutes_with_renaming(oracle.DenseOperator(p.n, p.d, broken)):
@@ -111,6 +113,8 @@ def check_commutant(p: Params, corrupt: bool = False) -> CheckResult:
 
 
 def check_engines(p: Params, seed: int = 0) -> CheckResult:
+    from . import oracle
+
     graphs = enumerate_graphs(p)
     with_oracle = oracle.in_reach(p)
     sampled = ""
@@ -194,6 +198,8 @@ def check_t_basis(p: Params) -> CheckResult:
     any other pair no count may fall.  The first mismatch in g1, g2, g order
     is reported.
     """
+    from . import oracle
+
     graphs = enumerate_graphs(p)
     table = oracle.pair_table(p.n, p.d)
     configs = [to_configuration(index, p.n) for index in table.indices]
@@ -250,6 +256,8 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the named suites (all of them by default), in canonical order."""
     selected = CHECK_NAMES if names is None else tuple(names)
+    if not selected:
+        raise ValueError(f"no checks named; choose from {CHECK_NAMES}")
     unknown = [name for name in selected if name not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; choose from {CHECK_NAMES}")

@@ -287,6 +287,15 @@ def test_verify_unknown_check(capsys):
     assert "unknown checks" in err
 
 
+@pytest.mark.parametrize("checks", [",", " , ", ""], ids=["comma", "spaced-comma", "empty"])
+def test_verify_checks_naming_no_suite_is_an_input_error(capsys, checks):
+    # a verification that checked nothing must not pass
+    code, out, err = run(capsys, "verify", "-n", "2", "-d", "2", "--checks", checks)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: no checks named; choose from")
+
+
 def test_render_graph_ascii(capsys, graph_files):
     code, out, err = run(capsys, "render", graph_files["g1"])
     assert code == 0
@@ -368,6 +377,18 @@ def test_multiply_rejects_json_booleans(capsys, tmp_path, record):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("matrix", [5, [5, 6]], ids=["number", "flat-list"])
+@pytest.mark.parametrize("command", ["multiply", "render"])
+def test_a_matrix_that_is_not_a_list_of_lists_is_an_input_error(capsys, tmp_path, command, matrix):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "d": 11, "matrix": matrix}))
+    files = [str(path)] * (2 if command == "multiply" else 1)
+    code, out, err = run(capsys, command, *files)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: graph record field matrix must be a list of lists, got {matrix!r}\n"
+
+
 TABLE_3_4_SHA256 = "3e53c8d1cd12f5ea79dacbcf8d6dfc483beba7fa599bb79c4436857ae9746ed6"
 
 
@@ -431,3 +452,29 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"binomial": 10, "d": 2, "enumerated": 10, "n": 2}
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+
+    def counted():
+        built.append(None)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    assert run(capsys, "dim", "-n", "2", "-d", "2")[0] == 0
+    assert run(capsys, "dim", "-n", "2", "-d", "3")[0] == 0
+    assert len(built) == 1
+
+
+def test_usage_error_after_a_successful_call_prints_usage_and_exits_1(capsys):
+    assert run(capsys, "dim", "-n", "2", "-d", "2")[0] == 0
+    code, out, err = run(capsys, "dim", "-n", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: schurbox dim")
+    assert err.endswith("error: the following arguments are required: -d/--balls\n")
+    code, out, err = run(capsys, "dim", "-n", "2", "-d", "2")
+    assert (code, json.loads(out)) == (0, {"binomial": 10, "d": 2, "enumerated": 10, "n": 2})

@@ -47,6 +47,9 @@ def test_graph_record_validation():
         graph_from_record({"n": True, "d": 1, "matrix": [[1]]})
     with pytest.raises(ValueError, match="must be an integer"):
         graph_from_record({"n": 1, "d": True, "matrix": [[1]]})
+    for matrix in (5, [5, 6], "ab", [[1], (1,)]):
+        with pytest.raises(ValueError, match="must be a list of lists"):
+            graph_from_record({"n": 2, "d": 2, "matrix": matrix})
 
 
 def test_element_roundtrip_with_extreme_coefficients():
