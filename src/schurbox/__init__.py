@@ -33,6 +33,7 @@ from .combinatorics import (
     to_multi_index,
 )
 from .graphs import (
+    ORACLE_CAP,
     BipartiteMultigraph,
     canonical_pair,
     diagonal_graph,
@@ -41,12 +42,9 @@ from .graphs import (
     pair_graph,
 )
 from .structconst import (
-    EulerFunction,
     WordMatrix,
     coeff_by_counting,
-    enumerate_euler_functions,
     enumerate_word_matrices,
-    euler_function_count,
     middle_fillings,
     multiply_basis_counting,
     multiply_basis_euler,
@@ -57,7 +55,7 @@ from .verify import CHECK_NAMES, CheckResult, run_checks
 __version__ = "0.1.0"
 
 # the oracle imports numpy, which nothing else here needs: load it on first access
-_ORACLE_EXPORTS = ("ORACLE_CAP", "NotInSpanError", "multiply_basis_oracle", "operator_matrix")
+_ORACLE_EXPORTS = ("NotInSpanError", "multiply_basis_oracle", "operator_matrix")
 
 
 def __getattr__(name):
@@ -99,12 +97,9 @@ __all__ = [
     "NotInSpanError",
     "multiply_basis_oracle",
     "operator_matrix",
-    "EulerFunction",
     "WordMatrix",
     "coeff_by_counting",
-    "enumerate_euler_functions",
     "enumerate_word_matrices",
-    "euler_function_count",
     "middle_fillings",
     "multiply_basis_counting",
     "multiply_basis_euler",

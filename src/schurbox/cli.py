@@ -19,7 +19,7 @@ from .algebra import (
     check_modulus,
 )
 from .combinatorics import DEFAULT_ENUMERATION_CAP, Configuration, Params, TooLargeError
-from .graphs import enumerate_graphs, graph_count
+from .graphs import enumerate_graphs, graph_count, in_reach
 from .render import (
     render_graph_ascii,
     render_graph_dot,
@@ -68,9 +68,7 @@ def cmd_multiply(args) -> int:
             f"factors live in different algebras: (n,d)=({g1.n},{g1.d}) vs ({g2.n},{g2.d})"
         )
     if args.engine == "all":
-        from . import oracle  # loads numpy, which the other engines never need
-
-        outputs = engine_outputs(g1, g2, oracle.in_reach(Params(g1.n, g1.d)))
+        outputs = engine_outputs(g1, g2, in_reach(Params(g1.n, g1.d)))
         product = outputs["counting"]
         if any(result != product for result in outputs.values()):
             print(f"error: engines disagree at {g1} * {g2}", file=sys.stderr)

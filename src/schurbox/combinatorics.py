@@ -247,9 +247,9 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of ``parts`` nonnegative integers summing to ``total``, lexicographically."""
     if parts < 1:
         raise ValueError(f"need at least one part, got {parts!r}")
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in compositions(total - head, parts - 1):
-            yield (head,) + tail
+    # stars and bars: parts - 1 bars among total + parts - 1 slots, taken in
+    # lexicographic order; a part is the run of stars between two bars
+    end = total + parts - 1
+    for bars in itertools.combinations(range(end), parts - 1):
+        edges = (-1, *bars, end)
+        yield tuple(right - left - 1 for left, right in zip(edges, edges[1:]))

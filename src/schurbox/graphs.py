@@ -26,32 +26,16 @@ with total sum d; there are C(n*n + d - 1, d) of them.
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
-from .combinatorics import (
-    Configuration,
-    MultiIndex,
-    Params,
-    _check_cap,
-    compositions,
-    to_configuration,
-    to_multi_index,
-)
+from .combinatorics import Configuration, Params, _check_cap, compositions, to_multi_index
 
 EdgeLabel = tuple[int, int]
 """A parallel class of edges, as the pair (top vertex, bottom vertex)."""
 
-
-class EdgeSlot(NamedTuple):
-    """A single edge of a multigraph: its parallel class plus a copy number."""
-
-    top: int
-    bottom: int
-    copy: int
-
-    @property
-    def label(self) -> EdgeLabel:
-        return (self.top, self.bottom)
+ORACLE_CAP = 4096
+"""Basis vectors (n**d) the dense oracle takes at most."""
+ORBIT_CAP = 2**17
+"""Orbits, one graph object each: (5,5), (9,3) and (6,4) fit, (8,4)'s 766,480 do not."""
 
 
 @dataclass(frozen=True)
@@ -122,13 +106,6 @@ def pair_graph(a: Configuration, b: Configuration) -> BipartiteMultigraph:
     return BipartiteMultigraph(tuple(tuple(row) for row in rows))
 
 
-def orbit_representative(x: MultiIndex, y: MultiIndex, n: int) -> BipartiteMultigraph:
-    """Canonical key of the diagonal renaming orbit of the index pair (x, y)."""
-    if len(x) != len(y):
-        raise ValueError(f"index lengths differ: {len(x)} vs {len(y)}")
-    return pair_graph(to_configuration(x, n), to_configuration(y, n))
-
-
 def diagonal_graph(content: Sequence[int]) -> BipartiteMultigraph:
     """The graph whose only edges join each vertex straight down, with the given counts."""
     n = len(content)
@@ -140,6 +117,11 @@ def diagonal_graph(content: Sequence[int]) -> BipartiteMultigraph:
 def graph_count(p: Params) -> int:
     """Number of graphs of shape ``p``: C(n*n + d - 1, d)."""
     return math.comb(p.n * p.n + p.d - 1, p.d)
+
+
+def in_reach(p: Params) -> bool:
+    """Whether the dense oracle takes shape p: at most ORACLE_CAP basis vectors and ORBIT_CAP orbits."""
+    return p.index_count <= ORACLE_CAP and graph_count(p) <= ORBIT_CAP
 
 
 def enumerate_graphs(p: Params, cap: int | None = None) -> list[BipartiteMultigraph]:
@@ -159,15 +141,6 @@ def edge_labels(g: BipartiteMultigraph) -> list[EdgeLabel]:
         for top in range(1, g.n + 1)
         for bottom in range(1, g.n + 1)
         if g.matrix[bottom - 1][top - 1] > 0
-    ]
-
-
-def edge_slots(g: BipartiteMultigraph) -> list[EdgeSlot]:
-    """All d edges of ``g`` individually, sorted by (top, bottom, copy)."""
-    return [
-        EdgeSlot(top, bottom, copy)
-        for top, bottom in edge_labels(g)
-        for copy in range(g.matrix[bottom - 1][top - 1])
     ]
 
 

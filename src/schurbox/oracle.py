@@ -12,7 +12,7 @@ one column of middle-index counts, and commuting with the renaming action is
 one reindexing of the grid per adjacent transposition.  Matrices handed out
 hold plain Python ints (object-dtype numpy arrays), so arithmetic on them is
 exact.  The module refuses instances with more than 4096 basis vectors or
-more than 2^17 orbits (:func:`in_reach`); it exists to certify the fast
+more than 2^17 orbits (:func:`graphs.in_reach`); it exists to certify the fast
 paths, not to replace them.  It is the package's only numpy importer, and
 the rest of the package imports it only on the paths that read it.
 """
@@ -31,12 +31,17 @@ from .combinatorics import (
     enumerate_multi_indices,
     to_multi_index,
 )
-from .graphs import BipartiteMultigraph, canonical_configuration, canonical_pair, graph_count
+from .graphs import (
+    ORACLE_CAP,
+    ORBIT_CAP,
+    BipartiteMultigraph,
+    canonical_configuration,
+    canonical_pair,
+    graph_count,
+    in_reach,
+)
 from .algebra import AlgebraElement
 
-ORACLE_CAP = 4096
-ORBIT_CAP = 2**17
-"""Orbits, one graph object each: (5,5), (9,3) and (6,4) fit, (8,4)'s 766,480 do not."""
 _BLOCK_CELLS = 2**18
 """Ball cells held at once while the grid is built: rows x N x d int32 values."""
 
@@ -67,11 +72,6 @@ class DenseOperator:
 
     def copy(self) -> "DenseOperator":
         return DenseOperator(self.n, self.d, self.matrix.copy())
-
-
-def in_reach(p: Params) -> bool:
-    """Whether the dense oracle takes shape p: at most ORACLE_CAP basis vectors and ORBIT_CAP orbits."""
-    return p.index_count <= ORACLE_CAP and graph_count(p) <= ORBIT_CAP
 
 
 class PairTable:

@@ -28,20 +28,18 @@ kernel :func:`euler_fold`, which returns the raw {flattened composed
 matrix: coefficient} counts; ``table`` serializes those directly, and
 :func:`multiply_basis_euler` wraps them as an element without re-validating
 graphs it built itself.  :func:`multiply_basis_mendez` instead builds every
-word matrix explicitly and counts them.  Euler functions themselves are a
-reference API only.
+word matrix explicitly and counts them.  No engine builds an Euler function.
 
 >>> g1 = BipartiteMultigraph(((2, 1), (0, 1)))
 >>> g2 = BipartiteMultigraph(((2, 0), (1, 1)))
 >>> print(multiply_basis_counting(g1, g2))
 xi[[2,1],[1,0]] + 3*xi[[3,0],[0,1]]
->>> len(enumerate_euler_functions(g1, g2))
-4
+>>> sorted(euler_fold(g1, g2).items())
+[((2, 1, 1, 0), 1), ((3, 0, 0, 1), 3)]
 """
 
 import itertools
 import math
-import string
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -52,11 +50,9 @@ from .combinatorics import Configuration, to_multi_index
 from .graphs import (
     BipartiteMultigraph,
     EdgeLabel,
-    EdgeSlot,
     canonical_configuration,
     canonical_pair,
     edge_labels,
-    edge_slots,
     pair_graph,
 )
 
@@ -67,90 +63,6 @@ Pair = tuple[EdgeLabel, EdgeLabel]
 def _check_same_shape(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> None:
     if (g1.n, g1.d) != (g2.n, g2.d):
         raise ValueError(f"graph shapes differ: ({g1.n},{g1.d}) vs ({g2.n},{g2.d})")
-
-
-@dataclass(frozen=True)
-class EulerFunction:
-    """Edge-slot bijection from a right factor onto a left factor.
-
-    ``pairs`` lists (source slot, target slot) sorted by source; each source
-    slot's bottom vertex equals its target slot's top vertex, so matched
-    edges meet at the middle row of the three-row composition picture.
-    """
-
-    pairs: tuple[tuple[EdgeSlot, EdgeSlot], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
-        sources = [e for e, _ in self.pairs]
-        targets = [f for _, f in self.pairs]
-        if len(set(sources)) != len(sources) or len(set(targets)) != len(targets):
-            raise ValueError("an Euler function must pair edge slots bijectively")
-        for source, target in self.pairs:
-            if source.bottom != target.top:
-                raise ValueError(f"slots {source} -> {target} do not meet at a middle vertex")
-
-    def __call__(self, slot: EdgeSlot) -> EdgeSlot:
-        for source, target in self.pairs:
-            if source == slot:
-                return target
-        raise KeyError(slot)
-
-    def sources(self) -> list[EdgeSlot]:
-        return [e for e, _ in self.pairs]
-
-    def targets(self) -> list[EdgeSlot]:
-        return sorted(f for _, f in self.pairs)
-
-
-def _check_fits(g1: BipartiteMultigraph, g2: BipartiteMultigraph, f: EulerFunction) -> None:
-    if f.sources() != edge_slots(g2) or f.targets() != edge_slots(g1):
-        raise ValueError("Euler function does not fit these graphs")
-
-
-def enumerate_euler_functions(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> list[EulerFunction]:
-    """All Euler functions from the edges of g2 onto the edges of g1.
-
-    None exist unless the bottom valencies of g2 equal the top valencies of
-    g1; otherwise the slots at each middle vertex are matched independently,
-    so there are prod over v of (valency at v)! functions.
-    """
-    _check_same_shape(g1, g2)
-    if g2.bottom_valencies() != g1.top_valencies():
-        return []
-    sources: dict[int, list[EdgeSlot]] = {v: [] for v in range(1, g2.n + 1)}
-    for slot in edge_slots(g2):
-        sources[slot.bottom].append(slot)
-    targets: dict[int, list[EdgeSlot]] = {v: [] for v in range(1, g1.n + 1)}
-    for slot in edge_slots(g1):
-        targets[slot.top].append(slot)
-    per_vertex = []
-    for v in range(1, g1.n + 1):
-        per_vertex.append(
-            [tuple(zip(sources[v], arrangement)) for arrangement in itertools.permutations(targets[v])]
-        )
-    return [
-        EulerFunction(tuple(itertools.chain.from_iterable(combo)))
-        for combo in itertools.product(*per_vertex)
-    ]
-
-
-def euler_function_count(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> int:
-    """Closed form for the number of Euler functions."""
-    _check_same_shape(g1, g2)
-    if g2.bottom_valencies() != g1.top_valencies():
-        return 0
-    return math.prod(math.factorial(v) for v in g2.bottom_valencies())
-
-
-def compose_euler(g1: BipartiteMultigraph, g2: BipartiteMultigraph, f: EulerFunction) -> BipartiteMultigraph:
-    """Splice each g2 edge with its g1 partner: top of the former to bottom of the latter."""
-    _check_same_shape(g1, g2)
-    _check_fits(g1, g2, f)
-    rows = [[0] * g1.n for _ in range(g1.n)]
-    for source, target in f.pairs:
-        rows[target.bottom - 1][source.top - 1] += 1
-    return BipartiteMultigraph(tuple(tuple(row) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -166,84 +78,6 @@ class WordMatrix:
     def graph(self) -> BipartiteMultigraph:
         """Graph of word lengths: one composed edge per recorded ball path."""
         return BipartiteMultigraph(tuple(tuple(len(word) for word in row) for row in self.entries))
-
-
-def letter_labels(g: BipartiteMultigraph) -> dict[EdgeLabel, str]:
-    """Deterministic one-letter names for the parallel classes, in (top, bottom) order."""
-    labels = edge_labels(g)
-    return {
-        label: (string.ascii_lowercase[k] if k < 26 else f"e{k}")
-        for k, label in enumerate(labels)
-    }
-
-
-def format_word(word: tuple[Pair, ...], labels2: dict, labels1: dict) -> str:
-    """A word as printed text, e.g. ``(a,a)(a,a)(b,b)``; ``-`` when empty."""
-    if not word:
-        return "-"
-    return "".join(f"({labels2[e2]},{labels1[e1]})" for e2, e1 in word)
-
-
-def format_word_matrix(wm: WordMatrix, g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> str:
-    labels1, labels2 = letter_labels(g1), letter_labels(g2)
-    return "\n".join(
-        " | ".join(format_word(word, labels2, labels1) for word in row) for row in wm.entries
-    )
-
-
-def word_matrix_of(
-    g1: BipartiteMultigraph, g2: BipartiteMultigraph, f: EulerFunction, c: Configuration
-) -> WordMatrix:
-    """Word matrix of one Euler function, with balls put on edge slots canonically.
-
-    The balls in box t of c take the g2 slots with top vertex t in slot order
-    (lowest bottom vertex first); each ball then follows f onto a g1 slot and
-    lands in that slot's bottom box.
-    """
-    _check_same_shape(g1, g2)
-    _check_fits(g1, g2, f)
-    if c.content() != g2.top_valencies():
-        raise ValueError(f"content {c.content()} does not match top valencies {g2.top_valencies()}")
-    slots_by_top: dict[int, list[EdgeSlot]] = {t: [] for t in range(1, g2.n + 1)}
-    for slot in edge_slots(g2):
-        slots_by_top[slot.top].append(slot)
-    words: list[list[list[Pair]]] = [[[] for _ in range(g1.n)] for _ in range(g1.n)]
-    for t in range(1, g2.n + 1):
-        for ball, slot in zip(c.boxes[t - 1], slots_by_top[t]):
-            target = f(slot)
-            words[target.bottom - 1][t - 1].append((slot.label, target.label))
-    return WordMatrix(tuple(tuple(tuple(word) for word in row) for row in words))
-
-
-def word_matrix_of_filling(
-    g1: BipartiteMultigraph,
-    g2: BipartiteMultigraph,
-    a: Configuration,
-    b: Configuration,
-    c: Configuration,
-) -> WordMatrix:
-    """Word matrix of one middle configuration in the three-row picture c / b / a."""
-    if pair_graph(a, b) != g1 or pair_graph(b, c) != g2:
-        raise ValueError("not a middle filling for these graphs")
-    top, middle, bottom = to_multi_index(c), to_multi_index(b), to_multi_index(a)
-    words: list[list[list[Pair]]] = [[[] for _ in range(g1.n)] for _ in range(g1.n)]
-    for ball in range(1, a.d + 1):
-        t, v, s = top[ball - 1], middle[ball - 1], bottom[ball - 1]
-        words[s - 1][t - 1].append(((t, v), (v, s)))
-    return WordMatrix(tuple(tuple(tuple(word) for word in row) for row in words))
-
-
-def recover_middle(wm: WordMatrix, a: Configuration, c: Configuration) -> Configuration:
-    """The middle configuration a word matrix encodes, relative to its outer rows."""
-    top, bottom = to_multi_index(c), to_multi_index(a)
-    consumed: Counter = Counter()
-    boxes: list[list[int]] = [[] for _ in range(c.n)]
-    for ball in range(1, c.d + 1):
-        s, t = bottom[ball - 1], top[ball - 1]
-        label2, _ = wm.entries[s - 1][t - 1][consumed[(s, t)]]
-        consumed[(s, t)] += 1
-        boxes[label2[1] - 1].append(ball)
-    return Configuration(tuple(tuple(box) for box in boxes))
 
 
 def _bounded_compositions(total: int, bounds: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -2,8 +2,8 @@
 
 Each suite returns a :class:`CheckResult`; a failure carries the first
 counterexample fully serialized so it can be replayed by hand.  The suites
-that read the dense oracle (``commutant``, ``engines``, ``t-basis``) import
-it, and numpy with it, when they run.
+that read the dense oracle (``commutant``, ``t-basis``, and ``engines`` at a
+shape in its reach) import it, and numpy with it, when they run.
 """
 
 import itertools
@@ -21,7 +21,7 @@ from .algebra import (
     multiply,
 )
 from .combinatorics import Params, enumerate_configurations, to_configuration
-from .graphs import enumerate_graphs, graph_count, pair_graph
+from .graphs import enumerate_graphs, graph_count, in_reach, pair_graph
 
 CHECK_NAMES = ("orbit-bijection", "commutant", "engines", "assoc", "identity", "t-basis")
 
@@ -113,10 +113,8 @@ def check_commutant(p: Params, corrupt: bool = False) -> CheckResult:
 
 
 def check_engines(p: Params, seed: int = 0) -> CheckResult:
-    from . import oracle
-
     graphs = enumerate_graphs(p)
-    with_oracle = oracle.in_reach(p)
+    with_oracle = in_reach(p)
     sampled = ""
     if len(graphs) ** 2 > ENGINE_PAIR_LIMIT:
         rng = random.Random(seed)

@@ -45,6 +45,13 @@ def test_dim(capsys):
     assert json.loads(out) == {"n": 2, "d": 4, "enumerated": 35, "binomial": 35}
 
 
+def test_dim_with_a_thousand_parts(capsys):
+    # 32 x 32 = 1,024 matrix entries per graph: enumerating them must not recurse per entry
+    code, out, err = run(capsys, "dim", "-n", "32", "-d", "1")
+    assert code == 0
+    assert '"binomial":1024,"d":1,"enumerated":1024' in out
+
+
 def test_dim_rejects_bad_params(capsys):
     code, out, err = run(capsys, "dim", "-n", "0", "-d", "4")
     assert code == 1
@@ -129,9 +136,9 @@ def test_multiply_engine_disagreement_exits_2(capsys, graph_files, monkeypatch):
 
 @pytest.mark.parametrize("reached, code", [(True, 2), (False, 0)])
 def test_multiply_all_asks_the_oracle_only_in_reach(capsys, graph_files, monkeypatch, reached, code):
-    # a sabotaged oracle is noticed only when oracle.in_reach admits the shape
+    # a sabotaged oracle is noticed only when in_reach admits the shape
     monkeypatch.setattr(oracle, "multiply_basis_oracle", lambda g1, g2: AlgebraElement.zero(g1.n, g1.d))
-    monkeypatch.setattr(oracle, "in_reach", lambda p: reached)
+    monkeypatch.setattr(cli, "in_reach", lambda p: reached)
     argv = ("multiply", graph_files["g1"], graph_files["g2"], "--engine", "all")
     assert run(capsys, *argv)[0] == code
 

@@ -215,5 +215,7 @@ def test_compositions():
     assert all(sum(row) == 4 for row in rows)
     assert len(rows) == math.comb(4 + 3 - 1, 3 - 1)
     assert list(compositions(3, 1)) == [(3,)]
+    # far more parts than the interpreter's recursion limit
+    assert sum(1 for _ in compositions(1, 2000)) == 2000
     with pytest.raises(ValueError):
         list(compositions(2, 0))

@@ -13,7 +13,7 @@ from schurbox.combinatorics import (
     all_permutations,
     enumerate_configurations,
     enumerate_multi_indices,
-    to_multi_index,
+    to_configuration,
 )
 from schurbox.graphs import (
     BipartiteMultigraph,
@@ -21,10 +21,8 @@ from schurbox.graphs import (
     canonical_pair,
     diagonal_graph,
     edge_labels,
-    edge_slots,
     enumerate_graphs,
     graph_count,
-    orbit_representative,
     pair_graph,
 )
 
@@ -104,22 +102,11 @@ def test_pair_graph_classifies_orbits():
         orbits = brute_force_orbits(p)
         keys = []
         for orbit in orbits:
-            graphs = {orbit_representative(x, y, p.n) for x, y in orbit}
+            graphs = {pair_graph(to_configuration(x, p.n), to_configuration(y, p.n)) for x, y in orbit}
             assert len(graphs) == 1
             keys.append(graphs.pop())
         assert len(set(keys)) == len(orbits)
         assert len(orbits) == graph_count(p)
-
-
-def test_orbit_representative_matches_pair_graph():
-    p = Params(2, 3)
-    for a, b in itertools.product(enumerate_configurations(p), repeat=2):
-        assert orbit_representative(to_multi_index(a), to_multi_index(b), p.n) == pair_graph(a, b)
-
-
-def test_orbit_representative_length_mismatch():
-    with pytest.raises(ValueError):
-        orbit_representative((1, 1), (1, 1, 2), 2)
 
 
 def test_enumerate_graphs_counts():
@@ -152,10 +139,6 @@ def test_diagonal_graph():
 def test_edge_labels_and_slots():
     g = BipartiteMultigraph(((2, 1), (0, 1)))
     assert edge_labels(g) == [(1, 1), (2, 1), (2, 2)]
-    slots = edge_slots(g)
-    assert len(slots) == g.d
-    assert [s.label for s in slots] == [(1, 1), (1, 1), (2, 1), (2, 2)]
-    assert [s.copy for s in slots] == [0, 1, 0, 0]
 
 
 def test_canonical_configuration():

@@ -62,6 +62,8 @@ def test_importing_the_package_leaves_numpy_out(tmp_path, module):
         ("table", "-n", "2", "-d", "2", "--out", "table.jsonl"),
         ("render", "l.json"),
         ("verify", "-n", "2", "-d", "3", "--checks", "orbit-bijection,assoc,identity"),
+        # 3^8 = 6,561 vectors lie beyond the oracle's reach, so the engines suite leaves it out
+        pytest.param(("verify", "-n", "3", "-d", "8", "--checks", "engines"), id="verify-engines"),
     ],
     ids=lambda argv: argv[0],
 )
@@ -72,8 +74,13 @@ def test_commands_off_the_oracle_leave_numpy_out(tmp_path, argv):
 
 
 def test_oracle_exports_load_on_first_access(tmp_path):
-    code = "import sys, schurbox; print(schurbox.ORACLE_CAP, 'numpy' in sys.modules)"
-    assert _python(code, cwd=tmp_path).stdout == "4096 True\n"
+    code = "import sys, schurbox; print(schurbox.NotInSpanError.__name__, 'numpy' in sys.modules)"
+    assert _python(code, cwd=tmp_path).stdout == "NotInSpanError True\n"
+
+
+def test_every_public_name_resolves(tmp_path):
+    code = "import schurbox; print([name for name in schurbox.__all__ if not hasattr(schurbox, name)])"
+    assert _python(code, cwd=tmp_path).stdout == "[]\n"
 
 
 @pytest.mark.parametrize(

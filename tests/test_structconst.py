@@ -1,4 +1,4 @@
-"""Structure constants: middle counting, Euler functions, and word matrices."""
+"""Structure constants: middle counting, the euler fold, and word matrices."""
 
 import itertools
 import math
@@ -17,22 +17,13 @@ from schurbox.graphs import (
 from schurbox.oracle import multiply_basis_oracle
 from schurbox.serialize import dumps, element_records, graph_record, join_terms
 from schurbox.structconst import (
-    EulerFunction,
     coeff_by_counting,
-    compose_euler,
-    enumerate_euler_functions,
     enumerate_word_matrices,
     euler_fold,
-    euler_function_count,
-    format_word_matrix,
-    letter_labels,
     middle_fillings,
     multiply_basis_counting,
     multiply_basis_euler,
     multiply_basis_mendez,
-    recover_middle,
-    word_matrix_of,
-    word_matrix_of_filling,
 )
 
 G1 = BipartiteMultigraph(((2, 1), (0, 1)))
@@ -61,50 +52,6 @@ def test_worked_product():
         assert len(product.support()) == 2
 
 
-def test_euler_function_count_worked_example():
-    functions = enumerate_euler_functions(G1, G2)
-    assert len(functions) == 4
-    assert euler_function_count(G1, G2) == 4
-    # middle valencies are (2, 2), so 2! * 2! functions
-    assert G2.bottom_valencies() == G1.top_valencies() == (2, 2)
-
-
-def test_euler_function_count_closed_form():
-    p = Params(2, 3)
-    for g1, g2 in itertools.product(enumerate_graphs(p), repeat=2):
-        assert len(enumerate_euler_functions(g1, g2)) == euler_function_count(g1, g2)
-
-
-def test_euler_functions_empty_on_valency_mismatch():
-    assert enumerate_euler_functions(G1, G1) == []
-    assert euler_function_count(G1, G1) == 0
-
-
-def test_euler_function_validation():
-    functions = enumerate_euler_functions(G1, G2)
-    f = functions[0]
-    # doubling one target breaks bijectivity
-    source0, target0 = f.pairs[0]
-    source1, _ = f.pairs[1]
-    with pytest.raises(ValueError, match="bijectively"):
-        EulerFunction((f.pairs[0], (source1, target0)) + f.pairs[2:])
-    # a slot pair that misses the middle row
-    bad = ((source0._replace(bottom=1), target0._replace(top=2)),)
-    with pytest.raises(ValueError, match="middle vertex"):
-        EulerFunction(bad)
-
-
-def test_compose_euler_distribution():
-    composed = Counter(compose_euler(G1, G2, f) for f in enumerate_euler_functions(G1, G2))
-    assert composed == Counter({G3: 2, G4: 2})
-
-
-def test_compose_euler_rejects_foreign_function():
-    f = enumerate_euler_functions(G1, G2)[0]
-    with pytest.raises(ValueError):
-        compose_euler(G2, G1, f)
-
-
 def test_word_matrices_worked_example():
     wms = list(enumerate_word_matrices(G1, G2))
     assert len(wms) == 4
@@ -115,51 +62,12 @@ def test_word_matrices_worked_example():
         wm.entries[0][0].index(((1, 2), (2, 1))) for wm in wms if wm.graph() == G3
     )
     assert top_left == [0, 1, 2]
-
-
-def test_word_matrix_rendering():
-    assert letter_labels(G1) == {(1, 1): "a", (2, 1): "b", (2, 2): "c"}
-    assert letter_labels(G2) == {(1, 1): "a", (1, 2): "b", (2, 2): "c"}
-    wms = [wm for wm in enumerate_word_matrices(G1, G2) if wm.graph() == G4]
-    assert format_word_matrix(wms[0], G1, G2) == "(a,a)(a,a) | (c,b)\n(b,c) | -"
-
-
-def test_word_matrix_from_euler_function():
-    from schurbox.graphs import canonical_configuration
-
-    c = canonical_configuration(G2.top_valencies())
-    seen = set()
-    for f in enumerate_euler_functions(G1, G2):
-        wm = word_matrix_of(G1, G2, f, c)
-        assert wm.graph() == compose_euler(G1, G2, f)
-        seen.add(wm)
-    # functions differing only in which edge copies pair up collapse onto the
-    # same canonical word matrix: the four functions leave two matrices
-    assert len(seen) == 2
-    assert {wm.graph() for wm in seen} == {G3, G4}
-
-
-def test_word_matrix_of_filling_roundtrip():
-    # word matrices are exactly the middle fillings, in every case at (2,3)
-    p = Params(2, 3)
-    graphs = enumerate_graphs(p)
-    for g1, g2 in itertools.product(graphs, repeat=2):
-        from_fillings = Counter()
-        for g in multiply_basis_counting(g1, g2).support():
-            a, c, middles = middle_fillings(g1, g2, g)
-            for b in middles:
-                wm = word_matrix_of_filling(g1, g2, a, b, c)
-                assert wm.graph() == g
-                assert recover_middle(wm, a, c) == b
-                from_fillings[wm] += 1
-        assert all(count == 1 for count in from_fillings.values())
-        direct = Counter(enumerate_word_matrices(g1, g2))
-        assert all(count == 1 for count in direct.values())
-        # same multiset only when outer pairs are canonical for every graph;
-        # compare per composed graph instead
-        by_graph_fillings = Counter(wm.graph() for wm in from_fillings)
-        by_graph_direct = Counter(wm.graph() for wm in direct)
-        assert by_graph_fillings == by_graph_direct
+    # on every pair at (2,3), each word matrix comes once and the count per
+    # composed graph is the middle count
+    for g1, g2 in itertools.product(enumerate_graphs(Params(2, 3)), repeat=2):
+        counts = Counter(enumerate_word_matrices(g1, g2))
+        assert set(counts.values()) <= {1}
+        assert Counter(wm.graph() for wm in counts) == dict(multiply_basis_counting(g1, g2).items())
 
 
 def test_middle_fillings_worked_example():

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from schurbox import oracle, structconst
+from schurbox import oracle, structconst, verify
 from schurbox.combinatorics import Params
 from schurbox.graphs import enumerate_graphs
 from schurbox.serialize import graph_from_record
@@ -60,7 +60,7 @@ def test_engines_check_exhaustive_small_shapes():
 
 
 def test_engines_check_leaves_out_the_oracle_beyond_its_reach(monkeypatch):
-    monkeypatch.setattr(oracle, "in_reach", lambda p: False)
+    monkeypatch.setattr(verify, "in_reach", lambda p: False)
     result = check_engines(Params(2, 2))
     assert result.passed
     assert "oracle" not in result.detail
