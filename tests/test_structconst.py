@@ -62,12 +62,20 @@ def test_word_matrices_worked_example():
         wm.entries[0][0].index(((1, 2), (2, 1))) for wm in wms if wm.graph() == G3
     )
     assert top_left == [0, 1, 2]
-    # on every pair at (2,3), each word matrix comes once and the count per
-    # composed graph is the middle count
+
+
+def test_word_matrix_of_filling_roundtrip():
+    # word matrices are exactly the middle fillings, in every case at (2,3):
+    # each comes once, and per composed graph there are as many as fillings
     for g1, g2 in itertools.product(enumerate_graphs(Params(2, 3)), repeat=2):
         counts = Counter(enumerate_word_matrices(g1, g2))
         assert set(counts.values()) <= {1}
-        assert Counter(wm.graph() for wm in counts) == dict(multiply_basis_counting(g1, g2).items())
+        by_graph = Counter(wm.graph() for wm in counts)
+        from_fillings = Counter(
+            {g: len(middle_fillings(g1, g2, g)[2]) for g in multiply_basis_counting(g1, g2).support()}
+        )
+        assert by_graph == from_fillings
+        assert by_graph == dict(multiply_basis_counting(g1, g2).items())
 
 
 def test_middle_fillings_worked_example():
