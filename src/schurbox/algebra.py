@@ -26,10 +26,11 @@ canonical residues 0..mod-1; nothing is ever rounded or truncated.
 
 import importlib
 import itertools
+import math
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import lru_cache
 
-from .combinatorics import Configuration, Params, compositions, to_multi_index
+from .combinatorics import Configuration, Params, _check_cap, compositions, to_multi_index
 from .graphs import BipartiteMultigraph, diagonal_graph
 
 # the engine roster: name -> (module, product function of two basis graphs)
@@ -338,6 +339,7 @@ def identity_element(p: Params) -> AlgebraElement:
     diagonal and kills all others, so one diagonal graph per content sums to
     the identity operator.
     """
+    _check_cap(math.comb(p.n + p.d - 1, p.d) * p.n * p.n, None, f"the identity's matrices at n={p.n}, d={p.d}")
     return AlgebraElement(p.n, p.d, [(diagonal_graph(c), 1) for c in compositions(p.d, p.n)])
 
 

@@ -1,7 +1,8 @@
 """Command-line surface: dim, basis, multiply, apply, table, verify, render.
 
-Exit codes: 0 success, 1 input or validation error, 2 verification failure
-or engine disagreement.
+``table`` reads the basis index and its symmetry from :func:`graphs.basis`
+and keeps only the JSON it writes.  Exit codes: 0 success, 1 input or
+validation error, 2 verification failure or engine disagreement.
 """
 
 import argparse
@@ -18,8 +19,8 @@ from .algebra import (
     basis_product,
     check_modulus,
 )
-from .combinatorics import DEFAULT_ENUMERATION_CAP, Configuration, Params, TooLargeError
-from .graphs import enumerate_graphs, graph_count, in_reach
+from .combinatorics import Configuration, Params, _check_cap
+from .graphs import basis, enumerate_graphs, graph_count, in_reach
 from .render import (
     render_graph_ascii,
     render_graph_dot,
@@ -97,56 +98,9 @@ def cmd_apply(args) -> int:
 
 @lru_cache(maxsize=1)
 def _table_context(n: int, d: int):
-    """What a table of one shape needs besides the folds, built once per process.
-
-    The basis graphs, the JSON of each, a map from flattened matrix to basis
-    index, the basis indices grouped by bottom valencies, per right factor
-    the line tail of a zero product, and the generators of the symmetry
-    group as basis-index maps: one per adjacent box swap (s, s + 1), which
-    relabels rows and columns alike, then the transpose last.  Relabelling
-    boxes is an automorphism of the algebra and transposing an
-    anti-automorphism, so c(g1, g2; g) = c(σg1σᵀ, σg2σᵀ; σgσᵀ)
-    = c(g2ᵀ, g1ᵀ; gᵀ).
-    """
-    graphs = enumerate_graphs(Params(n, d))
-    records = [serialize.dumps(serialize.graph_record(g)) for g in graphs]
-    index_of = {g.sort_key: k for k, g in enumerate(graphs)}
-    by_bottom: dict[tuple[int, ...], list[int]] = {}
-    for k, g in enumerate(graphs):
-        by_bottom.setdefault(g.bottom_valencies(), []).append(k)
-    zero_tails = [serialize.table_line_tail(record, "[]") + "\n" for record in records]
-    # each generator as the flattened cell that every cell of the image reads
-    cells = [divmod(cell, n) for cell in range(n * n)]
-    swaps = []
-    for s in range(n - 1):
-        box = list(range(n))
-        box[s], box[s + 1] = s + 1, s
-        swaps.append([box[i] * n + box[j] for i, j in cells])
-    flats = swaps + [[j * n + i for i, j in cells]]
-    generators = [
-        [index_of[tuple(map(g.sort_key.__getitem__, flat))] for g in graphs] for flat in flats
-    ]
-    return graphs, records, index_of, by_bottom, zero_tails, generators
-
-
-def _orbit(i: int, k: int, indices: tuple[int, ...], generators) -> dict:
-    """Every pair in the symmetry orbit of (i, k), with its product's term indices.
-
-    A swap m sends the pair (i, k) to (m[i], m[k]) and the transpose t to
-    (t[k], t[i]); each sends a term index x to m[x] or t[x].  The
-    coefficients ride along unchanged.
-    """
-    *swaps, transpose = generators
-    orbit = {(i, k): indices}
-    queue = [(i, k, indices)]
-    for i, k, indices in queue:
-        images = [(m[i], m[k], m) for m in swaps] + [(transpose[k], transpose[i], transpose)]
-        for a, b, m in images:
-            if (a, b) not in orbit:
-                image = tuple(map(m.__getitem__, indices))
-                orbit[a, b] = image
-                queue.append((a, b, image))
-    return orbit
+    """The JSON of each basis graph and, per right factor, the line tail of a zero product."""
+    records = [serialize.dumps(serialize.graph_record(g)) for g in basis(n, d).graphs]
+    return records, [serialize.table_line_tail(record, "[]") + "\n" for record in records]
 
 
 def cmd_table(args) -> int:
@@ -155,36 +109,32 @@ def cmd_table(args) -> int:
     The engine runs only on the pairs whose valencies meet in the middle row
     (bottom of g2 = top of g1): every such pair has a nonzero product and
     every other pair a zero one, whose line tail is precomputed.  The first
-    compatible pair of an orbit met in table order is folded; the terms of
-    every other pair in its orbit are the relabelled terms, held until that
-    pair's row is written.  A table never asks for a product twice, so it
-    calls the raw fold directly, past the ``basis_product`` memo and without
-    building elements.  ``--jobs`` is accepted and ignored.
+    compatible pair of a ``Basis.orbit`` met in table order is folded; the
+    terms of every other pair in its orbit are the relabelled terms, held
+    until that pair's row is written.  A table never asks for a product
+    twice, so it calls the raw fold directly, past the ``basis_product`` memo
+    and without building elements.  ``--jobs`` is accepted and ignored.
     """
     check_modulus(args.mod)
     p = Params(args.boxes, args.balls)
-    count = graph_count(p)
-    if count * count > DEFAULT_ENUMERATION_CAP:
-        raise TooLargeError(
-            f"instance too large: {count}^2 basis products exceed the cap "
-            f"{DEFAULT_ENUMERATION_CAP}"
-        )
-    graphs, records, index_of, by_bottom, zero_tails, generators = _table_context(p.n, p.d)
+    _check_cap(graph_count(p) ** 2, None, f"the product table at n={p.n}, d={p.d}")
+    b = basis(p.n, p.d)
+    records, zero_tails = _table_context(p.n, p.d)
     # pair -> (term indices, coefficients), for pairs whose orbit is folded but row not yet written
     pending: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
     tmp = args.out + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            for i, (g1, record1) in enumerate(zip(graphs, records)):
+            for i, (g1, record1) in enumerate(zip(b.graphs, records)):
                 tails = zero_tails.copy()
-                for k in by_bottom.get(g1.top_valencies(), ()):
+                for k in b.by_bottom.get(g1.top_valencies(), ()):
                     if (i, k) not in pending:
-                        fold = structconst.euler_fold(g1, graphs[k]).items()
+                        fold = structconst.euler_fold(g1, b.graphs[k]).items()
                         if args.mod is not None:
                             fold = [(key, ways % args.mod) for key, ways in fold if ways % args.mod]
                         ways = tuple(w for _, w in fold)
-                        indices = tuple(index_of[key] for key, _ in fold)
-                        for pair, image in _orbit(i, k, indices, generators).items():
+                        indices = tuple(b.index_of[key] for key, _ in fold)
+                        for pair, image in b.orbit(i, k, indices).items():
                             pending[pair] = image, ways
                     terms = sorted(zip(*pending.pop((i, k))))
                     terms_json = serialize.join_terms((records[x], coeff) for x, coeff in terms)

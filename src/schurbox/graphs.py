@@ -21,11 +21,20 @@ with total sum d; there are C(n*n + d - 1, d) of them.
 ((2, 1), (0, 1))
 >>> canonical_pair(BipartiteMultigraph(((2, 1), (1, 0))))[0].word()
 '|124|3|'
+
+:func:`basis` indexes one shape's graphs.  Graph 0 times graph 1 is graph 1,
+and the symmetry takes that pair and term to three more:
+
+>>> [str(g) for g in basis(2, 1).graphs]
+['[[0,0],[0,1]]', '[[0,0],[1,0]]', '[[0,1],[0,0]]', '[[1,0],[0,0]]']
+>>> basis(2, 1).orbit(0, 1, (1,))
+{(0, 1): (1,), (3, 2): (2,), (2, 0): (2,), (1, 3): (1,)}
 """
 
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from .combinatorics import Configuration, Params, _check_cap, compositions, to_multi_index
 
@@ -132,6 +141,64 @@ def enumerate_graphs(p: Params, cap: int | None = None) -> list[BipartiteMultigr
         rows = tuple(flat[k * p.n : (k + 1) * p.n] for k in range(p.n))
         out.append(BipartiteMultigraph(rows))
     return out
+
+
+class Basis:
+    """One shape's graphs in enumeration order, shared read-only; each index is built on first use.
+
+    Relabelling boxes by σ in S_n is an automorphism of the algebra and
+    transposing an anti-automorphism, so c(g1, g2; g) = c(σg1σᵀ, σg2σᵀ; σgσᵀ)
+    = c(g2ᵀ, g1ᵀ; gᵀ) (Green, *Polynomial Representations of GL_n*, §2.3).
+    """
+
+    def __init__(self, p: Params):
+        self.graphs = tuple(enumerate_graphs(p))
+
+    @cached_property
+    def index_of(self) -> dict[tuple[int, ...], int]:
+        """The basis index of each flattened matrix."""
+        return {g.sort_key: k for k, g in enumerate(self.graphs)}
+
+    @cached_property
+    def by_bottom(self) -> dict[tuple[int, ...], list[int]]:
+        """The basis indices, in increasing order, grouped by bottom valencies."""
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for k, g in enumerate(self.graphs):
+            groups.setdefault(g.bottom_valencies(), []).append(k)
+        return groups
+
+    @cached_property
+    def generators(self) -> list[list[int]]:
+        """The symmetry's generators as basis-index maps: each adjacent box swap, then the transpose."""
+        n = self.graphs[0].n
+        cells = [divmod(cell, n) for cell in range(n * n)]
+        swaps = [[*range(s), s + 1, s, *range(s + 2, n)] for s in range(n - 1)]
+        # each generator as the flattened cell that every cell of the image reads
+        flats = [[box[i] * n + box[j] for i, j in cells] for box in swaps] + [[j * n + i for i, j in cells]]
+        key = self.index_of
+        return [[key[tuple(map(g.sort_key.__getitem__, flat))] for g in self.graphs] for flat in flats]
+
+    def orbit(self, i: int, k: int, indices: tuple[int, ...]) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Every pair in the orbit of (i, k), whose product has terms at ``indices``, with its terms.
+
+        A swap m sends (i, k) to (m[i], m[k]) and the transpose t to (t[k], t[i]);
+        each sends a term x to m[x] or t[x], and coefficients ride along unchanged.
+        """
+        *swaps, transpose = self.generators
+        orbit = {(i, k): indices}
+        queue = [(i, k, indices)]
+        for i, k, indices in queue:
+            for a, b, m in [(m[i], m[k], m) for m in swaps] + [(transpose[k], transpose[i], transpose)]:
+                if (a, b) not in orbit:
+                    orbit[a, b] = image = tuple(map(m.__getitem__, indices))
+                    queue.append((a, b, image))
+        return orbit
+
+
+@lru_cache(maxsize=1)
+def basis(n: int, d: int) -> Basis:
+    """The :class:`Basis` of shape (n, d), kept for the most recently asked shape."""
+    return Basis(Params(n, d))
 
 
 def edge_labels(g: BipartiteMultigraph) -> list[EdgeLabel]:

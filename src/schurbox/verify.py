@@ -1,8 +1,9 @@
 """Cross-check suites: every consistency property the tool promises, at one shape.
 
 Each suite returns a :class:`CheckResult`; a failure carries the first
-counterexample fully serialized so it can be replayed by hand.  The suites
-that read the dense oracle (``commutant``, ``t-basis``, and ``engines`` at a
+counterexample fully serialized so it can be replayed by hand.  All suites
+read the graphs of :func:`graphs.basis`, enumerated once.  The suites that
+read the dense oracle (``commutant``, ``t-basis``, and ``engines`` at a
 shape in its reach) import it, and numpy with it, when they run.
 """
 
@@ -21,7 +22,7 @@ from .algebra import (
     multiply,
 )
 from .combinatorics import Params, enumerate_configurations, to_configuration
-from .graphs import enumerate_graphs, graph_count, in_reach, pair_graph
+from .graphs import basis, graph_count, in_reach, pair_graph
 
 CHECK_NAMES = ("orbit-bijection", "commutant", "engines", "assoc", "identity", "t-basis")
 
@@ -51,7 +52,7 @@ def engine_outputs(g1, g2, with_oracle: bool) -> dict[str, AlgebraElement]:
 def check_orbit_bijection(p: Params) -> CheckResult:
     configs = enumerate_configurations(p)
     distinct = {pair_graph(a, b) for a in configs for b in configs}
-    enumerated = enumerate_graphs(p)
+    enumerated = basis(p.n, p.d).graphs
     expected = graph_count(p)
     ok = len(distinct) == expected == len(enumerated) and distinct == set(enumerated)
     detail = (
@@ -74,7 +75,7 @@ def check_orbit_bijection(p: Params) -> CheckResult:
 def check_commutant(p: Params, corrupt: bool = False) -> CheckResult:
     from . import oracle
 
-    graphs = enumerate_graphs(p)
+    graphs = basis(p.n, p.d).graphs
     table = oracle.pair_table(p.n, p.d)
     if corrupt:
         # deliberately relabel the first cell of the first orbit with two or
@@ -112,18 +113,19 @@ def check_commutant(p: Params, corrupt: bool = False) -> CheckResult:
     )
 
 
+def _sample(p: Params, k: int, limit: int, size: int, seed: int) -> tuple[list[tuple], str]:
+    """Every k-tuple of basis graphs if at most ``limit``, else ``size`` seeded draws; and a note."""
+    graphs = basis(p.n, p.d).graphs
+    if len(graphs) ** k <= limit:
+        return list(itertools.product(graphs, repeat=k)), ""
+    rng = random.Random(seed)
+    draws = [tuple(rng.choice(graphs) for _ in range(k)) for _ in range(size)]
+    return draws, f" (sampled {size}, seed {seed})"
+
+
 def check_engines(p: Params, seed: int = 0) -> CheckResult:
-    graphs = enumerate_graphs(p)
     with_oracle = in_reach(p)
-    sampled = ""
-    if len(graphs) ** 2 > ENGINE_PAIR_LIMIT:
-        rng = random.Random(seed)
-        pairs = [
-            (rng.choice(graphs), rng.choice(graphs)) for _ in range(ENGINE_SAMPLE)
-        ]
-        sampled = f" (sampled {ENGINE_SAMPLE}, seed {seed})"
-    else:
-        pairs = list(itertools.product(graphs, graphs))
+    pairs, sampled = _sample(p, 2, ENGINE_PAIR_LIMIT, ENGINE_SAMPLE, seed)
     for g1, g2 in pairs:
         outputs = engine_outputs(g1, g2, with_oracle)
         reference = outputs["counting"]
@@ -141,17 +143,7 @@ def check_engines(p: Params, seed: int = 0) -> CheckResult:
 
 
 def check_assoc(p: Params, seed: int = 0) -> CheckResult:
-    graphs = enumerate_graphs(p)
-    sampled = ""
-    if len(graphs) ** 3 > ASSOC_TRIPLE_LIMIT:
-        rng = random.Random(seed)
-        triples = [
-            (rng.choice(graphs), rng.choice(graphs), rng.choice(graphs))
-            for _ in range(ASSOC_SAMPLE)
-        ]
-        sampled = f" (sampled {ASSOC_SAMPLE}, seed {seed})"
-    else:
-        triples = list(itertools.product(graphs, graphs, graphs))
+    triples, sampled = _sample(p, 3, ASSOC_TRIPLE_LIMIT, ASSOC_SAMPLE, seed)
     for g1, g2, g3 in triples:
         x, y, z = (AlgebraElement.basis(g) for g in (g1, g2, g3))
         if multiply(multiply(x, y), z) != multiply(x, multiply(y, z)):
@@ -168,7 +160,7 @@ def check_assoc(p: Params, seed: int = 0) -> CheckResult:
 
 def check_identity(p: Params) -> CheckResult:
     e = identity_element(p)
-    for g in enumerate_graphs(p):
+    for g in basis(p.n, p.d).graphs:
         x = AlgebraElement.basis(g)
         if multiply(e, x) != x or multiply(x, e) != x:
             return CheckResult(
@@ -198,7 +190,8 @@ def check_t_basis(p: Params) -> CheckResult:
     """
     from . import oracle
 
-    graphs = enumerate_graphs(p)
+    layer = basis(p.n, p.d)
+    graphs = layer.graphs
     table = oracle.pair_table(p.n, p.d)
     configs = [to_configuration(index, p.n) for index in table.indices]
     differ = set()
@@ -215,18 +208,14 @@ def check_t_basis(p: Params) -> CheckResult:
             f"orbit and configuration matrices differ at {g}",
             serialize.dumps(serialize.graph_record(g)),
         )
-    position = {g.sort_key: k for k, g in enumerate(graphs)}  # the fold keys graphs by sort key
     counted = [{} for _ in graphs]  # per g1 position: {g2 position: {g position: count}}
     for k, g in enumerate(graphs):
         for (g1, g2), count in oracle.orbit_composition_counts(g).items():
-            counted[position[g1.sort_key]].setdefault(position[g2.sort_key], {})[k] = count
-    by_bottom = {}
-    for j, g2 in enumerate(graphs):
-        by_bottom.setdefault(g2.bottom_valencies(), []).append(j)
+            counted[layer.index_of[g1.sort_key]].setdefault(layer.index_of[g2.sort_key], {})[k] = count
     for i, g1 in enumerate(graphs):
-        for j in sorted(set(by_bottom.get(g1.top_valencies(), ())).union(counted[i])):
+        for j in sorted(set(layer.by_bottom.get(g1.top_valencies(), ())).union(counted[i])):
             folded = structconst.euler_fold(g1, graphs[j])  # empty on an incompatible pair
-            want = {position[key]: value for key, value in folded.items()}
+            want = {layer.index_of[key]: value for key, value in folded.items()}
             got = counted[i].get(j, {})
             wrong = [k for k in want.keys() | got.keys() if want.get(k, 0) != got.get(k, 0)]
             if wrong:
@@ -261,20 +250,12 @@ def run_checks(
         raise ValueError(f"unknown checks {unknown}; choose from {CHECK_NAMES}")
     if corrupt and "commutant" not in selected:
         raise ValueError("corrupting an operator needs the commutant check, which is not selected")
-    results = []
-    for name in CHECK_NAMES:
-        if name not in selected:
-            continue
-        if name == "orbit-bijection":
-            results.append(check_orbit_bijection(p))
-        elif name == "commutant":
-            results.append(check_commutant(p, corrupt=corrupt))
-        elif name == "engines":
-            results.append(check_engines(p, seed=seed))
-        elif name == "assoc":
-            results.append(check_assoc(p, seed=seed))
-        elif name == "identity":
-            results.append(check_identity(p))
-        elif name == "t-basis":
-            results.append(check_t_basis(p))
-    return results
+    suites = {
+        "orbit-bijection": lambda: check_orbit_bijection(p),
+        "commutant": lambda: check_commutant(p, corrupt=corrupt),
+        "engines": lambda: check_engines(p, seed=seed),
+        "assoc": lambda: check_assoc(p, seed=seed),
+        "identity": lambda: check_identity(p),
+        "t-basis": lambda: check_t_basis(p),
+    }
+    return [suites[name]() for name in CHECK_NAMES if name in selected]

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,7 +19,13 @@ from schurbox.algebra import (
     is_prime,
     multiply,
 )
-from schurbox.combinatorics import Configuration, Params, enumerate_configurations, to_configuration
+from schurbox.combinatorics import (
+    Configuration,
+    Params,
+    TooLargeError,
+    enumerate_configurations,
+    to_configuration,
+)
 from schurbox.graphs import BipartiteMultigraph, diagonal_graph, enumerate_graphs
 from schurbox.oracle import operator_matrix, pair_table
 
@@ -163,6 +170,18 @@ def test_identity_element_is_a_unit():
         assert multiply(e, x) == x
         assert multiply(x, e) == x
     assert multiply(e, e) == e
+
+
+def test_identity_element_refuses_before_building():
+    # 1,200 diagonal graphs of 1,200 x 1,200 entries would take about 14 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError, match="1728000000 elements"):
+            identity_element(Params(1200, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_multiply_operator_convention():

@@ -14,7 +14,7 @@ from schurbox import cli, oracle, structconst
 from schurbox.algebra import AlgebraElement, basis_product
 from schurbox.cli import main
 from schurbox.combinatorics import Params
-from schurbox.graphs import BipartiteMultigraph, enumerate_graphs
+from schurbox.graphs import BipartiteMultigraph, basis, enumerate_graphs
 from schurbox.serialize import dumps, graph_record, table_line
 
 G1 = BipartiteMultigraph(((2, 1), (0, 1)))
@@ -438,6 +438,7 @@ def test_table_3_4_streams_in_small_memory(capsys, tmp_path):
     # 31.6 MB table is never held; the relabelled terms of orbit pairs whose
     # rows are still to come peak near 5 MiB
     cli._table_context.cache_clear()
+    basis.cache_clear()
     structconst._vertex_moves.cache_clear()
     out_path = tmp_path / "t.jsonl"
     tracemalloc.start()
@@ -448,6 +449,15 @@ def test_table_3_4_streams_in_small_memory(capsys, tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 8 * 2**20
+
+
+def test_table_beyond_the_product_cap_is_an_input_error(capsys, tmp_path):
+    # 1,225 graphs at (7,2), so 1,500,625 products: refused before any is made
+    out_path = tmp_path / "t.jsonl"
+    code, out, err = run(capsys, "table", "-n", "7", "-d", "2", "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == "error: instance too large: the product table at n=7, d=2 has 1500625 elements (cap 1000000)\n"
+    assert not out_path.exists() and not (tmp_path / "t.jsonl.tmp").exists()
 
 
 def test_python_dash_m_runs_the_cli():

@@ -10,6 +10,7 @@ from schurbox.algebra import AlgebraElement, basis_product
 from schurbox.combinatorics import Params, all_permutations, enumerate_configurations
 from schurbox.graphs import (
     BipartiteMultigraph,
+    basis,
     canonical_pair,
     enumerate_graphs,
     pair_graph,
@@ -254,3 +255,18 @@ def test_counting_is_symmetric_under_transpose_and_box_relabelling(n, d):
             image = products[relabelled(g1, sigma), relabelled(g2, sigma)]
             expected = AlgebraElement(n, d, [(relabelled(g, sigma), c) for g, c in product.items()])
             assert image == expected, (g1, g2, sigma)
+    # the basis layer's generators are those maps on basis indices: the
+    # adjacent box swaps, then the transpose
+    layer = basis(n, d)
+    swaps = [[*range(s), s + 1, s, *range(s + 2, n)] for s in range(n - 1)]
+    images = [lambda g, sigma=sigma: relabelled(g, sigma) for sigma in swaps] + [transposed]
+    assert len(layer.generators) == len(images) == n
+    for generator, image in zip(layer.generators, images):
+        assert generator == [layer.index_of[image(g).sort_key] for g in layer.graphs]
+    # and every orbit it walks carries each pair's terms to those of its images
+    for (g1, g2), product in products.items():
+        terms, coeffs = zip(*((layer.index_of[g.sort_key], c) for g, c in product.items()))
+        i, k = layer.index_of[g1.sort_key], layer.index_of[g2.sort_key]
+        for (a, b), image in layer.orbit(i, k, terms).items():
+            expected = products[layer.graphs[a], layer.graphs[b]]
+            assert AlgebraElement(n, d, zip(map(layer.graphs.__getitem__, image), coeffs)) == expected

@@ -7,8 +7,8 @@ import tracemalloc
 import pytest
 
 from schurbox import oracle, structconst, verify
-from schurbox.combinatorics import Params
-from schurbox.graphs import enumerate_graphs
+from schurbox.combinatorics import Params, compositions
+from schurbox.graphs import basis, enumerate_graphs
 from schurbox.serialize import graph_from_record
 from schurbox.verify import (
     CHECK_NAMES,
@@ -25,6 +25,23 @@ def test_full_suite_passes_at_desk_scale():
     assert [r.name for r in results] == list(CHECK_NAMES)
     assert all(r.passed for r in results)
     assert all(r.counterexample is None for r in results)
+
+
+def test_a_full_run_enumerates_the_basis_once(monkeypatch):
+    # enumerate_graphs is the only caller of graphs.compositions, so this
+    # counts every enumeration of the graph set, whatever name reached it
+    calls = []
+
+    def counted(total, parts):
+        calls.append((total, parts))
+        return compositions(total, parts)
+
+    monkeypatch.setattr("schurbox.graphs.compositions", counted)
+    basis.cache_clear()
+    results = run_checks(Params(3, 3))
+    assert [r.name for r in results] == list(CHECK_NAMES)
+    assert all(r.passed for r in results)
+    assert calls == [(3, 9)]
 
 
 def test_subset_selection_keeps_canonical_order():
