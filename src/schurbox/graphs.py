@@ -36,7 +36,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .combinatorics import Configuration, Params, _check_cap, compositions, to_multi_index
+from .combinatorics import Configuration, Params, TooLargeError, _check_cap, compositions, to_multi_index
 
 EdgeLabel = tuple[int, int]
 """A parallel class of edges, as the pair (top vertex, bottom vertex)."""
@@ -45,6 +45,8 @@ ORACLE_CAP = 4096
 """Basis vectors (n**d) the dense oracle takes at most."""
 ORBIT_CAP = 2**17
 """Orbits, one graph object each: (5,5), (9,3) and (6,4) fit, (8,4)'s 766,480 do not."""
+CELL_CAP = 2**24
+"""Matrix cells (graphs times n**2 each) the graph set holds at most: (32,1)'s 1,048,576 fit."""
 
 
 @dataclass(frozen=True)
@@ -133,9 +135,19 @@ def in_reach(p: Params) -> bool:
     return p.index_count <= ORACLE_CAP and graph_count(p) <= ORBIT_CAP
 
 
+def check_reach(p: Params) -> None:
+    """Raise :class:`TooLargeError` unless the dense oracle takes shape p."""
+    if not in_reach(p):
+        raise TooLargeError(
+            f"instance too large for the dense oracle: {p.index_count} basis vectors "
+            f"(cap {ORACLE_CAP}), {graph_count(p)} orbits (cap {ORBIT_CAP})"
+        )
+
+
 def enumerate_graphs(p: Params, cap: int | None = None) -> list[BipartiteMultigraph]:
     """All graphs of shape ``p``, ordered lexicographically by flattened matrix."""
     _check_cap(graph_count(p), cap, f"the graph set at n={p.n}, d={p.d}")
+    _check_cap(graph_count(p) * p.n * p.n, CELL_CAP, f"the graph set's matrix cells at n={p.n}, d={p.d}")
     out = []
     for flat in compositions(p.d, p.n * p.n):
         rows = tuple(flat[k * p.n : (k + 1) * p.n] for k in range(p.n))

@@ -26,18 +26,16 @@ import numpy as np
 from .combinatorics import (
     Params,
     Permutation,
-    TooLargeError,
     act_on_index,
     enumerate_multi_indices,
     to_multi_index,
 )
 from .graphs import (
     ORACLE_CAP,
-    ORBIT_CAP,
     BipartiteMultigraph,
     canonical_configuration,
     canonical_pair,
-    graph_count,
+    check_reach,
     in_reach,
 )
 from .algebra import AlgebraElement
@@ -89,11 +87,7 @@ class PairTable:
     """
 
     def __init__(self, p: Params):
-        if not in_reach(p):
-            raise TooLargeError(
-                f"instance too large for the dense oracle: {p.index_count} basis vectors "
-                f"(cap {ORACLE_CAP}), {graph_count(p)} orbits (cap {ORBIT_CAP})"
-            )
+        check_reach(p)
         self.p = p
         self.indices = enumerate_multi_indices(p, cap=ORACLE_CAP)
         self.index_of = {index: k for k, index in enumerate(self.indices)}
@@ -165,12 +159,19 @@ def orbit_composition_counts(g: BipartiteMultigraph) -> Counter:
     """Middle indices z at the canonical cell (x, y) of g, counted by the orbits of (x, z) and (z, y).
 
     The count under (g1, g2) is Green's coefficient of the g orbit operator
-    in the product of the g1 and g2 orbit operators.
+    in the product of the g1 and g2 orbit operators.  Each z's label pair is
+    one int64 key ``label_x·G + label_y`` below G² <= 2^34, and the keys are
+    counted in one sort.
     """
     table = pair_table(g.n, g.d)
     x, y = canonical_cell(g)
-    counts = Counter(zip(table.labels[x].tolist(), table.labels[:, y].tolist()))
-    return Counter({(table.graphs[i], table.graphs[j]): count for (i, j), count in counts.items()})
+    size = len(table.graphs)
+    keys = table.labels[x].astype(np.int64) * size + table.labels[:, y]
+    found, counts = np.unique(keys, return_counts=True)
+    graphs = table.graphs
+    return Counter(
+        {(graphs[key // size], graphs[key % size]): count for key, count in zip(found.tolist(), counts.tolist())}
+    )
 
 
 def orbit_composition_count(g1: BipartiteMultigraph, g2: BipartiteMultigraph, g: BipartiteMultigraph) -> int:

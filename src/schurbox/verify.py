@@ -2,9 +2,11 @@
 
 Each suite returns a :class:`CheckResult`; a failure carries the first
 counterexample fully serialized so it can be replayed by hand.  All suites
-read the graphs of :func:`graphs.basis`, enumerated once.  The suites that
-read the dense oracle (``commutant``, ``t-basis``, and ``engines`` at a
-shape in its reach) import it, and numpy with it, when they run.
+read the graphs of :func:`graphs.basis`, enumerated once, and
+:func:`run_checks` raises any size refusal of a selected suite before the
+first suite starts.  The suites that read the dense oracle (``commutant``,
+``t-basis``, and ``engines`` at a shape in its reach) import it, and numpy
+with it, when they run.
 """
 
 import itertools
@@ -21,8 +23,23 @@ from .algebra import (
     identity_element,
     multiply,
 )
-from .combinatorics import Params, enumerate_configurations, to_configuration
-from .graphs import basis, graph_count, in_reach, pair_graph
+from .combinatorics import (
+    Params,
+    _check_cap,
+    compositions,
+    enumerate_configurations,
+    to_configuration,
+    to_multi_index,
+)
+from .graphs import (
+    BipartiteMultigraph,
+    basis,
+    canonical_configuration,
+    check_reach,
+    graph_count,
+    in_reach,
+    pair_graph,
+)
 
 CHECK_NAMES = ("orbit-bijection", "commutant", "engines", "assoc", "identity", "t-basis")
 
@@ -49,14 +66,27 @@ def engine_outputs(g1, g2, with_oracle: bool) -> dict[str, AlgebraElement]:
     }
 
 
+def _canonical_rows(p: Params) -> list:
+    """The canonical configuration of each content, one per renaming orbit of configurations."""
+    return [canonical_configuration(content) for content in compositions(p.d, p.n)]
+
+
 def check_orbit_bijection(p: Params) -> CheckResult:
+    """The pair graphs of the canonical rows against the enumerated basis and the binomial count.
+
+    A renaming takes any pair (a, b) to one whose first configuration is the
+    canonical one of a's content, and leaves its pair graph unchanged, so
+    those rows already give every pair graph.
+    """
     configs = enumerate_configurations(p)
-    distinct = {pair_graph(a, b) for a in configs for b in configs}
+    rows = _canonical_rows(p)
+    distinct = {pair_graph(a, b) for a in rows for b in configs}
     enumerated = basis(p.n, p.d).graphs
     expected = graph_count(p)
     ok = len(distinct) == expected == len(enumerated) and distinct == set(enumerated)
     detail = (
-        f"{len(distinct)} distinct pair graphs over {len(configs) ** 2} pairs, "
+        f"{len(distinct)} distinct pair graphs over {len(rows) * len(configs)} pairs "
+        f"({len(rows)} canonical rows), "
         f"{len(enumerated)} enumerated, binomial {expected}"
     )
     counterexample = None
@@ -158,20 +188,56 @@ def check_assoc(p: Params, seed: int = 0) -> CheckResult:
     return CheckResult("assoc", True, f"{len(triples)} triples{sampled} associate", None)
 
 
+def _parts(e: AlgebraElement, valencies) -> dict[tuple[int, ...], AlgebraElement]:
+    """The terms of e grouped into one element per value of ``valencies``; they sum to e."""
+    groups: dict = {}
+    for h, c in e.items():
+        groups.setdefault(valencies(h), []).append((h, c))
+    return {key: AlgebraElement(e.n, e.d, terms) for key, terms in groups.items()}
+
+
 def check_identity(p: Params) -> CheckResult:
+    """The identity element e fixes every basis operator from both sides, and every basis vector.
+
+    A product h·g is zero unless the top valencies of h equal the bottom
+    valencies of g (Green, *Polynomial Representations of GL_n*, §2.3), so
+    only the part of e whose top valencies meet g's bottom ones, the diagonal
+    of g's bottom content, has to give g back.  Every other part must give
+    zero, which is checked once per valency class, on the first graph of the
+    class in basis order; likewise on the right and for the basis vectors,
+    grouped by content.
+    """
     e = identity_element(p)
+    zero = AlgebraElement.zero(p.n, p.d)
+    meets_bottom = _parts(e, BipartiteMultigraph.top_valencies)
+    meets_top = _parts(e, BipartiteMultigraph.bottom_valencies)
+    seen_bottom, seen_top = set(), set()
     for g in basis(p.n, p.d).graphs:
         x = AlgebraElement.basis(g)
-        if multiply(e, x) != x or multiply(x, e) != x:
+        bottom, top = g.bottom_valencies(), g.top_valencies()
+        ok = multiply(meets_bottom.get(bottom, zero), x) == x and multiply(x, meets_top.get(top, zero)) == x
+        if ok and bottom not in seen_bottom:
+            seen_bottom.add(bottom)
+            ok = not any(multiply(part, x) for key, part in meets_bottom.items() if key != bottom)
+        if ok and top not in seen_top:
+            seen_top.add(top)
+            ok = not any(multiply(x, part) for key, part in meets_top.items() if key != top)
+        if not ok:
             return CheckResult(
                 "identity",
                 False,
                 f"identity fails on the operator of {g}",
                 serialize.dumps(serialize.graph_record(g)),
             )
+    seen = set()
     for b in enumerate_configurations(p):
         v = VectorElement.basis(b)
-        if apply(e, v) != v:
+        content = b.content()
+        ok = apply(meets_bottom.get(content, zero), v) == v
+        if ok and content not in seen:
+            seen.add(content)
+            ok = not any(apply(part, v) for key, part in meets_bottom.items() if key != content)
+        if not ok:
             return CheckResult(
                 "identity", False, f"identity moves the basis vector of {b}", serialize.dumps(b.word())
             )
@@ -182,21 +248,29 @@ def check_t_basis(p: Params) -> CheckResult:
     """The label grid against pair graphs, then Green's counts against the ``euler`` fold.
 
     Every cell's label must name the graph :func:`pair_graph` gives for its
-    configuration pair.  Then, for every (g1, g2), the middle-index counts
-    at the canonical cells must equal the fold's coefficients: on a
-    valency-compatible pair the fold gives every nonzero coefficient, and on
-    any other pair no count may fall.  The first mismatch in g1, g2, g order
-    is reported.
+    configuration pair.  That is read on the canonical rows of a grid that
+    commutes with renaming, and on every row of one that does not.  Then, for
+    every (g1, g2), the middle-index counts at the canonical cells must equal
+    the fold's coefficients: on a valency-compatible pair the fold gives every
+    nonzero coefficient, and on any other pair no count may fall.  The first
+    mismatch in g1, g2, g order is reported.
     """
+    _check_t_basis_size(p)
     from . import oracle
 
     layer = basis(p.n, p.d)
     graphs = layer.graphs
     table = oracle.pair_table(p.n, p.d)
     configs = [to_configuration(index, p.n) for index in table.indices]
+    # pair_graph is renaming-invariant, so on a grid that commutes with renaming
+    # the canonical rows stand for every cell; any other grid is read in full
+    rows = range(table.size)
+    if oracle.commutes_with_renaming(oracle.DenseOperator(p.n, p.d, table.labels)):
+        rows = [table.index_of[to_multi_index(a)] for a in _canonical_rows(p)]
     differ = set()
-    for a, row in zip(configs, table.labels.tolist()):
-        for b, label in zip(configs, row):
+    for r in rows:
+        a = configs[r]
+        for b, label in zip(configs, table.labels[r].tolist()):
             g, h = pair_graph(a, b), table.graphs[label]
             if g != h:
                 differ.update((g, h))
@@ -238,6 +312,33 @@ def check_t_basis(p: Params) -> CheckResult:
     )
 
 
+def _check_t_basis_size(p: Params) -> None:
+    """Refuse a ``t-basis`` that would fold more than 10^6 valency-compatible pairs.
+
+    Those are the pairs (g1, g2) with top of g1 = bottom of g2, Σ_v |bottom =
+    v| · |top = v| over the valency classes; transposing swaps the two sides,
+    so each term is |bottom = v|².
+    """
+    pairs = sum(len(members) ** 2 for members in basis(p.n, p.d).by_bottom.values())
+    _check_cap(pairs, None, f"the valency-compatible pairs of t-basis at n={p.n}, d={p.d}")
+
+
+def _refuse_oversize(p: Params, selected: set[str]) -> None:
+    """Raise the TooLargeError a selected suite would meet midway, before the first suite starts.
+
+    Every suite reads the basis, whose graph and cell caps :func:`basis`
+    applies.  Within those caps the identity element has at most 2^18 matrix
+    entries, so its own cap of 10^6 never binds.
+    """
+    basis(p.n, p.d)
+    if {"orbit-bijection", "identity"} & selected:
+        _check_cap(p.index_count, None, f"the configuration set at n={p.n}, d={p.d}")
+    if {"commutant", "t-basis"} & selected:
+        check_reach(p)
+    if "t-basis" in selected:
+        _check_t_basis_size(p)
+
+
 def run_checks(
     p: Params, names=None, seed: int = 0, corrupt: bool = False
 ) -> list[CheckResult]:
@@ -250,6 +351,7 @@ def run_checks(
         raise ValueError(f"unknown checks {unknown}; choose from {CHECK_NAMES}")
     if corrupt and "commutant" not in selected:
         raise ValueError("corrupting an operator needs the commutant check, which is not selected")
+    _refuse_oversize(p, set(selected))
     suites = {
         "orbit-bijection": lambda: check_orbit_bijection(p),
         "commutant": lambda: check_commutant(p, corrupt=corrupt),

@@ -460,6 +460,66 @@ def test_table_beyond_the_product_cap_is_an_input_error(capsys, tmp_path):
     assert not out_path.exists() and not (tmp_path / "t.jsonl.tmp").exists()
 
 
+def test_verify_beyond_the_cell_cap_refuses_before_building(capsys):
+    # 10,000 graphs of 10,000 cells each: 1.7 GB before the cell cap
+    basis.cache_clear()
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "-n", "100", "-d", "1", "--checks", "identity")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: instance too large: the graph set's matrix cells at n=100, d=1 "
+        "has 100000000 elements (cap 16777216)\n"
+    )
+    assert peak < 2**20
+
+
+# runs cli.main on its arguments under an address-space limit; reports the
+# exit code, stdout, and whether the dense oracle was ever imported
+CAPPED = """
+import contextlib, io, json, resource, sys
+limit = int(sys.argv[1]) * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from schurbox import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(sys.argv[2:])
+print(json.dumps({"code": code, "oracle": "schurbox.oracle" in sys.modules, "out": out.getvalue()}))
+"""
+
+
+def _capped_verify(limit_mb: int, deadline_s: int, *argv: str) -> tuple[dict, str]:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", CAPPED, str(limit_mb), "verify", *argv],
+        env=env, capture_output=True, text=True, timeout=deadline_s,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout), done.stderr
+
+
+def test_verify_sweeps_finish_at_the_vector_cap():
+    # (2,12) has 4,096 vectors: about 6 s and a 300 MiB address-space peak on a 2-vCPU VM
+    report, err = _capped_verify(1024, 120, "-n", "2", "-d", "12", "--checks", "orbit-bijection,identity,t-basis")
+    assert report["code"] == 0, err
+    assert report["out"].splitlines()[-1] == (
+        '{"checks":{"identity":true,"orbit-bijection":true,"t-basis":true},"d":12,"n":2,"passed":true}'
+    )
+
+
+def test_verify_refuses_t_basis_at_5_5_before_the_pair_table():
+    # 149M compatible pairs; the refusal comes after enumerating the basis (about 2 s, 95 MiB)
+    report, err = _capped_verify(256, 60, "-n", "5", "-d", "5")
+    assert report == {"code": 1, "oracle": False, "out": ""}
+    assert err == (
+        "error: instance too large: the valency-compatible pairs of t-basis at n=5, d=5 "
+        "has 149057505 elements (cap 1000000)\n"
+    )
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -2,19 +2,40 @@
 
 import copy
 import json
+import math
 import tracemalloc
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from schurbox import oracle, structconst, verify
-from schurbox.combinatorics import Params, compositions
-from schurbox.graphs import basis, enumerate_graphs
-from schurbox.serialize import graph_from_record
+from schurbox import algebra, combinatorics, oracle, structconst, verify
+from schurbox.algebra import AlgebraElement
+from schurbox.combinatorics import (
+    Params,
+    TooLargeError,
+    compositions,
+    enumerate_configurations,
+    to_configuration,
+    to_multi_index,
+)
+from schurbox.graphs import (
+    CELL_CAP,
+    basis,
+    canonical_configuration,
+    diagonal_graph,
+    enumerate_graphs,
+    graph_count,
+    pair_graph,
+)
+from schurbox.serialize import graph_from_record, graph_record
 from schurbox.verify import (
     CHECK_NAMES,
     check_assoc,
     check_commutant,
     check_engines,
+    check_identity,
+    check_orbit_bijection,
     check_t_basis,
     run_checks,
 )
@@ -198,3 +219,227 @@ def test_t_basis_keeps_no_cube_of_coefficients():
     assert result.passed
     assert result.detail == "56 transported matrices, 175616 composition coefficients"
     assert peak < 2**20
+
+
+CUT_SHAPES = [Params(2, 3), Params(2, 4), Params(3, 2), Params(3, 3), Params(4, 2)]
+
+
+def _canonical_rows(p):
+    return [canonical_configuration(content) for content in compositions(p.d, p.n)]
+
+
+@pytest.mark.parametrize("p", CUT_SHAPES, ids=str)
+def test_canonical_rows_give_every_pair_graph(p):
+    configs = enumerate_configurations(p)
+    full = {pair_graph(a, b) for a in configs for b in configs}
+    assert {pair_graph(a, b) for a in _canonical_rows(p) for b in configs} == full
+    assert len(full) == len(enumerate_graphs(p))
+
+
+@pytest.mark.parametrize("p", CUT_SHAPES, ids=str)
+def test_canonical_rows_and_renaming_reach_every_cell(p):
+    # a grid that commutes with every adjacent transposition is constant along
+    # (r, c) -> (s[r], s[c]); closing the canonical rows under that reaches all
+    table = oracle.pair_table(p.n, p.d)
+    reached = np.zeros((table.size, table.size), dtype=bool)
+    for a in _canonical_rows(p):
+        reached[table.index_of[to_multi_index(a)]] = True
+    while True:
+        grown = reached.copy()
+        for sigma in oracle._transposition_indices(p.n, p.d):
+            grown |= reached[np.ix_(sigma, sigma)]
+        if (grown == reached).all():
+            break
+        reached = grown
+    assert reached.all()
+
+
+@pytest.mark.parametrize("p", CUT_SHAPES, ids=str)
+def test_orbit_composition_counts_match_the_zip_reference(p):
+    table = oracle.pair_table(p.n, p.d)
+    for g in enumerate_graphs(p):
+        x, y = oracle.canonical_cell(g)
+        pairs = Counter(zip(table.labels[x].tolist(), table.labels[:, y].tolist()))
+        reference = Counter({(table.graphs[i], table.graphs[j]): count for (i, j), count in pairs.items()})
+        assert oracle.orbit_composition_counts(g) == reference
+
+
+def test_orbit_bijection_detail_counts_the_pairs_visited():
+    result = check_orbit_bijection(Params(2, 5))
+    assert result.passed
+    assert result.detail == (
+        "56 distinct pair graphs over 192 pairs (6 canonical rows), 56 enumerated, binomial 56"
+    )
+
+
+def _merging(lost, kept):
+    """A pair_graph that gives ``kept`` wherever the true graph is ``lost``."""
+
+    def mutant(a, b):
+        g = pair_graph(a, b)
+        return kept if g == lost else g
+
+    return mutant
+
+
+def _transposing(a, b):
+    """A pair_graph with its two rows swapped: still a bijection on orbits."""
+    return pair_graph(b, a)
+
+
+@pytest.mark.parametrize("p", [Params(2, 3), Params(3, 2)], ids=str)
+def test_a_merged_pair_graph_fails_the_smaller_sweeps(monkeypatch, p):
+    graphs = enumerate_graphs(p)
+    lost, kept = graphs[7], graphs[8]
+    mutant = _merging(lost, kept)
+    configs = enumerate_configurations(p)
+    # the full N^2 sweep caught it: the lost graph never occurs
+    assert {mutant(a, b) for a in configs for b in configs} != set(graphs)
+    monkeypatch.setattr(verify, "pair_graph", mutant)
+    result = check_orbit_bijection(p)
+    assert not result.passed
+    assert json.loads(result.counterexample)["missing"] == [graph_record(lost)]
+    result = check_t_basis(p)
+    assert not result.passed
+    assert result.detail == f"orbit and configuration matrices differ at {lost}"
+
+
+def test_a_transposed_pair_graph_fails_the_smaller_grid_sweep(monkeypatch):
+    p = Params(2, 3)
+    table = oracle.pair_table(p.n, p.d)
+    configs = [to_configuration(index, p.n) for index in table.indices]
+    # the full sweep caught it on some cell
+    assert any(
+        _transposing(a, b) != table.graphs[label]
+        for a, row in zip(configs, table.labels.tolist())
+        for b, label in zip(configs, row)
+    )
+    monkeypatch.setattr(verify, "pair_graph", _transposing)
+    result = check_t_basis(p)
+    assert not result.passed
+    assert result.detail.startswith("orbit and configuration matrices differ at ")
+    # it keeps the set of graphs, so orbit-bijection passes at any sweep size
+    assert check_orbit_bijection(p).passed
+
+
+def test_t_basis_reads_every_row_of_a_grid_that_does_not_commute(monkeypatch):
+    # two cells off the canonical rows swap labels: only the full read sees which
+    p = Params(2, 3)
+    table = oracle.pair_table(p.n, p.d)
+    rows = {table.index_of[to_multi_index(a)] for a in _canonical_rows(p)}
+    r = next(r for r in range(table.size) if r not in rows)
+    c1, c2 = next(
+        (c1, c2)
+        for c1 in range(table.size)
+        for c2 in range(table.size)
+        if table.labels[r, c1] != table.labels[r, c2]
+    )
+    broken = copy.copy(table)
+    broken.labels = table.labels.copy()
+    broken.labels[r, c1], broken.labels[r, c2] = table.labels[r, c2], table.labels[r, c1]
+    monkeypatch.setattr(oracle, "pair_table", lambda n, d: broken)
+    graphs = enumerate_graphs(p)
+    g = min(table.graphs[table.labels[r, c1]], table.graphs[table.labels[r, c2]], key=graphs.index)
+    result = check_t_basis(p)
+    assert not result.passed
+    assert result.detail == f"orbit and configuration matrices differ at {g}"
+
+
+def _wrong_product(monkeypatch, left, right, product):
+    """Make algebra.basis_product give ``product`` at (left, right) and be right elsewhere."""
+    real = algebra.basis_product
+
+    def mutant(g1, g2, engine="euler"):
+        if (g1, g2) == (left, right):
+            return product
+        return real(g1, g2, engine)
+
+    monkeypatch.setattr(algebra, "basis_product", mutant)
+
+
+def _identity_culprit(result):
+    assert not result.passed
+    return graph_from_record(json.loads(result.counterexample))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_identity_catches_a_wrong_diagonal_coefficient(monkeypatch, side):
+    p = Params(2, 3)
+    g = enumerate_graphs(p)[13]
+    if side == "left":
+        _wrong_product(monkeypatch, diagonal_graph(g.bottom_valencies()), g, 2 * AlgebraElement.basis(g))
+    else:
+        _wrong_product(monkeypatch, g, diagonal_graph(g.top_valencies()), 2 * AlgebraElement.basis(g))
+    result = check_identity(p)
+    assert result.detail == f"identity fails on the operator of {g}"
+    assert _identity_culprit(result) == g
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_identity_catches_a_nonzero_product_whose_valencies_miss(monkeypatch, side):
+    # the first graph of a valency class stands for the class in the zero checks
+    p = Params(3, 2)
+    graphs = enumerate_graphs(p)
+    valencies = (lambda g: g.bottom_valencies()) if side == "left" else (lambda g: g.top_valencies())
+    classes = {}
+    for g in graphs:
+        classes.setdefault(valencies(g), g)
+    g = list(classes.values())[3]
+    other = next(content for content in classes if content != valencies(g))
+    if side == "left":
+        _wrong_product(monkeypatch, diagonal_graph(other), g, AlgebraElement.basis(g))
+    else:
+        _wrong_product(monkeypatch, g, diagonal_graph(other), AlgebraElement.basis(g))
+    result = check_identity(p)
+    assert result.detail == f"identity fails on the operator of {g}"
+    assert _identity_culprit(result) == g
+
+
+def test_identity_catches_a_diagonal_that_moves_another_content(monkeypatch):
+    p = Params(2, 3)
+    b = enumerate_configurations(p)[3]
+    other = next(content for content in compositions(p.d, p.n) if content != b.content())
+    real = algebra.apply_basis
+
+    def mutant(g, config):
+        if (g, config) == (diagonal_graph(other), b):
+            return {config}
+        return real(g, config)
+
+    monkeypatch.setattr(algebra, "apply_basis", mutant)
+    result = check_identity(p)
+    assert not result.passed
+    assert result.detail == f"identity moves the basis vector of {b}"
+
+
+def test_t_basis_refuses_more_than_a_million_compatible_pairs(monkeypatch):
+    p = Params(2, 3)
+    graphs = enumerate_graphs(p)
+    pairs = sum(g1.top_valencies() == g2.bottom_valencies() for g1 in graphs for g2 in graphs)
+    monkeypatch.setattr(combinatorics, "DEFAULT_ENUMERATION_CAP", pairs)
+    assert check_t_basis(p).passed
+    monkeypatch.setattr(combinatorics, "DEFAULT_ENUMERATION_CAP", pairs - 1)
+    with pytest.raises(TooLargeError, match=f"t-basis at n=2, d=3 has {pairs} elements"):
+        check_t_basis(p)
+
+
+def test_a_refused_suite_stops_the_run_before_the_first_suite(monkeypatch):
+    # (4,6) has 48,097,136 compatible pairs; the suites before t-basis would take minutes
+    started = []
+    for name in ("check_orbit_bijection", "check_commutant", "check_engines", "check_assoc", "check_identity"):
+        monkeypatch.setattr(verify, name, lambda *args, name=name, **kwargs: started.append(name))
+    with pytest.raises(TooLargeError, match=r"t-basis at n=4, d=6 has 48097136 elements \(cap 1000000\)"):
+        run_checks(Params(4, 6))
+    assert started == []
+    # only t-basis is refused there
+    assert run_checks(Params(4, 6), names=("orbit-bijection", "identity")) == [None, None]
+    assert started == ["check_orbit_bijection", "check_identity"]
+
+
+def test_the_graph_caps_bound_the_identity_below_its_own_cap():
+    # every shape whose graphs fit both caps; n = 1 has one graph at any d
+    for n in range(2, 65):
+        d = 1
+        while graph_count(Params(n, d)) <= 10**6 and graph_count(Params(n, d)) * n * n <= CELL_CAP:
+            assert math.comb(n + d - 1, d) * n * n <= 2**18
+            d += 1
