@@ -2,7 +2,9 @@
 
 ``VectorElement`` is a finite integer combination of basis vectors e_b, one
 per configuration b; ``AlgebraElement`` is a combination of basis operators
-xi_g, one per bipartite multigraph g.  A basis operator acts by
+xi_g, one per bipartite multigraph g.  Both subclass ``_Combination``,
+whose public constructor checks every term; the arithmetic here combines
+terms that were already checked.  A basis operator acts by
 
     xi_g . e_b  =  sum of e_a over all a with pair_graph(a, b) == g,
 
@@ -75,120 +77,47 @@ def check_modulus(mod: int | None) -> None:
         raise ValueError(f"modulus must be prime, got {mod!r}")
 
 
-def _gather(n, d, items, key_type, shape_of) -> dict:
+def _summed(pairs: Iterable) -> dict:
+    """Coefficients summed per key, zeros dropped."""
     acc: dict = {}
-    for key, coeff in items:
-        if not isinstance(key, key_type):
-            raise TypeError(f"expected {key_type.__name__} keys, got {key!r}")
-        if shape_of(key) != (n, d):
-            raise ValueError(f"shape {shape_of(key)} of {key} does not match ({n},{d})")
-        if not isinstance(coeff, int):
-            raise TypeError(f"coefficients must be integers, got {coeff!r}")
+    for key, coeff in pairs:
         acc[key] = acc.get(key, 0) + coeff
-    return {key: coeff for key, coeff in acc.items() if coeff != 0}
+    return {key: coeff for key, coeff in acc.items() if coeff}
 
 
-class VectorElement:
-    """Sparse integer combination of configuration basis vectors."""
+class _Combination:
+    """Sparse integer combination of basis elements of one shape (n, d).
 
-    __slots__ = ("n", "d", "_terms")
+    A subclass names its key type, the order of its terms (``_order`` of a
+    key) and how a basis element prints (``_symbol``, then ``_label`` of it).
 
-    def __init__(self, n: int, d: int, terms: Mapping | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        self.n, self.d = n, d
-        self._terms = _gather(n, d, items, Configuration, lambda c: (c.n, c.d))
-
-    @classmethod
-    def zero(cls, n: int, d: int) -> "VectorElement":
-        return cls(n, d)
-
-    @classmethod
-    def basis(cls, config: Configuration) -> "VectorElement":
-        return cls(config.n, config.d, [(config, 1)])
-
-    def coefficient(self, config: Configuration) -> int:
-        return self._terms.get(config, 0)
-
-    def items(self) -> list[tuple[Configuration, int]]:
-        """Terms sorted by the configuration's multi-index."""
-        return sorted(self._terms.items(), key=lambda kv: to_multi_index(kv[0]))
-
-    def support(self) -> list[Configuration]:
-        return [config for config, _ in self.items()]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def reduce(self, mod: int | None) -> "VectorElement":
-        """Coefficients reduced to canonical residues 0..mod-1, zeros pruned."""
-        check_modulus(mod)
-        if mod is None:
-            return self
-        return VectorElement(self.n, self.d, [(k, v % mod) for k, v in self._terms.items()])
-
-    def _check_match(self, other) -> None:
-        if (self.n, self.d) != (other.n, other.d):
-            raise ValueError(f"shape mismatch: ({self.n},{self.d}) vs ({other.n},{other.d})")
-
-    def __add__(self, other: "VectorElement") -> "VectorElement":
-        self._check_match(other)
-        return VectorElement(self.n, self.d, list(self._terms.items()) + list(other._terms.items()))
-
-    def __sub__(self, other: "VectorElement") -> "VectorElement":
-        return self + (-1) * other
-
-    def __neg__(self) -> "VectorElement":
-        return (-1) * self
-
-    def __rmul__(self, scalar: int) -> "VectorElement":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return VectorElement(self.n, self.d, [(k, scalar * v) for k, v in self._terms.items()])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VectorElement)
-            and (self.n, self.d) == (other.n, other.d)
-            and self._terms == other._terms
-        )
-
-    __hash__ = None
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for config, coeff in self.items():
-            if coeff == 1:
-                parts.append(f"e{config.word()}")
-            elif coeff == -1:
-                parts.append(f"-e{config.word()}")
-            else:
-                parts.append(f"{coeff}*e{config.word()}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-class AlgebraElement:
-    """Sparse integer combination of the graph-indexed basis operators."""
+    >>> b = Configuration.from_word("|12|3|")
+    >>> print(2 * VectorElement.basis(b))
+    2*e|12|3|
+    >>> g = BipartiteMultigraph(((1, 0), (1, 1)))
+    >>> print(AlgebraElement.basis(g) - 3 * AlgebraElement.basis(diagonal_graph((1, 2))))
+    -3*xi[[1,0],[0,2]] + xi[[1,0],[1,1]]
+    """
 
     __slots__ = ("n", "d", "_terms")
 
     def __init__(self, n: int, d: int, terms: Mapping | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        for key, coeff in items:
+            if not isinstance(key, self._key_type):
+                raise TypeError(f"expected {self._key_type.__name__} keys, got {key!r}")
+            if (key.n, key.d) != (n, d):
+                raise ValueError(f"shape {(key.n, key.d)} of {key} does not match ({n},{d})")
+            if not isinstance(coeff, int):
+                raise TypeError(f"coefficients must be integers, got {coeff!r}")
         self.n, self.d = n, d
-        self._terms = _gather(n, d, items, BipartiteMultigraph, lambda g: (g.n, g.d))
+        self._terms = _summed(items)
 
     @classmethod
-    def _from_terms(cls, n: int, d: int, terms: dict) -> "AlgebraElement":
+    def _from_terms(cls, n: int, d: int, terms: dict):
         """An element that takes ownership of ``terms`` without the checks of the constructor.
 
-        The caller guarantees that ``terms`` maps distinct graphs of shape
+        The caller guarantees that ``terms`` maps distinct keys of shape
         (n, d) to nonzero ints, as an engine's output does.
         """
         x = object.__new__(cls)
@@ -196,63 +125,56 @@ class AlgebraElement:
         return x
 
     @classmethod
-    def zero(cls, n: int, d: int) -> "AlgebraElement":
+    def zero(cls, n: int, d: int):
         return cls(n, d)
 
     @classmethod
-    def basis(cls, g: BipartiteMultigraph) -> "AlgebraElement":
-        return cls(g.n, g.d, [(g, 1)])
+    def basis(cls, key):
+        return cls(key.n, key.d, [(key, 1)])
 
-    def coefficient(self, g: BipartiteMultigraph) -> int:
-        return self._terms.get(g, 0)
+    def coefficient(self, key) -> int:
+        return self._terms.get(key, 0)
 
-    def items(self) -> list[tuple[BipartiteMultigraph, int]]:
-        """Terms sorted by the graph's flattened matrix."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key)
+    def items(self) -> list[tuple]:
+        """Terms sorted by the subclass's order on keys."""
+        return sorted(self._terms.items(), key=lambda kv: self._order(kv[0]))
 
-    def support(self) -> list[BipartiteMultigraph]:
-        return [g for g, _ in self.items()]
+    def support(self) -> list:
+        return [key for key, _ in self.items()]
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
-    def reduce(self, mod: int | None) -> "AlgebraElement":
+    def reduce(self, mod: int | None):
         """Coefficients reduced to canonical residues 0..mod-1, zeros pruned."""
         check_modulus(mod)
         if mod is None:
             return self
-        return AlgebraElement(self.n, self.d, [(k, v % mod) for k, v in self._terms.items()])
+        return self._from_terms(self.n, self.d, _summed((k, v % mod) for k, v in self._terms.items()))
 
-    def _check_match(self, other) -> None:
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         if (self.n, self.d) != (other.n, other.d):
             raise ValueError(f"shape mismatch: ({self.n},{self.d}) vs ({other.n},{other.d})")
+        terms = itertools.chain(self._terms.items(), other._terms.items())
+        return self._from_terms(self.n, self.d, _summed(terms))
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_match(other)
-        return AlgebraElement(self.n, self.d, list(self._terms.items()) + list(other._terms.items()))
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def __sub__(self, other):
         return self + (-1) * other
 
-    def __neg__(self) -> "AlgebraElement":
+    def __neg__(self):
         return (-1) * self
 
-    def __rmul__(self, scalar: int) -> "AlgebraElement":
+    def __rmul__(self, scalar: int):
         if not isinstance(scalar, int):
             return NotImplemented
-        return AlgebraElement(self.n, self.d, [(k, scalar * v) for k, v in self._terms.items()])
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return multiply(self, other)
-        if isinstance(other, int):
-            return other * self
-        return NotImplemented
+        return self._from_terms(self.n, self.d, _summed((k, scalar * v) for k, v in self._terms.items()))
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, AlgebraElement)
+            type(other) is type(self)
             and (self.n, self.d) == (other.n, other.d)
             and self._terms == other._terms
         )
@@ -263,19 +185,43 @@ class AlgebraElement:
         return not self.is_zero
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for g, coeff in self.items():
-            if coeff == 1:
-                parts.append(f"xi{g}")
-            elif coeff == -1:
-                parts.append(f"-xi{g}")
-            else:
-                parts.append(f"{coeff}*xi{g}")
-        return " + ".join(parts)
+        parts = (
+            {1: "", -1: "-"}.get(coeff, f"{coeff}*") + self._symbol + self._label(key)
+            for key, coeff in self.items()
+        )
+        return " + ".join(parts) or "0"
 
     __repr__ = __str__
+
+
+class VectorElement(_Combination):
+    """Sparse integer combination of configuration basis vectors, listed in multi-index order."""
+
+    __slots__ = ()
+    _key_type, _symbol = Configuration, "e"
+    _order = staticmethod(to_multi_index)
+    _label = staticmethod(Configuration.word)
+
+
+class AlgebraElement(_Combination):
+    """Sparse integer combination of the graph-indexed basis operators.
+
+    Terms are listed by the graph's matrix.  All of an element's graphs are
+    n×n, so comparing the row tuples orders them as their flattened
+    ``sort_key`` does.
+    """
+
+    __slots__ = ()
+    _key_type, _symbol = BipartiteMultigraph, "xi"
+    _order = staticmethod(lambda g: g.matrix)
+    _label = staticmethod(BipartiteMultigraph.__str__)
+
+    def __mul__(self, other):
+        if isinstance(other, AlgebraElement):
+            return multiply(self, other)
+        if isinstance(other, int):
+            return other * self
+        return NotImplemented
 
 
 def _splits(balls: tuple[int, ...], sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -323,13 +269,13 @@ def apply(x: AlgebraElement, v: VectorElement, mod: int | None = None) -> Vector
     if (x.n, x.d) != (v.n, v.d):
         raise ValueError(f"shape mismatch: ({x.n},{x.d}) vs ({v.n},{v.d})")
     check_modulus(mod)
-    pairs = []
-    for g, cg in x.items():
-        for b, cb in v.items():
-            for a in apply_basis(g, b):
-                pairs.append((a, cg * cb))
-    out = VectorElement(x.n, x.d, pairs)
-    return out.reduce(mod) if mod is not None else out
+    terms = _summed(
+        (a, cg * cb)
+        for g, cg in x._terms.items()
+        for b, cb in v._terms.items()
+        for a in apply_basis(g, b)
+    )
+    return VectorElement._from_terms(x.n, x.d, terms).reduce(mod)
 
 
 def identity_element(p: Params) -> AlgebraElement:
@@ -341,9 +287,6 @@ def identity_element(p: Params) -> AlgebraElement:
     """
     _check_cap(math.comb(p.n + p.d - 1, p.d) * p.n * p.n, None, f"the identity's matrices at n={p.n}, d={p.d}")
     return AlgebraElement(p.n, p.d, [(diagonal_graph(c), 1) for c in compositions(p.d, p.n)])
-
-
-_engine_modules: dict = {}  # module name -> module, filled on an engine's first use
 
 
 def engine_function(name: str) -> Callable[[BipartiteMultigraph, BipartiteMultigraph], AlgebraElement]:
@@ -358,11 +301,8 @@ def engine_function(name: str) -> Callable[[BipartiteMultigraph, BipartiteMultig
         module, attr = _ENGINES[name]
     except KeyError:
         raise ValueError(f"unknown engine {name!r}; choose one of {ENGINE_NAMES}") from None
-    loaded = _engine_modules.get(module)
-    if loaded is None:
-        # deferred: both engine modules build on this one
-        loaded = _engine_modules[module] = importlib.import_module(f".{module}", __package__)
-    return getattr(loaded, attr)
+    # deferred: both engine modules build on this one
+    return getattr(importlib.import_module(f".{module}", __package__), attr)
 
 
 @lru_cache(maxsize=2**16)
@@ -376,10 +316,10 @@ def multiply(x: AlgebraElement, y: AlgebraElement, mod: int | None = None) -> Al
     if (x.n, x.d) != (y.n, y.d):
         raise ValueError(f"shape mismatch: ({x.n},{x.d}) vs ({y.n},{y.d})")
     check_modulus(mod)
-    pairs = []
-    for g1, c1 in x.items():
-        for g2, c2 in y.items():
-            for g, c in basis_product(g1, g2).items():
-                pairs.append((g, c1 * c2 * c))
-    out = AlgebraElement(x.n, x.d, pairs)
-    return out.reduce(mod) if mod is not None else out
+    terms = _summed(
+        (g, c1 * c2 * c)
+        for g1, c1 in x._terms.items()
+        for g2, c2 in y._terms.items()
+        for g, c in basis_product(g1, g2)._terms.items()
+    )
+    return AlgebraElement._from_terms(x.n, x.d, terms).reduce(mod)

@@ -144,10 +144,15 @@ def check_reach(p: Params) -> None:
         )
 
 
-def enumerate_graphs(p: Params, cap: int | None = None) -> list[BipartiteMultigraph]:
-    """All graphs of shape ``p``, ordered lexicographically by flattened matrix."""
+def check_graph_caps(p: Params, cap: int | None = None) -> None:
+    """Raise :class:`TooLargeError` if the graph set of shape p has too many graphs or matrix cells."""
     _check_cap(graph_count(p), cap, f"the graph set at n={p.n}, d={p.d}")
     _check_cap(graph_count(p) * p.n * p.n, CELL_CAP, f"the graph set's matrix cells at n={p.n}, d={p.d}")
+
+
+def enumerate_graphs(p: Params, cap: int | None = None) -> list[BipartiteMultigraph]:
+    """All graphs of shape ``p``, ordered lexicographically by flattened matrix."""
+    check_graph_caps(p, cap)
     out = []
     for flat in compositions(p.d, p.n * p.n):
         rows = tuple(flat[k * p.n : (k + 1) * p.n] for k in range(p.n))

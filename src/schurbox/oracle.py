@@ -198,13 +198,11 @@ def _transposition_indices(n: int, d: int) -> tuple[np.ndarray, ...]:
     transposition sends multi-index i to, the row of column i's one in its
     :func:`permutation_matrix`.
     """
-    p = Params(n, d)
-    indices = enumerate_multi_indices(p, cap=ORACLE_CAP)
-    index_of = {index: k for k, index in enumerate(indices)}
+    table = pair_table(n, d)
     maps = []
     for s in range(1, d):
         w = Permutation.transposition(d, s, s + 1)
-        sigma = np.array([index_of[act_on_index(w, index)] for index in indices], dtype=np.intp)
+        sigma = np.array([table.index_of[act_on_index(w, index)] for index in table.indices], dtype=np.intp)
         sigma.flags.writeable = False
         maps.append(sigma)
     return tuple(maps)

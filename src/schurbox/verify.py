@@ -10,6 +10,7 @@ with it, when they run.
 """
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ from .graphs import (
     BipartiteMultigraph,
     basis,
     canonical_configuration,
+    check_graph_caps,
     check_reach,
     graph_count,
     in_reach,
@@ -168,8 +170,8 @@ def check_engines(p: Params, seed: int = 0) -> CheckResult:
                 }
             )
             return CheckResult("engines", False, f"engines disagree at {g1} * {g2}", counterexample)
-    engines = "counting/euler/mendez" + ("/oracle" if with_oracle else "")
-    return CheckResult("engines", True, f"{len(pairs)} pairs{sampled} agree across {engines}", None)
+    # every pair ran the same engines, in roster order
+    return CheckResult("engines", True, f"{len(pairs)} pairs{sampled} agree across {'/'.join(outputs)}", None)
 
 
 def check_assoc(p: Params, seed: int = 0) -> CheckResult:
@@ -312,25 +314,34 @@ def check_t_basis(p: Params) -> CheckResult:
     )
 
 
-def _check_t_basis_size(p: Params) -> None:
-    """Refuse a ``t-basis`` that would fold more than 10^6 valency-compatible pairs.
+def _compatible_pairs(p: Params) -> int:
+    """The valency-compatible pairs (g1, g2), top of g1 = bottom of g2, counted without the basis.
 
-    Those are the pairs (g1, g2) with top of g1 = bottom of g2, Σ_v |bottom =
-    v| · |top = v| over the valency classes; transposing swaps the two sides,
-    so each term is |bottom = v|².
+    That is Σ_v |bottom = v| · |top = v| over the contents v; transposing
+    swaps the two sides, so each term is |bottom = v|².  The graphs with
+    bottom valencies v are the matrices whose row i sums to v_i, Π_i C(v_i +
+    n - 1, n - 1) of them.
     """
-    pairs = sum(len(members) ** 2 for members in basis(p.n, p.d).by_bottom.values())
-    _check_cap(pairs, None, f"the valency-compatible pairs of t-basis at n={p.n}, d={p.d}")
+    return sum(
+        math.prod(math.comb(v + p.n - 1, p.n - 1) for v in content) ** 2
+        for content in compositions(p.d, p.n)
+    )
+
+
+def _check_t_basis_size(p: Params) -> None:
+    """Refuse a ``t-basis`` that would fold more than 10^6 valency-compatible pairs."""
+    check_graph_caps(p)  # bounds the contents summed over
+    _check_cap(_compatible_pairs(p), None, f"the valency-compatible pairs of t-basis at n={p.n}, d={p.d}")
 
 
 def _refuse_oversize(p: Params, selected: set[str]) -> None:
     """Raise the TooLargeError a selected suite would meet midway, before the first suite starts.
 
-    Every suite reads the basis, whose graph and cell caps :func:`basis`
-    applies.  Within those caps the identity element has at most 2^18 matrix
-    entries, so its own cap of 10^6 never binds.
+    Every suite reads the basis, whose graph and cell caps are checked here
+    without enumerating it.  Within those caps the identity element has at
+    most 2^18 matrix entries, so its own cap of 10^6 never binds.
     """
-    basis(p.n, p.d)
+    check_graph_caps(p)
     if {"orbit-bijection", "identity"} & selected:
         _check_cap(p.index_count, None, f"the configuration set at n={p.n}, d={p.d}")
     if {"commutant", "t-basis"} & selected:

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from schurbox import algebra
 from schurbox.algebra import (
     ENGINE_NAMES,
     AlgebraElement,
@@ -114,6 +115,50 @@ def test_reduce():
     assert x.reduce(None) == x
     v = -1 * VectorElement.basis(Configuration.from_word("|12|34|"))
     assert v.reduce(3).coefficient(Configuration.from_word("|12|34|")) == 2
+
+
+@pytest.mark.parametrize("p", [Params(3, 2), Params(2, 4)])
+def test_items_follow_the_flattened_matrix_order(p):
+    rng = random.Random(3)
+    for _ in range(20):
+        x = random_element(p, rng, size=8)
+        assert x.items() == sorted(x.items(), key=lambda kv: kv[0].sort_key)
+
+
+def test_multiply_never_builds_a_sort_key(monkeypatch):
+    def refused(g):
+        raise AssertionError("sort_key rebuilt")
+
+    p = Params(2, 3)
+    rng = random.Random(9)
+    x, y = random_element(p, rng), random_element(p, rng)
+    monkeypatch.setattr(BipartiteMultigraph, "sort_key", property(refused))
+    basis_product.cache_clear()
+    product = multiply(x, y)
+    assert [g for g, _ in product.items()] == product.support()
+    assert str(product)
+
+
+def test_vectors_and_operators_do_not_mix():
+    b = Configuration.from_word("|12|34|")
+    x = AlgebraElement.basis(G1)
+    v = VectorElement.basis(b)
+    with pytest.raises(TypeError):
+        x + v
+    with pytest.raises(TypeError):
+        v - x
+    assert x != v
+    assert not x == v
+    assert AlgebraElement.zero(2, 4) != VectorElement.zero(2, 4)
+
+
+def test_multiply_checks_the_modulus_before_any_product(monkeypatch):
+    calls = []
+    monkeypatch.setattr(algebra, "basis_product", lambda *args: calls.append(args))
+    x = AlgebraElement.basis(G1)
+    with pytest.raises(ValueError, match="modulus must be prime"):
+        multiply(x, x, mod=4)
+    assert calls == []
 
 
 def test_apply_basis_worked_expansion():

@@ -93,15 +93,14 @@ def test_engines_check_samples_large_shapes():
 def test_engines_check_exhaustive_small_shapes():
     result = check_engines(Params(2, 2))
     assert result.passed
-    assert "100 pairs" in result.detail
-    assert "oracle" in result.detail
+    assert result.detail == "100 pairs agree across counting/euler/mendez/oracle"
 
 
 def test_engines_check_leaves_out_the_oracle_beyond_its_reach(monkeypatch):
     monkeypatch.setattr(verify, "in_reach", lambda p: False)
     result = check_engines(Params(2, 2))
     assert result.passed
-    assert "oracle" not in result.detail
+    assert result.detail == "100 pairs agree across counting/euler/mendez"
 
 
 def test_assoc_check_samples_without_listing_every_triple():
@@ -421,6 +420,28 @@ def test_t_basis_refuses_more_than_a_million_compatible_pairs(monkeypatch):
     monkeypatch.setattr(combinatorics, "DEFAULT_ENUMERATION_CAP", pairs - 1)
     with pytest.raises(TooLargeError, match=f"t-basis at n=2, d=3 has {pairs} elements"):
         check_t_basis(p)
+
+
+@pytest.mark.parametrize("p", [Params(2, 5), Params(3, 3), Params(3, 4), Params(4, 3), Params(2, 12)])
+def test_compatible_pairs_formula_matches_the_valency_classes(p):
+    classes = basis(p.n, p.d).by_bottom.values()
+    assert verify._compatible_pairs(p) == sum(len(members) ** 2 for members in classes)
+
+
+def test_t_basis_refusal_builds_no_basis(monkeypatch):
+    # the 149,057,505 pairs at (5,5) are counted from the contents alone
+    def refused(*args, **kwargs):
+        raise AssertionError("enumerated the graph set")
+
+    monkeypatch.setattr("schurbox.graphs.enumerate_graphs", refused)
+    basis.cache_clear()
+    with pytest.raises(TooLargeError) as refusal:
+        run_checks(Params(5, 5), names=("t-basis",))
+    assert str(refusal.value) == (
+        "instance too large: the valency-compatible pairs of t-basis at n=5, d=5 "
+        "has 149057505 elements (cap 1000000)"
+    )
+    assert basis.cache_info().currsize == 0
 
 
 def test_a_refused_suite_stops_the_run_before_the_first_suite(monkeypatch):
