@@ -306,9 +306,9 @@ def engine_function(name: str) -> Callable[[BipartiteMultigraph, BipartiteMultig
 
 
 @lru_cache(maxsize=2**16)
-def basis_product(g1: BipartiteMultigraph, g2: BipartiteMultigraph, engine: str = "euler") -> AlgebraElement:
-    """Product of two basis operators, memoized per engine (the 2**16 most recent)."""
-    return engine_function(engine)(g1, g2)
+def basis_product(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> AlgebraElement:
+    """Product of two basis operators by the production engine, memoized (the 2**16 most recent)."""
+    return engine_function("euler")(g1, g2)
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement, mod: int | None = None) -> AlgebraElement:

@@ -1,7 +1,7 @@
 """Command-line surface: dim, basis, multiply, apply, table, verify, render.
 
-``table`` reads the basis index and its symmetry from :func:`graphs.basis`
-and keeps only the JSON it writes.  Exit codes: 0 success, 1 input or
+``table`` writes the rows of :func:`structconst.product_rows` and keeps
+only the JSON of the basis graphs.  Exit codes: 0 success, 1 input or
 validation error, 2 verification failure or engine disagreement.
 """
 
@@ -16,8 +16,8 @@ from .algebra import (
     AlgebraElement,
     VectorElement,
     apply,
-    basis_product,
     check_modulus,
+    engine_function,
 )
 from .combinatorics import Configuration, Params, _check_cap
 from .graphs import basis, enumerate_graphs, graph_count, in_reach
@@ -80,7 +80,7 @@ def cmd_multiply(args) -> int:
                 )
             return 2
     else:
-        product = basis_product(g1, g2, engine=args.engine)
+        product = engine_function(args.engine)(g1, g2)
     if args.mod is not None:
         product = product.reduce(args.mod)
     _write_output(serialize.dumps(serialize.element_records(product)) + "\n", args.out)
@@ -104,39 +104,23 @@ def _table_context(n: int, d: int):
 
 
 def cmd_table(args) -> int:
-    """Write every basis product, folding one pair per symmetry orbit.
+    """Write every basis product: the nonzero ones from :func:`structconst.product_rows`.
 
-    The engine runs only on the pairs whose valencies meet in the middle row
-    (bottom of g2 = top of g1): every such pair has a nonzero product and
-    every other pair a zero one, whose line tail is precomputed.  The first
-    compatible pair of a ``Basis.orbit`` met in table order is folded; the
-    terms of every other pair in its orbit are the relabelled terms, held
-    until that pair's row is written.  A table never asks for a product
-    twice, so it calls the raw fold directly, past the ``basis_product`` memo
-    and without building elements.  ``--jobs`` is accepted and ignored.
+    ``--mod`` reduces each after the walk's relabelling, with which it commutes;
+    every other line is a precomputed zero tail.  ``--jobs`` is ignored.
     """
     check_modulus(args.mod)
     p = Params(args.boxes, args.balls)
     _check_cap(graph_count(p) ** 2, None, f"the product table at n={p.n}, d={p.d}")
-    b = basis(p.n, p.d)
     records, zero_tails = _table_context(p.n, p.d)
-    # pair -> (term indices, coefficients), for pairs whose orbit is folded but row not yet written
-    pending: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
     tmp = args.out + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            for i, (g1, record1) in enumerate(zip(b.graphs, records)):
+            for record1, row in zip(records, structconst.product_rows(p.n, p.d)):
                 tails = zero_tails.copy()
-                for k in b.by_bottom.get(g1.top_valencies(), ()):
-                    if (i, k) not in pending:
-                        fold = structconst.euler_fold(g1, b.graphs[k]).items()
-                        if args.mod is not None:
-                            fold = [(key, ways % args.mod) for key, ways in fold if ways % args.mod]
-                        ways = tuple(w for _, w in fold)
-                        indices = tuple(b.index_of[key] for key, _ in fold)
-                        for pair, image in b.orbit(i, k, indices).items():
-                            pending[pair] = image, ways
-                    terms = sorted(zip(*pending.pop((i, k))))
+                for k, terms in row:
+                    if args.mod is not None:
+                        terms = [(x, coeff % args.mod) for x, coeff in terms if coeff % args.mod]
                     terms_json = serialize.join_terms((records[x], coeff) for x, coeff in terms)
                     tails[k] = serialize.table_line_tail(records[k], terms_json) + "\n"
                 head = serialize.table_line_head(record1)

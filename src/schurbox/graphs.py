@@ -153,11 +153,10 @@ def check_graph_caps(p: Params, cap: int | None = None) -> None:
 def enumerate_graphs(p: Params, cap: int | None = None) -> list[BipartiteMultigraph]:
     """All graphs of shape ``p``, ordered lexicographically by flattened matrix."""
     check_graph_caps(p, cap)
-    out = []
-    for flat in compositions(p.d, p.n * p.n):
-        rows = tuple(flat[k * p.n : (k + 1) * p.n] for k in range(p.n))
-        out.append(BipartiteMultigraph(rows))
-    return out
+    n, d = p.n, p.d
+    rows = [slice(k * n, (k + 1) * n) for k in range(n)]
+    # every composition is a valid matrix, so the graphs skip the constructor's checks
+    return [BipartiteMultigraph._trusted(tuple(flat[r] for r in rows), n, d) for flat in compositions(d, n * n)]
 
 
 class Basis:

@@ -25,7 +25,7 @@ number arithmetically by Green's product rule, one middle vertex at a time,
 over per-vertex moves (the nonzero entries of each contingency table) that
 are memoized by the vertex's row of g2 and column of g1.  The fold is the
 kernel :func:`euler_fold`, which returns the raw {flattened composed
-matrix: coefficient} counts; ``table`` serializes those directly, and
+matrix: coefficient} counts, and :func:`product_rows` runs it once per orbit;
 :func:`multiply_basis_euler` wraps them as an element without re-validating
 graphs it built itself.  :func:`multiply_basis_mendez` instead builds every
 word matrix explicitly and counts them.  No engine builds an Euler function.
@@ -50,6 +50,7 @@ from .combinatorics import Configuration, to_multi_index
 from .graphs import (
     BipartiteMultigraph,
     EdgeLabel,
+    basis,
     canonical_configuration,
     canonical_pair,
     edge_labels,
@@ -237,6 +238,28 @@ def multiply_basis_euler(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> Al
         for key, ways in euler_fold(g1, g2).items()
     }
     return AlgebraElement._from_terms(n, d, terms)
+
+
+def product_rows(n: int, d: int) -> Iterator[list[tuple[int, list[tuple[int, int]]]]]:
+    """Row i of the basis products: (k, sorted (term index, coefficient) pairs) per nonzero product i·k.
+
+    Rows come in basis order and k increases; a product is nonzero exactly
+    when the bottom valencies of k meet the top valencies of i.  The first
+    pair of a ``Basis.orbit`` met in that order is folded, and every other
+    pair of the orbit gets the relabelled terms, held until its row comes.
+    """
+    layer = basis(n, d)
+    pending = {}  # pair -> (term indices, coefficients), for orbit pairs whose row is still to come
+    for i, g1 in enumerate(layer.graphs):
+        row = []
+        for k in layer.by_bottom.get(g1.top_valencies(), ()):
+            if (i, k) not in pending:
+                fold = euler_fold(g1, layer.graphs[k])
+                ways = tuple(fold.values())
+                for pair, image in layer.orbit(i, k, tuple(map(layer.index_of.__getitem__, fold))).items():
+                    pending[pair] = image, ways
+            row.append((k, sorted(zip(*pending.pop((i, k))))))
+        yield row
 
 
 def middle_fillings(

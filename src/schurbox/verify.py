@@ -247,15 +247,16 @@ def check_identity(p: Params) -> CheckResult:
 
 
 def check_t_basis(p: Params) -> CheckResult:
-    """The label grid against pair graphs, then Green's counts against the ``euler`` fold.
+    """The label grid against pair graphs, then Green's counts against ``table``'s products.
 
     Every cell's label must name the graph :func:`pair_graph` gives for its
     configuration pair.  That is read on the canonical rows of a grid that
     commutes with renaming, and on every row of one that does not.  Then, for
     every (g1, g2), the middle-index counts at the canonical cells must equal
-    the fold's coefficients: on a valency-compatible pair the fold gives every
-    nonzero coefficient, and on any other pair no count may fall.  The first
-    mismatch in g1, g2, g order is reported.
+    the coefficients of :func:`structconst.product_rows`, one fold per orbit:
+    on a valency-compatible pair they give every nonzero coefficient, and on
+    any other pair no count may fall.  The first mismatch in g1, g2, g order
+    is reported.
     """
     _check_t_basis_size(p)
     from . import oracle
@@ -288,24 +289,16 @@ def check_t_basis(p: Params) -> CheckResult:
     for k, g in enumerate(graphs):
         for (g1, g2), count in oracle.orbit_composition_counts(g).items():
             counted[layer.index_of[g1.sort_key]].setdefault(layer.index_of[g2.sort_key], {})[k] = count
-    for i, g1 in enumerate(graphs):
-        for j in sorted(set(layer.by_bottom.get(g1.top_valencies(), ())).union(counted[i])):
-            folded = structconst.euler_fold(g1, graphs[j])  # empty on an incompatible pair
-            want = {layer.index_of[key]: value for key, value in folded.items()}
-            got = counted[i].get(j, {})
+    for i, (g1, row) in enumerate(zip(graphs, structconst.product_rows(p.n, p.d))):
+        products = {k: dict(terms) for k, terms in row}
+        for j in sorted(products.keys() | counted[i].keys()):
+            want, got = products.get(j, {}), counted[i].get(j, {})
             wrong = [k for k in want.keys() | got.keys() if want.get(k, 0) != got.get(k, 0)]
             if wrong:
                 g2, g = graphs[j], graphs[min(wrong)]
-                counterexample = serialize.dumps(
-                    {
-                        "g1": serialize.graph_record(g1),
-                        "g2": serialize.graph_record(g2),
-                        "g": serialize.graph_record(g),
-                    }
-                )
-                return CheckResult(
-                    "t-basis", False, f"composition count mismatch at {g1} * {g2} -> {g}", counterexample
-                )
+                records = {key: serialize.graph_record(h) for key, h in (("g1", g1), ("g2", g2), ("g", g))}
+                detail = f"composition count mismatch at {g1} * {g2} -> {g}"
+                return CheckResult("t-basis", False, detail, serialize.dumps(records))
     return CheckResult(
         "t-basis",
         True,
@@ -329,7 +322,7 @@ def _compatible_pairs(p: Params) -> int:
 
 
 def _check_t_basis_size(p: Params) -> None:
-    """Refuse a ``t-basis`` that would fold more than 10^6 valency-compatible pairs."""
+    """Refuse a ``t-basis`` that would walk more than 10^6 valency-compatible pairs."""
     check_graph_caps(p)  # bounds the contents summed over
     _check_cap(_compatible_pairs(p), None, f"the valency-compatible pairs of t-basis at n={p.n}, d={p.d}")
 

@@ -117,6 +117,8 @@ def test_enumerate_graphs_counts():
         assert len(graphs) == count == graph_count(p)
         assert len(set(graphs)) == count
         assert all(g.n == n and g.d == d for g in graphs)
+        # built unchecked: each must be the graph the checking constructor gives
+        assert all(g == BipartiteMultigraph(g.matrix) for g in graphs)
 
 
 def test_enumerate_graphs_sorted():

@@ -162,12 +162,28 @@ def test_t_basis_reports_the_first_wrong_count_in_scan_order(monkeypatch):
     assert _named(check_t_basis(Params(2, 3))) == wrong[2]
 
 
+def _recording_folds(monkeypatch):
+    """Record every (g1, g2) that structconst.euler_fold is called on, in call order."""
+    calls = []
+    fold = structconst.euler_fold
+
+    def counted(g1, g2):
+        calls.append((g1, g2))
+        return fold(g1, g2)
+
+    monkeypatch.setattr(structconst, "euler_fold", counted)
+    return calls
+
+
 @pytest.mark.parametrize("nonzero", [True, False], ids=["nonzero-coefficient", "zero-coefficient"])
 def test_t_basis_names_a_wrong_euler_coefficient(monkeypatch, nonzero):
+    # only the first pair of each symmetry orbit is folded, so perturb one of those
     p = Params(2, 3)
     graphs = enumerate_graphs(p)
     right = structconst.euler_fold
-    g1, g2 = next((a, b) for a in graphs[5:] for b in graphs if len(right(a, b)) >= 2)
+    representatives = _recording_folds(monkeypatch)
+    list(structconst.product_rows(p.n, p.d))
+    g1, g2 = next((a, b) for a, b in representatives if graphs.index(a) >= 5 and len(right(a, b)) >= 2)
     folded = right(g1, g2)
     if nonzero:
         g = next(h for h in reversed(graphs) if h.sort_key in folded)
@@ -185,6 +201,35 @@ def test_t_basis_names_a_wrong_euler_coefficient(monkeypatch, nonzero):
     assert not result.passed
     assert result.detail == f"composition count mismatch at {g1} * {g2} -> {g}"
     assert _named(result) == (g1, g2, g)
+
+
+@pytest.mark.parametrize("damage", ["transpose-fixes-every-graph", "swap-sends-two-graphs-crosswise"])
+def test_t_basis_checks_the_relabelling(monkeypatch, damage):
+    # t-basis reads the walk that table writes: a wrong symmetry generator
+    # shows at a pair whose terms were relabelled, not folded
+    p = Params(3, 3)
+    layer = basis(p.n, p.d)
+    first, *swaps, transpose = layer.generators
+    if damage == "transpose-fixes-every-graph":
+        transpose = list(range(len(layer.graphs)))
+    else:
+        first = first.copy()
+        first[0], first[1] = first[1], first[0]
+    monkeypatch.setattr(layer, "generators", [first, *swaps, transpose])
+    folded = _recording_folds(monkeypatch)
+    result = check_t_basis(p)
+    assert not result.passed
+    assert result.detail.startswith("composition count mismatch at ")
+    g1, g2, _ = _named(result)
+    assert (g1, g2) not in folded
+
+
+@pytest.mark.parametrize("p, folds", [(Params(3, 3), 276), (Params(3, 4), 1647)], ids=str)
+def test_t_basis_folds_one_pair_per_symmetry_orbit(monkeypatch, p, folds):
+    # the same folds as test_table_folds_one_pair_per_symmetry_orbit: one walk serves both
+    folded = _recording_folds(monkeypatch)
+    assert check_t_basis(p).passed
+    assert len(folded) == len(set(folded)) == folds
 
 
 def test_t_basis_names_a_relabelled_cell(monkeypatch):
@@ -348,10 +393,10 @@ def _wrong_product(monkeypatch, left, right, product):
     """Make algebra.basis_product give ``product`` at (left, right) and be right elsewhere."""
     real = algebra.basis_product
 
-    def mutant(g1, g2, engine="euler"):
+    def mutant(g1, g2):
         if (g1, g2) == (left, right):
             return product
-        return real(g1, g2, engine)
+        return real(g1, g2)
 
     monkeypatch.setattr(algebra, "basis_product", mutant)
 
