@@ -29,6 +29,7 @@ canonical residues 0..mod-1; nothing is ever rounded or truncated.
 import importlib
 import itertools
 import math
+import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import lru_cache
 
@@ -37,10 +38,10 @@ from .graphs import BipartiteMultigraph, diagonal_graph
 
 # the engine roster: name -> (module, product function of two basis graphs)
 _ENGINES = {
-    "counting": ("structconst", "multiply_basis_counting"),
-    "euler": ("structconst", "multiply_basis_euler"),
-    "mendez": ("structconst", "multiply_basis_mendez"),
-    "oracle": ("oracle", "multiply_basis_oracle"),
+    "counting": (f"{__package__}.structconst", "multiply_basis_counting"),
+    "euler": (f"{__package__}.structconst", "multiply_basis_euler"),
+    "mendez": (f"{__package__}.structconst", "multiply_basis_mendez"),
+    "oracle": (f"{__package__}.oracle", "multiply_basis_oracle"),
 }
 ENGINE_NAMES = tuple(_ENGINES)
 
@@ -293,16 +294,19 @@ def engine_function(name: str) -> Callable[[BipartiteMultigraph, BipartiteMultig
     """The named engine's basis-product function.
 
     Only the engine's own module is imported, on first use: ``oracle`` loads
-    numpy, which the other engines never need.  The function is read from
-    its module on every call, so that a patched module attribute takes
-    effect.
+    numpy, which the other engines never need.  Once loaded, the module is
+    read from ``sys.modules``.  The function is read from it on every call,
+    so that a patched module attribute takes effect.
     """
     try:
         module, attr = _ENGINES[name]
     except KeyError:
         raise ValueError(f"unknown engine {name!r}; choose one of {ENGINE_NAMES}") from None
-    # deferred: both engine modules build on this one
-    return getattr(importlib.import_module(f".{module}", __package__), attr)
+    loaded = sys.modules.get(module)
+    if loaded is None:
+        # deferred: both engine modules build on this one
+        loaded = importlib.import_module(module)
+    return getattr(loaded, attr)
 
 
 @lru_cache(maxsize=2**16)

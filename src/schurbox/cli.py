@@ -1,7 +1,8 @@
 """Command-line surface: dim, basis, multiply, apply, table, verify, render.
 
 ``table`` writes the rows of :func:`structconst.product_rows` and keeps
-only the JSON of the basis graphs.  Exit codes: 0 success, 1 input or
+only the JSON of the basis graphs, rendered once per process with each
+graph's term fragment and zero-product tail.  Exit codes: 0 success, 1 input or
 validation error, 2 verification failure or engine disagreement.
 """
 
@@ -98,30 +99,34 @@ def cmd_apply(args) -> int:
 
 @lru_cache(maxsize=1)
 def _table_context(n: int, d: int):
-    """The JSON of each basis graph and, per right factor, the line tail of a zero product."""
+    """Per basis graph: its JSON, its term fragment and, as a right factor, the line tail of a zero product."""
     records = [serialize.dumps(serialize.graph_record(g)) for g in basis(n, d).graphs]
-    return records, [serialize.table_line_tail(record, "[]") + "\n" for record in records]
+    fragments = [serialize.term_fragment(record) for record in records]
+    return records, fragments, [serialize.table_line_tail(record, "[]") + "\n" for record in records]
 
 
 def cmd_table(args) -> int:
     """Write every basis product: the nonzero ones from :func:`structconst.product_rows`.
 
-    ``--mod`` reduces each after the walk's relabelling, with which it commutes;
-    every other line is a precomputed zero tail.  ``--jobs`` is ignored.
+    Each terms array is one join over the precomputed term fragments.
+    ``--mod`` reduces each coefficient once, after the walk's relabelling,
+    with which it commutes; every other line is a precomputed zero tail.
+    ``--jobs`` is ignored.
     """
     check_modulus(args.mod)
     p = Params(args.boxes, args.balls)
     _check_cap(graph_count(p) ** 2, None, f"the product table at n={p.n}, d={p.d}")
-    records, zero_tails = _table_context(p.n, p.d)
+    records, fragments, zero_tails = _table_context(p.n, p.d)
+    mod = args.mod
     tmp = args.out + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
             for record1, row in zip(records, structconst.product_rows(p.n, p.d)):
                 tails = zero_tails.copy()
                 for k, terms in row:
-                    if args.mod is not None:
-                        terms = [(x, coeff % args.mod) for x, coeff in terms if coeff % args.mod]
-                    terms_json = serialize.join_terms((records[x], coeff) for x, coeff in terms)
+                    if mod is not None:
+                        terms = [(x, residue) for x, coeff in terms if (residue := coeff % mod)]
+                    terms_json = serialize.join_terms(fragments, terms)
                     tails[k] = serialize.table_line_tail(records[k], terms_json) + "\n"
                 head = serialize.table_line_head(record1)
                 handle.write(head + head.join(tails))

@@ -200,14 +200,19 @@ class Basis:
         A swap m sends (i, k) to (m[i], m[k]) and the transpose t to (t[k], t[i]);
         each sends a term x to m[x] or t[x], and coefficients ride along unchanged.
         """
-        *swaps, transpose = self.generators
+        *swaps, t = self.generators
         orbit = {(i, k): indices}
         queue = [(i, k, indices)]
         for i, k, indices in queue:
-            for a, b, m in [(m[i], m[k], m) for m in swaps] + [(transpose[k], transpose[i], transpose)]:
-                if (a, b) not in orbit:
-                    orbit[a, b] = image = tuple(map(m.__getitem__, indices))
-                    queue.append((a, b, image))
+            for m in swaps:
+                pair = m[i], m[k]
+                if pair not in orbit:
+                    orbit[pair] = image = tuple(map(m.__getitem__, indices))
+                    queue.append((*pair, image))
+            pair = t[k], t[i]
+            if pair not in orbit:
+                orbit[pair] = image = tuple(map(t.__getitem__, indices))
+                queue.append((*pair, image))
         return orbit
 
 

@@ -6,6 +6,7 @@ always serialize to identical bytes.
 """
 
 import json
+from collections.abc import Sequence
 
 from .algebra import AlgebraElement, VectorElement
 from .combinatorics import Configuration
@@ -68,13 +69,19 @@ def table_line(g1: BipartiteMultigraph, g2: BipartiteMultigraph, product: Algebr
     return dumps({"g1": graph_record(g1), "g2": graph_record(g2), "terms": element_records(product)})
 
 
-def join_terms(terms) -> str:
-    """:func:`element_records` serialized, from (graph JSON, coefficient) pairs in term order.
+def term_fragment(graph_json: str) -> str:
+    """The end of an element term after its coefficient, ``","graph":<graph JSON>}``; see :func:`join_terms`."""
+    return '","graph":' + graph_json + "}"
 
+
+def join_terms(fragments: Sequence[str], terms) -> str:
+    """:func:`element_records` serialized, from (index, coefficient) pairs in term order.
+
+    ``fragments[index]`` is the :func:`term_fragment` of the term's graph.
     The same bytes as ``dumps(element_records(x))`` when the pairs follow
     ``x.items()``, because :func:`dumps` sorts the keys as coeff, graph.
     """
-    return "[" + ",".join(f'{{"coeff":"{coeff}","graph":{graph}}}' for graph, coeff in terms) + "]"
+    return "[" + ",".join([f'{{"coeff":"{coeff}{fragments[x]}' for x, coeff in terms]) + "]"
 
 
 def table_line_head(g1_json: str) -> str:

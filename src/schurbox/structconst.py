@@ -245,20 +245,25 @@ def product_rows(n: int, d: int) -> Iterator[list[tuple[int, list[tuple[int, int
 
     Rows come in basis order and k increases; a product is nonzero exactly
     when the bottom valencies of k meet the top valencies of i.  The first
-    pair of a ``Basis.orbit`` met in that order is folded, and every other
-    pair of the orbit gets the relabelled terms, held until its row comes.
+    pair of a ``Basis.orbit`` met in that order is folded, and every pair of
+    the orbit, the folded one included, gets the relabelled terms in its
+    row's bucket, {k: (term indices, coefficients)}.  Row i pops its bucket
+    when it starts; no orbit reaches an earlier row, so the buckets held are
+    those of rows still to come.
     """
     layer = basis(n, d)
-    pending = {}  # pair -> (term indices, coefficients), for orbit pairs whose row is still to come
-    for i, g1 in enumerate(layer.graphs):
+    graphs, index_of, by_bottom = layer.graphs, layer.index_of, layer.by_bottom
+    pending: dict[int, dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+    for i, g1 in enumerate(graphs):
+        bucket = pending.pop(i, {})
         row = []
-        for k in layer.by_bottom.get(g1.top_valencies(), ()):
-            if (i, k) not in pending:
-                fold = euler_fold(g1, layer.graphs[k])
+        for k in by_bottom.get(g1.top_valencies(), ()):
+            if k not in bucket:
+                fold = euler_fold(g1, graphs[k])
                 ways = tuple(fold.values())
-                for pair, image in layer.orbit(i, k, tuple(map(layer.index_of.__getitem__, fold))).items():
-                    pending[pair] = image, ways
-            row.append((k, sorted(zip(*pending.pop((i, k))))))
+                for (a, b), image in layer.orbit(i, k, tuple(map(index_of.__getitem__, fold))).items():
+                    (bucket if a == i else pending.setdefault(a, {}))[b] = image, ways
+            row.append((k, sorted(zip(*bucket.pop(k)))))
         yield row
 
 

@@ -18,6 +18,7 @@ from schurbox.serialize import (
     table_line,
     table_line_head,
     table_line_tail,
+    term_fragment,
     vector_from_records,
     vector_records,
 )
@@ -102,8 +103,8 @@ def test_table_line_parses_back():
 
 def test_table_line_halves_and_term_joiner_match_dumps():
     for x in (AlgebraElement(2, 4, [(G1, 2), (G2, 10**30)]), AlgebraElement.zero(2, 4)):
-        terms = [(dumps(graph_record(g)), c) for g, c in x.items()]
-        terms_json = join_terms(terms)
+        fragments = [term_fragment(dumps(graph_record(g))) for g, _ in x.items()]
+        terms_json = join_terms(fragments, [(i, c) for i, (_, c) in enumerate(x.items())])
         assert terms_json == dumps(element_records(x))
         head = table_line_head(dumps(graph_record(G1)))
         assert head + table_line_tail(dumps(graph_record(G2)), terms_json) == table_line(G1, G2, x)

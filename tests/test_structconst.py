@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -16,7 +17,7 @@ from schurbox.graphs import (
     pair_graph,
 )
 from schurbox.oracle import multiply_basis_oracle
-from schurbox.serialize import dumps, element_records, graph_record, join_terms
+from schurbox.serialize import dumps, element_records, graph_record, join_terms, term_fragment
 from schurbox.structconst import (
     coeff_by_counting,
     enumerate_word_matrices,
@@ -25,6 +26,7 @@ from schurbox.structconst import (
     multiply_basis_counting,
     multiply_basis_euler,
     multiply_basis_mendez,
+    product_rows,
 )
 
 G1 = BipartiteMultigraph(((2, 1), (0, 1)))
@@ -190,7 +192,7 @@ def test_euler_fold_and_term_joiner_agree_with_the_element_path():
     p = Params(3, 3)
     graphs = enumerate_graphs(p)
     index_of = {g.sort_key: k for k, g in enumerate(graphs)}
-    records = [dumps(graph_record(g)) for g in graphs]
+    fragments = [term_fragment(dumps(graph_record(g))) for g in graphs]
     for g1, g2 in compatible_pairs(p):
         fold = euler_fold(g1, g2)
         product = multiply_basis_euler(g1, g2)
@@ -199,7 +201,7 @@ def test_euler_fold_and_term_joiner_agree_with_the_element_path():
         assert product == AlgebraElement(3, 3, checked)
         assert fold == {g.sort_key: c for g, c in product.items()}
         terms = sorted((index_of[key], c) for key, c in fold.items())
-        assert join_terms((records[i], c) for i, c in terms) == dumps(element_records(product))
+        assert join_terms(fragments, terms) == dumps(element_records(product))
     assert euler_fold(graphs[0], graphs[-1]) == {}
 
 
@@ -270,3 +272,33 @@ def test_counting_is_symmetric_under_transpose_and_box_relabelling(n, d):
         for (a, b), image in layer.orbit(i, k, terms).items():
             expected = products[layer.graphs[a], layer.graphs[b]]
             assert AlgebraElement(n, d, zip(map(layer.graphs.__getitem__, image), coeffs)) == expected
+
+
+@pytest.mark.parametrize("n, d", [(2, 4), (3, 3), (4, 2), (5, 2)])
+def test_product_rows_match_one_fold_per_pair_where_orbits_reach_back_into_the_row(n, d):
+    layer = basis(n, d)
+    graphs = layer.graphs
+    rows = list(product_rows(n, d))
+    assert len(rows) == len(graphs)
+    for g1, row in zip(graphs, rows):
+        folds = ((k, euler_fold(g1, g2)) for k, g2 in enumerate(graphs))
+        assert row == [(k, sorted((layer.index_of[key], c) for key, c in fold.items())) for k, fold in folds if fold]
+    # some orbit holds two pairs of one row, so the walk puts a relabelled
+    # pair into the bucket of the row it is walking
+    orbits = (layer.orbit(i, k, ()) for i, row in enumerate(rows) for k, _ in row)
+    assert any(len({a for a, _ in orbit}) < len(orbit) for orbit in orbits)
+
+
+def test_product_rows_hold_pending_terms_in_small_memory():
+    # per-row buckets of relabelled terms peak at 1.9 MiB at (3,4) on
+    # CPython 3.11, where one dict keyed by (i, k) pairs took 2.8 MiB
+    for _ in product_rows(3, 4):  # build the basis layer and the fold's move cache first
+        pass
+    tracemalloc.start()
+    try:
+        for _ in product_rows(3, 4):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.4 * 2**20
