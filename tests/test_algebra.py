@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from schurbox import algebra
+from schurbox import algebra, structconst
 from schurbox.algebra import (
     ENGINE_NAMES,
     AlgebraElement,
@@ -266,13 +266,16 @@ def test_multiply_shape_mismatch():
         multiply(AlgebraElement.zero(2, 2), AlgebraElement.zero(2, 3))
 
 
-def test_engine_dispatch():
+def test_engine_dispatch(monkeypatch):
     g2 = BipartiteMultigraph(((2, 0), (1, 1)))
     outputs = {engine: engine_function(engine)(G1, g2) for engine in ("counting", "euler", "mendez", "oracle")}
     assert len({str(result) for result in outputs.values()}) == 1
     assert list(outputs) == list(ENGINE_NAMES)
     with pytest.raises(ValueError):
         engine_function("fast")
+    # a loaded engine module still has its function read on every call
+    monkeypatch.setattr(structconst, "multiply_basis_counting", lambda g1, g2: "patched")
+    assert engine_function("counting")(G1, g2) == "patched"
     # the memo serves the production engine only
     assert basis_product(G1, g2) == outputs["euler"]
     with pytest.raises(TypeError):
