@@ -4,7 +4,8 @@ Configurations of d labeled balls in n boxes carry a ball-renaming action;
 the operators commuting with it have a basis indexed by n x n bipartite
 multigraphs with d edges.  This package computes products in that basis by
 Green's product rule (the ``euler`` engine) and checks them against two
-independent combinatorial referees and a dense matrix oracle.
+independent referees: the defining count of middle configurations
+(``counting``) and a dense matrix oracle.
 """
 
 from .algebra import (
@@ -42,13 +43,10 @@ from .graphs import (
     pair_graph,
 )
 from .structconst import (
-    WordMatrix,
     coeff_by_counting,
-    enumerate_word_matrices,
     middle_fillings,
     multiply_basis_counting,
     multiply_basis_euler,
-    multiply_basis_mendez,
 )
 from .verify import CHECK_NAMES, CheckResult, run_checks
 
@@ -97,13 +95,10 @@ __all__ = [
     "NotInSpanError",
     "multiply_basis_oracle",
     "operator_matrix",
-    "WordMatrix",
     "coeff_by_counting",
-    "enumerate_word_matrices",
     "middle_fillings",
     "multiply_basis_counting",
     "multiply_basis_euler",
-    "multiply_basis_mendez",
     "CHECK_NAMES",
     "CheckResult",
     "run_checks",

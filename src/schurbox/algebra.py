@@ -40,7 +40,6 @@ from .graphs import BipartiteMultigraph, diagonal_graph
 _ENGINES = {
     "counting": (f"{__package__}.structconst", "multiply_basis_counting"),
     "euler": (f"{__package__}.structconst", "multiply_basis_euler"),
-    "mendez": (f"{__package__}.structconst", "multiply_basis_mendez"),
     "oracle": (f"{__package__}.oracle", "multiply_basis_oracle"),
 }
 ENGINE_NAMES = tuple(_ENGINES)

@@ -113,12 +113,6 @@ class Permutation:
         return Permutation(tuple(images))
 
 
-def all_permutations(d: int) -> Iterator[Permutation]:
-    """All d! permutations of {1, ..., d}, ordered by image tuple."""
-    for images in itertools.permutations(range(1, d + 1)):
-        yield Permutation(images)
-
-
 def enumerate_multi_indices(p: Params, cap: int | None = None) -> list[MultiIndex]:
     """All multi-indices of shape ``p`` in lexicographic order.
 
@@ -238,9 +232,9 @@ def act_on_configuration(w: Permutation, config: Configuration) -> Configuration
     return to_configuration(act_on_index(w, to_multi_index(config)), config.n)
 
 
-def enumerate_configurations(p: Params, cap: int | None = None) -> list[Configuration]:
+def enumerate_configurations(p: Params) -> list[Configuration]:
     """All configurations of shape ``p``, ordered like their multi-indices."""
-    return [to_configuration(index, p.n) for index in enumerate_multi_indices(p, cap)]
+    return [to_configuration(index, p.n) for index in enumerate_multi_indices(p)]
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

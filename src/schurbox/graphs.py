@@ -144,15 +144,15 @@ def check_reach(p: Params) -> None:
         )
 
 
-def check_graph_caps(p: Params, cap: int | None = None) -> None:
+def check_graph_caps(p: Params) -> None:
     """Raise :class:`TooLargeError` if the graph set of shape p has too many graphs or matrix cells."""
-    _check_cap(graph_count(p), cap, f"the graph set at n={p.n}, d={p.d}")
+    _check_cap(graph_count(p), None, f"the graph set at n={p.n}, d={p.d}")
     _check_cap(graph_count(p) * p.n * p.n, CELL_CAP, f"the graph set's matrix cells at n={p.n}, d={p.d}")
 
 
-def enumerate_graphs(p: Params, cap: int | None = None) -> list[BipartiteMultigraph]:
+def enumerate_graphs(p: Params) -> list[BipartiteMultigraph]:
     """All graphs of shape ``p``, ordered lexicographically by flattened matrix."""
-    check_graph_caps(p, cap)
+    check_graph_caps(p)
     n, d = p.n, p.d
     rows = [slice(k * n, (k + 1) * n) for k in range(n)]
     # every composition is a valid matrix, so the graphs skip the constructor's checks

@@ -148,23 +148,17 @@ def operator_matrix(g: BipartiteMultigraph) -> DenseOperator:
     return DenseOperator(g.n, g.d, m)
 
 
-def canonical_cell(g: BipartiteMultigraph) -> tuple[int, int]:
-    """Row and column of the pair :func:`canonical_pair` gives for g."""
-    table = pair_table(g.n, g.d)
-    a, c = canonical_pair(g)
-    return table.index_of[to_multi_index(a)], table.index_of[to_multi_index(c)]
-
-
 def orbit_composition_counts(g: BipartiteMultigraph) -> Counter:
     """Middle indices z at the canonical cell (x, y) of g, counted by the orbits of (x, z) and (z, y).
 
     The count under (g1, g2) is Green's coefficient of the g orbit operator
     in the product of the g1 and g2 orbit operators.  Each z's label pair is
     one int64 key ``label_x·G + label_y`` below G² <= 2^34, and the keys are
-    counted in one sort.
+    counted in one sort.  The canonical cell holds the pair that
+    :func:`canonical_pair` gives for g.
     """
     table = pair_table(g.n, g.d)
-    x, y = canonical_cell(g)
+    x, y = (table.index_of[to_multi_index(config)] for config in canonical_pair(g))
     size = len(table.graphs)
     keys = table.labels[x].astype(np.int64) * size + table.labels[:, y]
     found, counts = np.unique(keys, return_counts=True)
@@ -179,24 +173,13 @@ def orbit_composition_count(g1: BipartiteMultigraph, g2: BipartiteMultigraph, g:
     return orbit_composition_counts(g)[(g1, g2)]
 
 
-def permutation_matrix(w: Permutation, p: Params) -> DenseOperator:
-    """Matrix of the renaming action: the basis vector of index i goes to that of w . i."""
-    if w.degree != p.d:
-        raise ValueError(f"permutation degree {w.degree} does not match d={p.d}")
-    table = pair_table(p.n, p.d)
-    m = np.zeros((table.size, table.size), dtype=object)
-    for col, index in enumerate(table.indices):
-        m[table.index_of[act_on_index(w, index)], col] = 1
-    return DenseOperator(p.n, p.d, m)
-
-
 @lru_cache(maxsize=8)
 def _transposition_indices(n: int, d: int) -> tuple[np.ndarray, ...]:
     """Read-only index maps of the adjacent transpositions (s, s + 1), s = 1 .. d - 1.
 
     Entry i of map s is the position of the multi-index that the
-    transposition sends multi-index i to, the row of column i's one in its
-    :func:`permutation_matrix`.
+    transposition sends multi-index i to, the row of column i's one in the
+    transposition's permutation matrix.
     """
     table = pair_table(n, d)
     maps = []

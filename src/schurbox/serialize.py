@@ -9,7 +9,7 @@ import json
 from collections.abc import Sequence
 
 from .algebra import AlgebraElement, VectorElement
-from .combinatorics import Configuration
+from .combinatorics import Params
 from .graphs import BipartiteMultigraph
 
 
@@ -35,6 +35,7 @@ def graph_from_record(record) -> BipartiteMultigraph:
         raise ValueError(f"matrix is {g.n}x{g.n} but the record says n={record['n']}")
     if g.d != record["d"]:
         raise ValueError(f"matrix entries sum to {g.d} but the record says d={record['d']}")
+    Params(g.n, g.d)  # refuses d = 0, as every shape does, whichever command reads the graph
     return g
 
 
@@ -42,26 +43,8 @@ def element_records(x: AlgebraElement) -> list:
     return [{"coeff": str(coeff), "graph": graph_record(g)} for g, coeff in x.items()]
 
 
-def element_from_records(records, n: int, d: int) -> AlgebraElement:
-    pairs = []
-    for record in records:
-        if not isinstance(record, dict) or not {"coeff", "graph"} <= set(record):
-            raise ValueError(f"an element term needs keys coeff, graph: {record!r}")
-        pairs.append((graph_from_record(record["graph"]), int(record["coeff"])))
-    return AlgebraElement(n, d, pairs)
-
-
 def vector_records(v: VectorElement) -> list:
     return [{"coeff": str(coeff), "config": config.word()} for config, coeff in v.items()]
-
-
-def vector_from_records(records, n: int, d: int) -> VectorElement:
-    pairs = []
-    for record in records:
-        if not isinstance(record, dict) or not {"coeff", "config"} <= set(record):
-            raise ValueError(f"a vector term needs keys coeff, config: {record!r}")
-        pairs.append((Configuration.from_word(record["config"], n=n, d=d), int(record["coeff"])))
-    return VectorElement(n, d, pairs)
 
 
 def table_line(g1: BipartiteMultigraph, g2: BipartiteMultigraph, product: AlgebraElement) -> str:

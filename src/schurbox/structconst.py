@@ -1,12 +1,12 @@
-"""Structure constants of the graph basis, by three independent routes.
+"""Structure constants of the graph basis: an engine, a referee and a reference.
 
 The product of two basis operators expands in basis operators with
 nonnegative integer coefficients.  The coefficient attached to a graph g
 counts middle rows of a three-row diagram: fix any pair (a, c) with
 pair_graph(a, c) == g, then count the configurations b with
 pair_graph(a, b) == g1 and pair_graph(b, c) == g2.  The count is the same
-for every choice of (a, c), and :func:`multiply_basis_counting` performs it
-literally with the pair from :func:`canonical_pair`.
+for every choice of (a, c), and :func:`multiply_basis_counting`, the
+referee, performs it literally with the pair from :func:`canonical_pair`.
 
 Two further routes never touch configurations and work on the edges of g1
 and g2 alone.  An *Euler function* is a bijection from the edges of g2 onto
@@ -20,7 +20,7 @@ factor a label; entry (s, t) of the word matrix lists, in ball order, the
 ordered pairs (g2 label, g1 label) used by the balls travelling from top
 box t to bottom box s.  Word matrices are in bijection with middle
 configurations, so their number per composed graph is the structure
-constant.  :func:`multiply_basis_euler`, the default engine, reaches that
+constant.  :func:`multiply_basis_euler`, the production engine, reaches that
 number arithmetically by Green's product rule, one middle vertex at a time,
 over per-vertex moves (the nonzero entries of each contingency table) that
 are memoized by the vertex's row of g2 and column of g1.  The fold is the
@@ -28,7 +28,10 @@ kernel :func:`euler_fold`, which returns the raw {flattened composed
 matrix: coefficient} counts, and :func:`product_rows` runs it once per orbit;
 :func:`multiply_basis_euler` wraps them as an element without re-validating
 graphs it built itself.  :func:`multiply_basis_mendez` instead builds every
-word matrix explicitly and counts them.  No engine builds an Euler function.
+word matrix explicitly and counts them.  It is slower than ``euler`` on
+every measured product, so it is not on the engine roster
+(``algebra.ENGINE_NAMES``); it stays as a reference for the word-matrix
+bijection.  Nothing here builds an Euler function.
 
 >>> g1 = BipartiteMultigraph(((2, 1), (0, 1)))
 >>> g2 = BipartiteMultigraph(((2, 0), (1, 1)))

@@ -69,7 +69,7 @@ def test_basis_lists_all_graphs(capsys):
 
 
 def test_multiply_worked_product(capsys, graph_files):
-    for engine in ("counting", "euler", "mendez", "oracle", "all"):
+    for engine in ("counting", "euler", "oracle", "all"):
         code, out, err = run(capsys, "multiply", graph_files["g1"], graph_files["g2"], "--engine", engine)
         assert code == 0
         records = json.loads(out)
@@ -121,7 +121,7 @@ def test_multiply_engine_disagreement_exits_2(capsys, graph_files, monkeypatch):
     def wrong(g1, g2):
         return AlgebraElement.zero(g1.n, g1.d)
 
-    monkeypatch.setattr(structconst, "multiply_basis_mendez", wrong)
+    monkeypatch.setattr(structconst, "multiply_basis_counting", wrong)
     basis_product.cache_clear()
     try:
         code, out, err = run(
@@ -131,7 +131,15 @@ def test_multiply_engine_disagreement_exits_2(capsys, graph_files, monkeypatch):
         basis_product.cache_clear()
     assert code == 2
     assert "disagree" in err
-    assert "mendez" in err
+    assert "counting: []" in err
+
+
+def test_multiply_engine_mendez_is_a_usage_error(capsys, graph_files):
+    # the word-matrix route is a reference in structconst, not an engine
+    code, out, err = run(capsys, "multiply", graph_files["g1"], graph_files["g2"], "--engine", "mendez")
+    assert code == 1
+    assert out == ""
+    assert "invalid choice: 'mendez'" in err
 
 
 @pytest.mark.parametrize("reached, code", [(True, 2), (False, 0)])
@@ -394,6 +402,24 @@ def test_a_matrix_that_is_not_a_list_of_lists_is_an_input_error(capsys, tmp_path
     assert code == 1
     assert out == ""
     assert err == f"error: graph record field matrix must be a list of lists, got {matrix!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["multiply", "{g}", "{g}", "--engine", engine] for engine in ("counting", "euler", "oracle", "all")),
+        ["apply", "{g}", "|||"],
+        ["render", "{g}"],
+    ],
+    ids=lambda argv: "-".join(argv[:1] + argv[4:]),
+)
+def test_a_graph_with_no_balls_is_an_input_error_for_every_command(capsys, tmp_path, argv):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": 2, "d": 0, "matrix": [[0, 0], [0, 0]]}))
+    code, out, err = run(capsys, *(arg.format(g=path) for arg in argv))
+    assert code == 1
+    assert out == ""
+    assert err == "error: number of balls must be a positive integer, got 0\n"
 
 
 TABLE_3_4_SHA256 = "3e53c8d1cd12f5ea79dacbcf8d6dfc483beba7fa599bb79c4436857ae9746ed6"

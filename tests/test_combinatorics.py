@@ -13,13 +13,14 @@ from schurbox.combinatorics import (
     TooLargeError,
     act_on_configuration,
     act_on_index,
-    all_permutations,
     compositions,
     enumerate_configurations,
     enumerate_multi_indices,
     to_configuration,
     to_multi_index,
 )
+
+from reference import all_permutations
 
 
 def test_params_validation():

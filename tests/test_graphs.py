@@ -10,7 +10,6 @@ from schurbox.combinatorics import (
     Params,
     TooLargeError,
     act_on_index,
-    all_permutations,
     enumerate_configurations,
     enumerate_multi_indices,
     to_configuration,
@@ -25,6 +24,8 @@ from schurbox.graphs import (
     graph_count,
     pair_graph,
 )
+
+from reference import all_permutations
 
 SHAPES = (Params(2, 2), Params(2, 3), Params(3, 2))
 
@@ -129,7 +130,8 @@ def test_enumerate_graphs_sorted():
 
 def test_enumerate_graphs_cap():
     with pytest.raises(TooLargeError):
-        enumerate_graphs(Params(4, 10), cap=1000)
+        # 3,268,760 graphs, above the default cap of 10^6
+        enumerate_graphs(Params(4, 10))
 
 
 def test_diagonal_graph():

@@ -15,7 +15,7 @@ from schurbox.combinatorics import (
     Params,
     Permutation,
     TooLargeError,
-    all_permutations,
+    act_on_index,
     enumerate_multi_indices,
     to_configuration,
 )
@@ -32,8 +32,9 @@ from schurbox.oracle import (
     operator_matrix,
     orbit_composition_count,
     pair_table,
-    permutation_matrix,
 )
+
+from reference import all_permutations
 
 G1 = BipartiteMultigraph(((2, 1), (0, 1)))
 G2 = BipartiteMultigraph(((2, 0), (1, 1)))
@@ -48,6 +49,17 @@ def _configs(table):
 def _first_cell(table, g):
     """First cell of g's orbit in row-scan order."""
     return divmod(int(np.argmax(table.labels.ravel() == table.label_of[g])), table.size)
+
+
+def permutation_matrix(w: Permutation, p: Params) -> DenseOperator:
+    """Matrix of the renaming action: the basis vector of index i goes to that of w . i."""
+    if w.degree != p.d:
+        raise ValueError(f"permutation degree {w.degree} does not match d={p.d}")
+    table = pair_table(p.n, p.d)
+    m = np.zeros((table.size, table.size), dtype=object)
+    for col, index in enumerate(table.indices):
+        m[table.index_of[act_on_index(w, index)], col] = 1
+    return DenseOperator(p.n, p.d, m)
 
 
 def test_pair_table_partitions_the_square():
@@ -287,9 +299,8 @@ def test_matmul_keeps_entries_int64_would_truncate():
     assert product.tolist() == [[Fraction(5, 6), 1], [Fraction(1, 3), 1]]
 
 
-def test_transposition_indices_built_once_per_shape(monkeypatch):
-    # the commutant check reindexes by cached index maps and builds no matrix
-    monkeypatch.setattr(oracle, "permutation_matrix", None)
+def test_transposition_indices_built_once_per_shape():
+    # the commutant check reindexes by cached index maps
     for p in (Params(2, 5), Params(3, 3)):
         oracle._transposition_indices.cache_clear()
         assert verify.check_commutant(p).passed

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from schurbox.algebra import AlgebraElement, basis_product
-from schurbox.combinatorics import Params, all_permutations, enumerate_configurations
+from schurbox.combinatorics import Params, enumerate_configurations
 from schurbox.graphs import (
     BipartiteMultigraph,
     basis,
@@ -28,6 +28,8 @@ from schurbox.structconst import (
     multiply_basis_mendez,
     product_rows,
 )
+
+from reference import all_permutations
 
 G1 = BipartiteMultigraph(((2, 1), (0, 1)))
 G2 = BipartiteMultigraph(((2, 0), (1, 1)))
