@@ -30,6 +30,7 @@ import importlib
 import itertools
 import math
 import sys
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import lru_cache
 
@@ -264,11 +265,25 @@ def apply_basis(g: BipartiteMultigraph, b: Configuration) -> set[Configuration]:
     return out
 
 
+def _image_size(g: BipartiteMultigraph) -> int:
+    """How many configurations :func:`apply_basis` yields for g on a matching b: Π_j multinomial(column j)."""
+    return math.prod(
+        math.factorial(sum(column)) // math.prod(map(math.factorial, column)) for column in zip(*g.matrix)
+    )
+
+
 def apply(x: AlgebraElement, v: VectorElement, mod: int | None = None) -> VectorElement:
-    """Linear extension of the basis action; exact, then reduced if ``mod`` is given."""
+    """Linear extension of the basis action; exact, then reduced if ``mod`` is given.
+
+    Refuses, before building any, when the basis actions would build more
+    than 10^6 configurations in all.
+    """
     if (x.n, x.d) != (v.n, v.d):
         raise ValueError(f"shape mismatch: ({x.n},{x.d}) vs ({v.n},{v.d})")
     check_modulus(mod)
+    contents = Counter(b.content() for b in v._terms)
+    built = sum(_image_size(g) * contents[g.top_valencies()] for g in x._terms)
+    _check_cap(built, None, f"the configurations that apply builds at n={x.n}, d={x.d}")
     terms = _summed(
         (a, cg * cb)
         for g, cg in x._terms.items()

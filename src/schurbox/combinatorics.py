@@ -11,8 +11,11 @@ begins and ends with ``|``, the balls between consecutive separators are the
 contents of one box, and within a box the ball labels increase.  With two
 boxes and four balls, ``|123|4|`` puts balls 1, 2, 3 in box 1 and ball 4 in
 box 2.  Ball labels above 9 do not fit the one-character-per-ball style, so
-for ten or more balls the labels inside a box are comma-separated instead;
-the parser accepts both shapes.
+for ten or more balls the labels inside a box are comma-separated instead,
+and a box holding one ball is just its label, as in ``|1,2,3,4,5,6,7,8,9|10|``.
+The parser reads a word in comma style when it contains a comma or ten or
+more digits, which no word of nine balls has, and one character per ball
+otherwise.
 
 The symmetric group of degree d acts on multi-indices by place permutation,
 
@@ -183,17 +186,14 @@ class Configuration:
         chunks = word[1:-1].split("|")
         if n is not None and len(chunks) != n:
             raise ConfigurationError(f"expected {n + 1} '|' separators, found {len(chunks) + 1}: {word!r}")
+        # a char-style word has at most nine balls, so at most nine digits
+        comma_style = "," in word or sum(ch.isdecimal() for ch in word) >= 10
         boxes = []
         for chunk in chunks:
-            if "," in chunk:
-                parts = chunk.split(",")
-                if any(not part.isdigit() or int(part) < 1 for part in parts):
-                    raise ConfigurationError(f"invalid ball label in box {chunk!r} of {word!r}")
-                boxes.append(tuple(int(part) for part in parts))
-            else:
-                if any(not ch.isdigit() or ch == "0" for ch in chunk):
-                    raise ConfigurationError(f"invalid ball label in box {chunk!r} of {word!r}")
-                boxes.append(tuple(int(ch) for ch in chunk))
+            labels = (chunk.split(",") if chunk else []) if comma_style else list(chunk)
+            if any(not label.isdecimal() or int(label) < 1 for label in labels):
+                raise ConfigurationError(f"invalid ball label in box {chunk!r} of {word!r}")
+            boxes.append(tuple(int(label) for label in labels))
         config = cls(tuple(boxes))
         if d is not None and config.d != d:
             raise ConfigurationError(f"expected {d} balls, found {config.d}: {word!r}")

@@ -6,7 +6,9 @@ read the graphs of :func:`graphs.basis`, enumerated once, and
 :func:`run_checks` raises any size refusal of a selected suite before the
 first suite starts.  The suites that read the dense oracle (``commutant``,
 ``t-basis``, and ``engines`` at a shape in its reach) import it, and numpy
-with it, when they run.
+with it, when they run.  ``identity`` works on the graphs and configurations
+themselves, through :func:`structconst.euler_fold` and :func:`apply_basis`,
+and builds no element but the identity it checks.
 """
 
 import itertools
@@ -18,8 +20,7 @@ from . import serialize, structconst
 from .algebra import (
     ENGINE_NAMES,
     AlgebraElement,
-    VectorElement,
-    apply,
+    apply_basis,
     engine_function,
     identity_element,
     multiply,
@@ -33,7 +34,6 @@ from .combinatorics import (
     to_multi_index,
 )
 from .graphs import (
-    BipartiteMultigraph,
     basis,
     canonical_configuration,
     check_graph_caps,
@@ -190,55 +190,48 @@ def check_assoc(p: Params, seed: int = 0) -> CheckResult:
     return CheckResult("assoc", True, f"{len(triples)} triples{sampled} associate", None)
 
 
-def _parts(e: AlgebraElement, valencies) -> dict[tuple[int, ...], AlgebraElement]:
-    """The terms of e grouped into one element per value of ``valencies``; they sum to e."""
-    groups: dict = {}
-    for h, c in e.items():
-        groups.setdefault(valencies(h), []).append((h, c))
-    return {key: AlgebraElement(e.n, e.d, terms) for key, terms in groups.items()}
-
-
 def check_identity(p: Params) -> CheckResult:
-    """The identity element e fixes every basis operator from both sides, and every basis vector.
+    """The identity element fixes every basis operator from both sides, and every basis vector.
 
-    A product h·g is zero unless the top valencies of h equal the bottom
-    valencies of g (Green, *Polynomial Representations of GL_n*, §2.3), so
-    only the part of e whose top valencies meet g's bottom ones, the diagonal
-    of g's bottom content, has to give g back.  Every other part must give
-    zero, which is checked once per valency class, on the first graph of the
-    class in basis order; likewise on the right and for the basis vectors,
-    grouped by content.
+    The unit is one diagonal graph per content with coefficient 1 (Green,
+    *Polynomial Representations of GL_n*, §2.3), so any other term of the
+    identity element fails the suite.  A product h·g is zero unless the top
+    valencies of h equal the bottom valencies of g, so each g is folded with
+    :func:`structconst.euler_fold` against the diagonal of its bottom content
+    on the left and of its top content on the right, and each fold must give
+    g alone, once.  Every other diagonal must fold to nothing, which is
+    checked once per valency class, on the first graph of the class in basis
+    order; likewise each basis vector through :func:`apply_basis`, grouped by
+    content.
     """
-    e = identity_element(p)
-    zero = AlgebraElement.zero(p.n, p.d)
-    meets_bottom = _parts(e, BipartiteMultigraph.top_valencies)
-    meets_top = _parts(e, BipartiteMultigraph.bottom_valencies)
+    diagonal = {}  # content -> the identity element's term with those top valencies
+    for h, c in identity_element(p).items():
+        if c != 1 or h.top_valencies() in diagonal:
+            detail = f"identity element is not one term of coefficient 1 per content: {c}*xi{h}"
+            return CheckResult("identity", False, detail, serialize.dumps(serialize.graph_record(h)))
+        diagonal[h.top_valencies()] = h
+    fold = structconst.euler_fold
     seen_bottom, seen_top = set(), set()
     for g in basis(p.n, p.d).graphs:
-        x = AlgebraElement.basis(g)
         bottom, top = g.bottom_valencies(), g.top_valencies()
-        ok = multiply(meets_bottom.get(bottom, zero), x) == x and multiply(x, meets_top.get(top, zero)) == x
+        ok = bottom in diagonal and top in diagonal
+        ok = ok and fold(diagonal[bottom], g) == {g.sort_key: 1} == fold(g, diagonal[top])
         if ok and bottom not in seen_bottom:
             seen_bottom.add(bottom)
-            ok = not any(multiply(part, x) for key, part in meets_bottom.items() if key != bottom)
+            ok = not any(fold(h, g) for key, h in diagonal.items() if key != bottom)
         if ok and top not in seen_top:
             seen_top.add(top)
-            ok = not any(multiply(x, part) for key, part in meets_top.items() if key != top)
+            ok = not any(fold(g, h) for key, h in diagonal.items() if key != top)
         if not ok:
-            return CheckResult(
-                "identity",
-                False,
-                f"identity fails on the operator of {g}",
-                serialize.dumps(serialize.graph_record(g)),
-            )
+            detail = f"identity fails on the operator of {g}"
+            return CheckResult("identity", False, detail, serialize.dumps(serialize.graph_record(g)))
     seen = set()
     for b in enumerate_configurations(p):
-        v = VectorElement.basis(b)
         content = b.content()
-        ok = apply(meets_bottom.get(content, zero), v) == v
+        ok = content in diagonal and apply_basis(diagonal[content], b) == {b}
         if ok and content not in seen:
             seen.add(content)
-            ok = not any(apply(part, v) for key, part in meets_bottom.items() if key != content)
+            ok = not any(apply_basis(h, b) for key, h in diagonal.items() if key != content)
         if not ok:
             return CheckResult(
                 "identity", False, f"identity moves the basis vector of {b}", serialize.dumps(b.word())

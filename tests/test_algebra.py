@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from schurbox import algebra, structconst
+from schurbox import algebra, combinatorics, structconst
 from schurbox.algebra import (
     ENGINE_NAMES,
     AlgebraElement,
@@ -27,7 +27,7 @@ from schurbox.combinatorics import (
     enumerate_configurations,
     to_configuration,
 )
-from schurbox.graphs import BipartiteMultigraph, diagonal_graph, enumerate_graphs
+from schurbox.graphs import BipartiteMultigraph, canonical_configuration, diagonal_graph, enumerate_graphs
 from schurbox.oracle import operator_matrix, pair_table
 
 G1 = BipartiteMultigraph(((2, 1), (0, 1)))
@@ -198,6 +198,30 @@ def test_apply_linear():
     assert apply(x, v, mod=5) == out.reduce(5)
     with pytest.raises(ValueError):
         apply(x, VectorElement.zero(2, 2))
+
+
+@pytest.mark.parametrize("p", [Params(2, 4), Params(3, 3), Params(4, 2)])
+def test_image_size_counts_apply_basis(p):
+    for g in enumerate_graphs(p):
+        assert algebra._image_size(g) == len(apply_basis(g, canonical_configuration(g.top_valencies())))
+
+
+def test_apply_refuses_before_building_past_the_cap(monkeypatch):
+    # G1 sends |12|34| to 2 configurations and [[1,1],[1,1]] to 4; neither meets |123|4|
+    x = AlgebraElement.basis(G1) + AlgebraElement.basis(BipartiteMultigraph(((1, 1), (1, 1))))
+    v = VectorElement.basis(Configuration.from_word("|12|34|")) + VectorElement.basis(
+        Configuration.from_word("|123|4|")
+    )
+    monkeypatch.setattr(combinatorics, "DEFAULT_ENUMERATION_CAP", 6)
+    assert len(apply(x, v).support()) == 6
+    monkeypatch.setattr(combinatorics, "DEFAULT_ENUMERATION_CAP", 5)
+
+    def refused(g, b):
+        raise AssertionError("built configurations past the cap")
+
+    monkeypatch.setattr(algebra, "apply_basis", refused)
+    with pytest.raises(TooLargeError, match=r"apply builds at n=2, d=4 has 6 elements \(cap 5\)"):
+        apply(x, v)
 
 
 def test_identity_element_fixes_vectors():

@@ -190,6 +190,20 @@ def test_apply_bad_word(capsys, graph_files):
     assert "invalid ball label" in err
 
 
+def test_apply_refuses_an_action_past_the_cap(capsys, tmp_path):
+    # column (10, 10) splits a box of 20 balls in C(20, 10) = 184,756 ways, twice
+    dense = tmp_path / "dense.json"
+    dense.write_text(dumps(graph_record(BipartiteMultigraph(((10, 10), (10, 10))))))
+    word = "|" + ",".join(map(str, range(1, 21))) + "|" + ",".join(map(str, range(21, 41))) + "|"
+    code, out, err = run(capsys, "apply", str(dense), word)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: instance too large: the configurations that apply builds at n=2, d=40 "
+        "has 34134779536 elements (cap 1000000)\n"
+    )
+
+
 def test_table_single_basis(capsys, tmp_path):
     out_path = tmp_path / "t.jsonl"
     code, out, err = run(capsys, "table", "-n", "1", "-d", "3", "--out", str(out_path))

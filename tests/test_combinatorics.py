@@ -140,12 +140,15 @@ def test_word_uses_commas_past_nine_balls():
 
 
 def test_from_word_roundtrip_exhaustive():
-    for p in (Params(2, 3), Params(3, 2)):
-        for c in enumerate_configurations(p):
-            word = c.word()
-            assert word.count("|") == p.n + 1
-            assert Configuration.from_word(word) == c
-            assert Configuration.from_word(word, n=p.n, d=p.d) == c
+    # past nine balls a box of one label prints bare, as in |1,2,3,4,5,6,7,8,9|10|
+    singletons = Configuration(tuple((ball,) for ball in range(1, 11)))
+    assert singletons.word() == "|1|2|3|4|5|6|7|8|9|10|"
+    configs = [c for p in (Params(2, 3), Params(3, 2), Params(2, 10)) for c in enumerate_configurations(p)]
+    for c in [*configs, singletons]:
+        word = c.word()
+        assert word.count("|") == c.n + 1
+        assert Configuration.from_word(word) == c
+        assert Configuration.from_word(word, n=c.n, d=c.d) == c
 
 
 def test_from_word_diagnostics():
@@ -159,6 +162,8 @@ def test_from_word_diagnostics():
         Configuration.from_word("|1x|2|")
     with pytest.raises(ConfigurationError, match="invalid ball label"):
         Configuration.from_word("|1,x|2|")
+    with pytest.raises(ConfigurationError, match="invalid ball label"):
+        Configuration.from_word("|1\u00b2|")  # isdigit() accepts a superscript two, int() does not
     with pytest.raises(ConfigurationError, match="expected 3 balls"):
         Configuration.from_word("|12|", d=3)
     with pytest.raises(ConfigurationError):

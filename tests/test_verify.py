@@ -21,6 +21,7 @@ from schurbox.combinatorics import (
 )
 from schurbox.graphs import (
     CELL_CAP,
+    BipartiteMultigraph,
     basis,
     canonical_configuration,
     canonical_pair,
@@ -390,16 +391,16 @@ def test_t_basis_reads_every_row_of_a_grid_that_does_not_commute(monkeypatch):
     assert result.detail == f"orbit and configuration matrices differ at {g}"
 
 
-def _wrong_product(monkeypatch, left, right, product):
-    """Make algebra.basis_product give ``product`` at (left, right) and be right elsewhere."""
-    real = algebra.basis_product
+def _wrong_fold(monkeypatch, left, right, counts):
+    """Make structconst.euler_fold give ``counts`` at (left, right) and be right elsewhere."""
+    real = structconst.euler_fold
 
     def mutant(g1, g2):
         if (g1, g2) == (left, right):
-            return product
+            return counts
         return real(g1, g2)
 
-    monkeypatch.setattr(algebra, "basis_product", mutant)
+    monkeypatch.setattr(structconst, "euler_fold", mutant)
 
 
 def _identity_culprit(result):
@@ -412,9 +413,9 @@ def test_identity_catches_a_wrong_diagonal_coefficient(monkeypatch, side):
     p = Params(2, 3)
     g = enumerate_graphs(p)[13]
     if side == "left":
-        _wrong_product(monkeypatch, diagonal_graph(g.bottom_valencies()), g, 2 * AlgebraElement.basis(g))
+        _wrong_fold(monkeypatch, diagonal_graph(g.bottom_valencies()), g, {g.sort_key: 2})
     else:
-        _wrong_product(monkeypatch, g, diagonal_graph(g.top_valencies()), 2 * AlgebraElement.basis(g))
+        _wrong_fold(monkeypatch, g, diagonal_graph(g.top_valencies()), {g.sort_key: 2})
     result = check_identity(p)
     assert result.detail == f"identity fails on the operator of {g}"
     assert _identity_culprit(result) == g
@@ -432,9 +433,9 @@ def test_identity_catches_a_nonzero_product_whose_valencies_miss(monkeypatch, si
     g = list(classes.values())[3]
     other = next(content for content in classes if content != valencies(g))
     if side == "left":
-        _wrong_product(monkeypatch, diagonal_graph(other), g, AlgebraElement.basis(g))
+        _wrong_fold(monkeypatch, diagonal_graph(other), g, {g.sort_key: 1})
     else:
-        _wrong_product(monkeypatch, g, diagonal_graph(other), AlgebraElement.basis(g))
+        _wrong_fold(monkeypatch, g, diagonal_graph(other), {g.sort_key: 1})
     result = check_identity(p)
     assert result.detail == f"identity fails on the operator of {g}"
     assert _identity_culprit(result) == g
@@ -444,17 +445,47 @@ def test_identity_catches_a_diagonal_that_moves_another_content(monkeypatch):
     p = Params(2, 3)
     b = enumerate_configurations(p)[3]
     other = next(content for content in compositions(p.d, p.n) if content != b.content())
-    real = algebra.apply_basis
+    real = verify.apply_basis
 
     def mutant(g, config):
         if (g, config) == (diagonal_graph(other), b):
             return {config}
         return real(g, config)
 
-    monkeypatch.setattr(algebra, "apply_basis", mutant)
+    monkeypatch.setattr(verify, "apply_basis", mutant)
     result = check_identity(p)
     assert not result.passed
     assert result.detail == f"identity moves the basis vector of {b}"
+
+
+@pytest.mark.parametrize("damage", ["dropped", "off-diagonal", "doubled"])
+def test_identity_fails_a_wrong_identity_element_without_raising(monkeypatch, damage):
+    p = Params(2, 3)
+    e = algebra.identity_element(p)
+    diagonal = diagonal_graph((1, 2))
+    # the same top valencies as the diagonal, and later in term order, so the term named
+    off_diagonal = BipartiteMultigraph(((1, 1), (0, 1)))
+    wrong, culprit = {
+        "dropped": (e - AlgebraElement.basis(diagonal), None),
+        "off-diagonal": (e + AlgebraElement.basis(off_diagonal), off_diagonal),
+        "doubled": (e + AlgebraElement.basis(diagonal), diagonal),
+    }[damage]
+    monkeypatch.setattr(verify, "identity_element", lambda q: wrong)
+    result = check_identity(p)
+    if culprit is None:
+        # the first graph with content (1, 2) on either side has no unit there
+        culprit = next(g for g in enumerate_graphs(p) if (1, 2) in (g.bottom_valencies(), g.top_valencies()))
+        assert result.detail == f"identity fails on the operator of {culprit}"
+    else:
+        term = f"{wrong.coefficient(culprit)}*xi{culprit}"
+        assert result.detail == f"identity element is not one term of coefficient 1 per content: {term}"
+    assert _identity_culprit(result) == culprit
+
+
+def test_identity_builds_no_basis_product():
+    algebra.basis_product.cache_clear()
+    assert check_identity(Params(3, 3)).passed
+    assert algebra.basis_product.cache_info().currsize == 0
 
 
 def test_t_basis_refuses_more_than_a_million_compatible_pairs(monkeypatch):
