@@ -3,18 +3,19 @@
 Green's product rule (J. A. Green, *Polynomial Representations of GL_n*,
 LNM 830, §2.3) indexes the basis by the renaming orbits on pairs of
 multi-indices, and needs one thing from a dense model: the N×N array that
-gives the orbit label of each index pair.  :func:`pair_table` builds that
-array in numpy from the multi-indices alone, never calling
-:func:`graphs.pair_graph`, so the oracle stays independent of the
-combinatorial engines.  Everything else here reads it: the 0/1 matrix of a
-basis operator is ``labels == label``, the product of two basis operators is
-one column of middle-index counts, and commuting with the renaming action is
-one reindexing of the grid per adjacent transposition.  Matrices handed out
-hold plain Python ints (object-dtype numpy arrays), so arithmetic on them is
-exact.  The module refuses instances with more than 4096 basis vectors or
-more than 2^17 orbits (:func:`graphs.in_reach`); it exists to certify the fast
-paths, not to replace them.  It is the package's only numpy importer, and
-the rest of the package imports it only on the paths that read it.
+gives the orbit label, the basis index of the orbit's graph, of each index
+pair.  :func:`pair_table` builds it in numpy from the multi-indices alone,
+never calling :func:`graphs.pair_graph` or building a graph, so the oracle
+stays independent of the combinatorial engines.  Everything else here reads
+it: the 0/1 matrix of a basis operator is ``labels == label``, the product
+of two basis operators is one column of middle-index counts, and commuting
+with the renaming action is one reindexing of the grid per adjacent
+transposition.  Matrices handed out hold plain Python ints (object-dtype
+numpy arrays), so arithmetic on them is exact.  The module refuses instances
+with more than 4096 basis vectors or more than 2^17 orbits
+(:func:`graphs.in_reach`); it exists to certify the fast paths, not to
+replace them.  It is the package's only numpy importer, and the rest of the
+package imports it only on the paths that read it.
 """
 
 from collections import Counter
@@ -33,6 +34,7 @@ from .combinatorics import (
 from .graphs import (
     ORACLE_CAP,
     BipartiteMultigraph,
+    basis,
     canonical_configuration,
     canonical_pair,
     check_reach,
@@ -76,14 +78,15 @@ class PairTable:
     """The orbit label of every pair of multi-indices of one shape.
 
     ``labels[r, c]`` (a read-only int32 array) is the label of the renaming
-    orbit of the r-th and c-th multi-indices, in multi-index order;
-    ``graphs[label]`` is that orbit's graph and ``label_of`` inverts it.
+    orbit of the r-th and c-th multi-indices, in multi-index order: the index
+    of its graph in ``graphs``, the tuple that :func:`graphs.basis` holds.
 
     A pair (x, y) puts ball k in cell ``(x_k - 1)·n + (y_k - 1)`` of the
     n×n grid, and its orbit is the multiset of those cells.  Sorted along
     the balls and read as the digits of a base-n² number, the cells pack into
-    one key below (n²)^d = N² <= 2^24.  Labels number the keys that occur in
-    increasing order, through a dense lookup over all N² possible keys.
+    one key below (n²)^d = N² <= 2^24.  Each key that occurs is decoded into
+    its cell counts, the graph's flattened matrix, and labelled through a
+    dense lookup over all N² possible keys.
     """
 
     def __init__(self, p: Params):
@@ -91,6 +94,8 @@ class PairTable:
         self.p = p
         self.indices = enumerate_multi_indices(p, cap=ORACLE_CAP)
         self.index_of = {index: k for k, index in enumerate(self.indices)}
+        layer = basis(p.n, p.d)
+        self.graphs = layer.graphs
         n, d, size = p.n, p.d, len(self.indices)
         base = n * n
         digits = np.array(self.indices, dtype=np.int32) - 1
@@ -106,22 +111,18 @@ class PairTable:
             keys[r : r + block] = key
             rank[key] = 1
         found = np.flatnonzero(rank)
-        np.cumsum(rank, out=rank)
-        rank -= 1
+        labels = []
+        for key in found.tolist():
+            counts = [0] * base  # the flattened matrix: cell (x-1)·n + (y-1) is entry (x, y)
+            for _ in range(d):
+                key, cell = divmod(key, base)
+                counts[cell] += 1
+            labels.append(layer.index_of[tuple(counts)])
+        rank[found] = labels
         for r in range(0, size, block):
             keys[r : r + block] = rank[keys[r : r + block]]
         keys.flags.writeable = False
         self.labels = keys
-
-        graphs = []
-        for key in found.tolist():
-            matrix = [[0] * n for _ in range(n)]
-            for _ in range(d):
-                key, cell = divmod(key, base)
-                matrix[cell // n][cell % n] += 1
-            graphs.append(BipartiteMultigraph(tuple(map(tuple, matrix))))
-        self.graphs = tuple(graphs)
-        self.label_of = {g: label for label, g in enumerate(self.graphs)}
 
     @property
     def size(self) -> int:
@@ -136,7 +137,7 @@ class PairTable:
         return divmod(int(np.argmax(self.labels.ravel() == label)), self.size)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def pair_table(n: int, d: int) -> PairTable:
     return PairTable(Params(n, d))
 
@@ -144,33 +145,31 @@ def pair_table(n: int, d: int) -> PairTable:
 def operator_matrix(g: BipartiteMultigraph) -> DenseOperator:
     """0/1 matrix of a basis operator: entry (r, c) is 1 exactly when pair (r, c) lies in the orbit of g."""
     table = pair_table(g.n, g.d)
-    m = (table.labels == table.label_of[g]).astype(np.int64).astype(object)
+    m = (table.labels == basis(g.n, g.d).index_of[g.sort_key]).astype(np.int64).astype(object)
     return DenseOperator(g.n, g.d, m)
 
 
 def orbit_composition_counts(g: BipartiteMultigraph) -> Counter:
-    """Middle indices z at the canonical cell (x, y) of g, counted by the orbits of (x, z) and (z, y).
+    """Middle indices z at the canonical cell (x, y) of g, counted by the labels of (x, z) and (z, y).
 
-    The count under (g1, g2) is Green's coefficient of the g orbit operator
-    in the product of the g1 and g2 orbit operators.  Each z's label pair is
-    one int64 key ``label_x·G + label_y`` below G² <= 2^34, and the keys are
-    counted in one sort.  The canonical cell holds the pair that
-    :func:`canonical_pair` gives for g.
+    The count under the label pair (i, j) is Green's coefficient of the g
+    orbit operator in the product of the operators of basis graphs i and j.
+    Each z's label pair is one int64 key ``label_x·G + label_y`` below G² <=
+    2^34, and the keys are counted in one sort.  The canonical cell holds the
+    pair that :func:`canonical_pair` gives for g.
     """
     table = pair_table(g.n, g.d)
     x, y = (table.index_of[to_multi_index(config)] for config in canonical_pair(g))
     size = len(table.graphs)
     keys = table.labels[x].astype(np.int64) * size + table.labels[:, y]
     found, counts = np.unique(keys, return_counts=True)
-    graphs = table.graphs
-    return Counter(
-        {(graphs[key // size], graphs[key % size]): count for key, count in zip(found.tolist(), counts.tolist())}
-    )
+    return Counter({divmod(key, size): count for key, count in zip(found.tolist(), counts.tolist())})
 
 
 def orbit_composition_count(g1: BipartiteMultigraph, g2: BipartiteMultigraph, g: BipartiteMultigraph) -> int:
     """Middle indices z with (x, z) in the orbit of g1 and (z, y) in that of g2, at the canonical cell of g."""
-    return orbit_composition_counts(g)[(g1, g2)]
+    index_of = basis(g.n, g.d).index_of
+    return orbit_composition_counts(g)[(index_of[g1.sort_key], index_of[g2.sort_key])]
 
 
 @lru_cache(maxsize=8)
@@ -253,8 +252,9 @@ def multiply_basis_oracle(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> A
     table = pair_table(g1.n, g1.d)
     y = table.index_of[to_multi_index(canonical_configuration(g2.top_valencies()))]
     orbits = table.labels[:, y]
-    middle = orbits == table.label_of[g2]
-    column = np.count_nonzero(table.labels[:, middle] == table.label_of[g1], axis=1)
+    index_of = basis(g1.n, g1.d).index_of
+    middle = orbits == index_of[g2.sort_key]
+    column = np.count_nonzero(table.labels[:, middle] == index_of[g1.sort_key], axis=1)
     found, first = np.unique(orbits, return_index=True)
     coefficients = np.zeros(len(table.graphs), dtype=np.int64)
     coefficients[found] = column[first]

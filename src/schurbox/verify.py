@@ -113,11 +113,10 @@ def check_commutant(p: Params, corrupt: bool = False) -> CheckResult:
         # deliberately relabel the first cell of the first orbit with two or
         # more cells, clearing it from that operator, to prove that the
         # harness notices
-        sizes = table.orbit_sizes()
-        g = next((g for g in graphs if sizes[table.label_of[g]] >= 2), None)
-        if g is None:
+        label = next((k for k, size in enumerate(table.orbit_sizes()) if size >= 2), None)
+        if label is None:
             raise ValueError(f"nothing to corrupt: no orbit at n={p.n}, d={p.d} has two or more cells")
-        r, c = table.first_cell(table.label_of[g])
+        g, (r, c) = graphs[label], table.first_cell(label)
         broken = table.labels.copy()
         broken[r, c] = -1
         if not oracle.commutes_with_renaming(oracle.DenseOperator(p.n, p.d, broken)):
@@ -254,8 +253,7 @@ def check_t_basis(p: Params) -> CheckResult:
     _check_t_basis_size(p)
     from . import oracle
 
-    layer = basis(p.n, p.d)
-    graphs = layer.graphs
+    graphs = basis(p.n, p.d).graphs
     table = oracle.pair_table(p.n, p.d)
     configs = [to_configuration(index, p.n) for index in table.indices]
     # pair_graph is renaming-invariant, so on a grid that commutes with renaming
@@ -267,7 +265,7 @@ def check_t_basis(p: Params) -> CheckResult:
     for r in rows:
         a = configs[r]
         for b, label in zip(configs, table.labels[r].tolist()):
-            g, h = pair_graph(a, b), table.graphs[label]
+            g, h = pair_graph(a, b), graphs[label]
             if g != h:
                 differ.update((g, h))
     if differ:
@@ -279,9 +277,10 @@ def check_t_basis(p: Params) -> CheckResult:
             serialize.dumps(serialize.graph_record(g)),
         )
     counted = [{} for _ in graphs]  # per g1 position: {g2 position: {g position: count}}
+    positions = list(range(len(graphs)))  # shared ints for counted's keys
     for k, g in enumerate(graphs):
-        for (g1, g2), count in oracle.orbit_composition_counts(g).items():
-            counted[layer.index_of[g1.sort_key]].setdefault(layer.index_of[g2.sort_key], {})[k] = count
+        for (i, j), count in oracle.orbit_composition_counts(g).items():
+            counted[i].setdefault(positions[j], {})[k] = count
     for i, (g1, row) in enumerate(zip(graphs, structconst.product_rows(p.n, p.d))):
         products = {k: dict(terms) for k, terms in row}
         for j in sorted(products.keys() | counted[i].keys()):

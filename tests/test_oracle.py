@@ -1,9 +1,11 @@
 """The dense matrix oracle and its self-checks."""
 
 import copy
+import gc
 import itertools
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +21,7 @@ from schurbox.combinatorics import (
     enumerate_multi_indices,
     to_configuration,
 )
-from schurbox.graphs import BipartiteMultigraph, enumerate_graphs, pair_graph
+from schurbox.graphs import BipartiteMultigraph, basis, enumerate_graphs, pair_graph
 from schurbox.structconst import multiply_basis_euler
 from schurbox.oracle import (
     ORACLE_CAP,
@@ -48,7 +50,7 @@ def _configs(table):
 
 def _first_cell(table, g):
     """First cell of g's orbit in row-scan order."""
-    return divmod(int(np.argmax(table.labels.ravel() == table.label_of[g])), table.size)
+    return table.first_cell(basis(g.n, g.d).index_of[g.sort_key])
 
 
 def permutation_matrix(w: Permutation, p: Params) -> DenseOperator:
@@ -68,13 +70,40 @@ def test_pair_table_partitions_the_square():
     assert table.labels.shape == (8, 8)
     assert not table.labels.flags.writeable
     assert sorted(table.graphs, key=lambda g: g.sort_key) == enumerate_graphs(Params(2, 3))
-    assert all(table.label_of[g] == label for label, g in enumerate(table.graphs))
+    assert all(basis(2, 3).index_of[g.sort_key] == label for label, g in enumerate(table.graphs))
     sizes = np.bincount(table.labels.ravel(), minlength=len(table.graphs))
     assert sizes.sum() == 64
     assert sizes.min() >= 1
     configs = _configs(table)
     for r, c in itertools.product(range(table.size), repeat=2):
         assert pair_graph(configs[r], configs[c]) == table.graphs[table.labels[r, c]]
+
+
+@pytest.mark.parametrize("p", [Params(2, 3), Params(3, 2)], ids=str)
+def test_pair_table_labels_every_cell_by_its_basis_index(p):
+    # the oracle shares the basis's graphs and numbering: it builds no graphs of its own
+    pair_table.cache_clear()
+    table = pair_table(p.n, p.d)
+    layer = basis(p.n, p.d)
+    assert table.graphs is layer.graphs
+    configs = _configs(table)
+    labels = table.labels.tolist()
+    for r, a in enumerate(configs):
+        for c, b in enumerate(configs):
+            assert labels[r][c] == layer.index_of[pair_graph(a, b).sort_key]
+
+
+def test_pair_table_keeps_one_shape():
+    # a cached table holds its basis's graphs, so an older shape's must go with it
+    pair_table.cache_clear()
+    layer = basis(2, 3)
+    kept = weakref.ref(layer), weakref.ref(layer.graphs[0])
+    del layer
+    pair_table(2, 3)
+    basis(3, 2)
+    pair_table(3, 2)
+    gc.collect()
+    assert [ref() for ref in kept] == [None, None]
 
 
 def test_pair_table_cap():
@@ -229,7 +258,7 @@ def test_oracle_product_rejects_a_relabelled_cell(monkeypatch):
     table = pair_table(2, 2)
     broken = copy.copy(table)
     broken.labels = table.labels.copy()
-    broken.labels[0, 0] = table.label_of[BipartiteMultigraph(((1, 0), (1, 0)))]
+    broken.labels[0, 0] = basis(2, 2).index_of[(1, 0, 1, 0)]
     monkeypatch.setattr(oracle, "pair_table", lambda n, d: broken)
     g1 = BipartiteMultigraph(((0, 1), (0, 1)))
     g2 = BipartiteMultigraph(((0, 0), (2, 0)))
