@@ -49,6 +49,12 @@ CELL_CAP = 2**24
 """Matrix cells (graphs times n**2 each) the graph set holds at most: (32,1)'s 1,048,576 fit."""
 
 
+_VALENCIES: dict[tuple, tuple] = {}
+"""Each valency vector and (top, bottom) pair met, shared by every graph that has it.
+
+It grows with the pairs met, at most the square of the number of contents per shape."""
+
+
 @dataclass(frozen=True)
 class BipartiteMultigraph:
     """Two rows of n vertices joined by d edges, as a multiplicity matrix."""
@@ -90,11 +96,32 @@ class BipartiteMultigraph:
 
     def top_valencies(self) -> tuple[int, ...]:
         """Edges at each top vertex (column sums); the content of the top configuration."""
-        return tuple(map(sum, zip(*self.matrix)))
+        try:
+            return self._valencies[0]
+        except AttributeError:
+            return self._share_valencies()[0]
 
     def bottom_valencies(self) -> tuple[int, ...]:
         """Edges at each bottom vertex (row sums); the content of the bottom configuration."""
-        return tuple(map(sum, self.matrix))
+        try:
+            return self._valencies[1]
+        except AttributeError:
+            return self._share_valencies()[1]
+
+    def _share_valencies(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Compute the (top, bottom) valencies once, as a pair shared by every graph that has it.
+
+        One attribute, not two: a CPython instance keeps room for one
+        attribute beyond those its class's instances already share, so a
+        second one would give every graph a dict of its own (24 MiB more at
+        (9,3)).
+        """
+        top = tuple(map(sum, zip(*self.matrix)))
+        bottom = tuple(map(sum, self.matrix))
+        pair = _VALENCIES.setdefault(top, top), _VALENCIES.setdefault(bottom, bottom)
+        pair = _VALENCIES.setdefault(pair, pair)
+        object.__setattr__(self, "_valencies", pair)
+        return pair
 
     @property
     def sort_key(self) -> tuple[int, ...]:
@@ -155,8 +182,13 @@ def enumerate_graphs(p: Params) -> list[BipartiteMultigraph]:
     check_graph_caps(p)
     n, d = p.n, p.d
     rows = [slice(k * n, (k + 1) * n) for k in range(n)]
-    # every composition is a valid matrix, so the graphs skip the constructor's checks
-    return [BipartiteMultigraph._trusted(tuple(flat[r] for r in rows), n, d) for flat in compositions(d, n * n)]
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal rows are one tuple: (9,3) has 220
+    graphs = []
+    for flat in compositions(d, n * n):
+        matrix = [flat[r] for r in rows]
+        # every composition is a valid matrix, so the graphs skip the constructor's checks
+        graphs.append(BipartiteMultigraph._trusted(tuple(map(shared.setdefault, matrix, matrix)), n, d))
+    return graphs
 
 
 class Basis:

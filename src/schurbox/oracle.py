@@ -123,6 +123,13 @@ class PairTable:
             keys[r : r + block] = rank[keys[r : r + block]]
         keys.flags.writeable = False
         self.labels = keys
+        self._columns: dict[tuple[int, ...], tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def __copy__(self) -> "PairTable":
+        """A table sharing this one's arrays but not its column memo, so relabelling one leaves the other's."""
+        twin = object.__new__(PairTable)
+        twin.__dict__.update(self.__dict__, _columns={})
+        return twin
 
     @property
     def size(self) -> int:
@@ -131,6 +138,22 @@ class PairTable:
     def orbit_sizes(self) -> list[int]:
         """The number of cells carrying each label, in label order."""
         return np.bincount(self.labels.ravel(), minlength=len(self.graphs)).tolist()
+
+    def column(self, content: tuple[int, ...]) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """Column y of the canonical configuration of ``content``, read once per content.
+
+        Returns y, the column's labels, and the labels it holds with the row
+        of each one's first cell (``np.unique(..., return_index=True)``).
+        The memo lives on the table, so it goes with it.
+        """
+        found = self._columns.get(content)
+        if found is None:
+            y = self.index_of[to_multi_index(canonical_configuration(content))]
+            orbits = self.labels[:, y]
+            labels, first = np.unique(orbits, return_index=True)
+            labels.flags.writeable = first.flags.writeable = False
+            found = self._columns[content] = y, orbits, labels, first
+        return found
 
     def first_cell(self, label: int) -> tuple[int, int]:
         """Row and column of the first cell carrying ``label``, in row-scan order."""
@@ -241,21 +264,20 @@ def multiply_basis_oracle(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> A
 
     Every term of the product has g2's top valencies, so every term's orbit
     meets column y, the index of the canonical configuration of those
-    valencies.  Entry z of that column counts the middle indices w with
-    (z, w) in the orbit of g1 and (w, y) in that of g2, a sum of at most N
-    zeros and ones.  The product lies in the span of the basis operators, so
-    the column must be constant on each orbit it meets; that value is the
-    orbit's coefficient.
+    valencies; the table reads that column once per content
+    (:meth:`PairTable.column`).  Entry z of the product's column counts the
+    middle indices w with (z, w) in the orbit of g1 and (w, y) in that of
+    g2, a sum of at most N zeros and ones.  The product lies in the span of
+    the basis operators, so the column must be constant on each orbit it
+    meets; that value is the orbit's coefficient.
     """
     if (g1.n, g1.d) != (g2.n, g2.d):
         raise ValueError(f"graph shapes differ: ({g1.n},{g1.d}) vs ({g2.n},{g2.d})")
     table = pair_table(g1.n, g1.d)
-    y = table.index_of[to_multi_index(canonical_configuration(g2.top_valencies()))]
-    orbits = table.labels[:, y]
+    y, orbits, found, first = table.column(g2.top_valencies())
     index_of = basis(g1.n, g1.d).index_of
     middle = orbits == index_of[g2.sort_key]
     column = np.count_nonzero(table.labels[:, middle] == index_of[g1.sort_key], axis=1)
-    found, first = np.unique(orbits, return_index=True)
     coefficients = np.zeros(len(table.graphs), dtype=np.int64)
     coefficients[found] = column[first]
     differ = np.flatnonzero(coefficients[orbits] != column)

@@ -7,6 +7,8 @@ pair_graph(a, c) == g, then count the configurations b with
 pair_graph(a, b) == g1 and pair_graph(b, c) == g2.  The count is the same
 for every choice of (a, c), and :func:`multiply_basis_counting`, the
 referee, performs it literally with the pair from :func:`canonical_pair`.
+It sweeps rows as plain multi-indices, so it builds no configuration and
+no graph per diagram, only one graph per term at the end.
 
 Two further routes never touch configurations and work on the edges of g1
 and g2 alone.  An *Euler function* is a bijection from the edges of g2 onto
@@ -47,6 +49,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, itemgetter, le
 
 from .algebra import AlgebraElement, apply_basis
 from .combinatorics import Configuration, to_multi_index
@@ -54,7 +57,6 @@ from .graphs import (
     BipartiteMultigraph,
     EdgeLabel,
     basis,
-    canonical_configuration,
     canonical_pair,
     edge_labels,
     pair_graph,
@@ -157,16 +159,33 @@ def _label_pairings(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> Iterato
 
 
 def _arrangements(multiset: Counter) -> Iterator[tuple]:
-    """Distinct orderings of a multiset, lexicographically."""
-    if sum(multiset.values()) == 0:
-        yield ()
-        return
-    for item in sorted(multiset):
-        if multiset[item]:
-            multiset[item] -= 1
-            for tail in _arrangements(multiset):
-                yield (item,) + tail
-            multiset[item] += 1
+    """Distinct orderings of a multiset, lexicographically.
+
+    Each is the next permutation of the one before, so no depth grows with
+    the multiset's size.
+    """
+    items = sorted(multiset.elements())
+    while True:
+        yield tuple(items)
+        i = len(items) - 2
+        while i >= 0 and items[i] >= items[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(items) - 1
+        while items[j] <= items[i]:
+            j -= 1
+        items[i], items[j] = items[j], items[i]
+        items[i + 1 :] = reversed(items[i + 1 :])
+
+
+@lru_cache(maxsize=4096)
+def _column_arrangements(column: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The distinct orderings of one column's boxes, box i taken column[i] times (boxes from 0).
+
+    Memoized like :func:`_vertex_moves`, since few columns recur.
+    """
+    return tuple(_arrangements(Counter({i: k for i, k in enumerate(column) if k})))
 
 
 def enumerate_word_matrices(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> Iterator[WordMatrix]:
@@ -295,25 +314,45 @@ def coeff_by_counting(g1: BipartiteMultigraph, g2: BipartiteMultigraph, g: Bipar
 def multiply_basis_counting(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> AlgebraElement:
     """Product of basis operators by sweeping three-row diagrams over one canonical top row.
 
-    All pairs (a, b) under the canonical c are enumerated; the coefficient of
-    a composed graph is read off at that graph's own canonical bottom row,
-    which the sweep always visits.  (The middle count is the same at every
-    bottom row with the right graph, so reading one row is enough; that
-    independence is exercised separately by the tests.)
+    Rows are multi-indices, boxes numbered from 0 here.  The top row c is
+    the sorted multi-index of g2's top valencies, since the canonical
+    configuration numbers the balls box by box.  The middles b are the
+    arrangements of column j of g2 over the balls of c's box j; the bottoms
+    a are the arrangements of column v of g1 over the balls that b puts in
+    box v.  All pairs (a, b) are visited, and the composed graph counts the
+    cells (a_s, c_s).  A term counts only at its graph's canonical bottom
+    row, where a's boxes never decrease within a box of c (the rule of
+    :func:`canonical_pair`); the sweep always visits that row.  (The middle
+    count is the same at every bottom row with the right graph, so reading
+    one row is enough; that independence is exercised separately by the
+    tests.)  Ball s is keyed c_s·n + a_s, so a row is canonical exactly when
+    its keys never decrease, and its keys name its graph.
     """
     _check_same_shape(g1, g2)
+    n, d = g1.n, g1.d
     if g2.bottom_valencies() != g1.top_valencies():
-        return AlgebraElement.zero(g1.n, g1.d)
-    c = canonical_configuration(g2.top_valencies())
-    counts: dict[BipartiteMultigraph, int] = {}
-    canonical_bottom: dict[BipartiteMultigraph, Configuration] = {}
-    for b in apply_basis(g2, c):
-        for a in apply_basis(g1, b):
-            composed = pair_graph(a, c)
-            a0 = canonical_bottom.get(composed)
-            if a0 is None:
-                a0 = canonical_pair(composed)[0]
-                canonical_bottom[composed] = a0
-            if a == a0:
-                counts[composed] = counts.get(composed, 0) + 1
-    return AlgebraElement(g1.n, g1.d, counts)
+        return AlgebraElement.zero(n, d)
+    # whatever b is, the balls it puts in box v are, in ball order, g2[v][0] balls
+    # of c's box 0, then g2[v][1] of box 1, and so on: column v of g1 is keyed once
+    keyed = []
+    for row, column in zip(g2.matrix, zip(*g1.matrix)):
+        offsets = [j * n for j, k in enumerate(row) for _ in range(k)]
+        keyed.append([tuple(map(add, offsets, boxes)) for boxes in _column_arrangements(column)])
+    counts: dict[tuple[int, ...], int] = {}
+    for middle in itertools.product(*map(_column_arrangements, zip(*g2.matrix))):
+        b = sum(middle, ())
+        # a choice of bottoms lists the keys ball by ball through b's boxes in turn
+        order = sorted(range(d), key=b.__getitem__)
+        # back to ball order; itemgetter of one index returns the item, not a 1-tuple
+        by_ball = itemgetter(*sorted(range(d), key=order.__getitem__)) if d > 1 else tuple
+        for choice in itertools.product(*keyed):
+            keys = by_ball(sum(choice, ()))
+            if all(map(le, keys, keys[1:])):
+                counts[keys] = counts.get(keys, 0) + 1
+    terms = {}
+    for keys, count in counts.items():
+        rows = [[0] * n for _ in range(n)]
+        for key in keys:
+            rows[key % n][key // n] += 1
+        terms[BipartiteMultigraph(tuple(map(tuple, rows)))] = count
+    return AlgebraElement(n, d, terms)

@@ -1,6 +1,7 @@
 """Pair graphs, orbit enumeration, and canonical representatives."""
 
 import itertools
+import math
 import pickle
 
 import pytest
@@ -120,6 +121,27 @@ def test_enumerate_graphs_counts():
         assert all(g.n == n and g.d == d for g in graphs)
         # built unchecked: each must be the graph the checking constructor gives
         assert all(g == BipartiteMultigraph(g.matrix) for g in graphs)
+
+
+def test_graphs_share_equal_rows_and_valencies():
+    graphs = enumerate_graphs(Params(3, 3))
+    rows = {}
+    for g in graphs:
+        for row in g.matrix:
+            assert rows.setdefault(row, row) is row
+    assert len(rows) == math.comb(6, 3)  # every row of at most 3 edges over 3 columns
+    by_valencies = {}
+    for g in graphs:
+        pair = g.top_valencies(), g.bottom_valencies()
+        assert pair == (tuple(map(sum, zip(*g.matrix))), tuple(map(sum, g.matrix)))
+        # kept from the first call, and shared between graphs
+        assert g.top_valencies() is pair[0] and g.bottom_valencies() is pair[1]
+        first = by_valencies.setdefault(pair, pair)
+        assert first[0] is pair[0] and first[1] is pair[1]
+    # a graph built apart shares them too, and pickling leaves them behind
+    g = BipartiteMultigraph(((2, 0, 0), (0, 0, 1), (0, 0, 0)))
+    assert g.top_valencies() is by_valencies[(2, 0, 1), (2, 1, 0)][0]
+    assert pickle.loads(pickle.dumps(g)).__dict__.keys() == {"matrix", "n", "d"}
 
 
 def test_enumerate_graphs_sorted():

@@ -94,16 +94,28 @@ def test_pair_table_labels_every_cell_by_its_basis_index(p):
 
 
 def test_pair_table_keeps_one_shape():
-    # a cached table holds its basis's graphs, so an older shape's must go with it
+    # a cached table holds its basis's graphs and its column memo, so an
+    # older shape's must go with it
     pair_table.cache_clear()
     layer = basis(2, 3)
-    kept = weakref.ref(layer), weakref.ref(layer.graphs[0])
-    del layer
-    pair_table(2, 3)
+    multiply_basis_oracle(layer.graphs[0], layer.graphs[0])
+    (y, orbits, found, first), = pair_table(2, 3)._columns.values()
+    kept = [weakref.ref(x) for x in (layer, layer.graphs[0], pair_table(2, 3), orbits, found, first)]
+    del layer, orbits, found, first
     basis(3, 2)
     pair_table(3, 2)
     gc.collect()
-    assert [ref() for ref in kept] == [None, None]
+    assert [ref() for ref in kept] == [None] * 6
+
+
+def test_oracle_column_memo_agrees_with_a_fresh_table():
+    pair_table.cache_clear()
+    graphs = basis(2, 4).graphs
+    memoized = {(g1, g2): multiply_basis_oracle(g1, g2) for g1, g2 in itertools.product(graphs, repeat=2)}
+    assert len(pair_table(2, 4)._columns) == 5  # one column per content
+    for (g1, g2), product in memoized.items():
+        pair_table.cache_clear()
+        assert multiply_basis_oracle(g1, g2) == product, (g1, g2)
 
 
 def test_pair_table_cap():

@@ -7,8 +7,8 @@ from collections import Counter
 
 import pytest
 
-from schurbox.algebra import AlgebraElement, basis_product
-from schurbox.combinatorics import Params, enumerate_configurations
+from schurbox.algebra import AlgebraElement, apply_basis, basis_product
+from schurbox.combinatorics import Configuration, Params, enumerate_configurations, to_multi_index
 from schurbox.graphs import (
     BipartiteMultigraph,
     basis,
@@ -188,6 +188,56 @@ def test_euler_matches_counting_on_every_compatible_pair():
         assert len(pairs) == expected
         for g1, g2 in pairs:
             assert multiply_basis_euler(g1, g2) == multiply_basis_counting(g1, g2), (g1, g2)
+
+
+@pytest.mark.parametrize("n, d", [(2, 4), (3, 3), (4, 2)])
+def test_counting_equals_the_middle_fillings_on_every_compatible_pair(n, d):
+    # every term has g2's top and g1's bottom valencies, so no other g can count
+    graphs = basis(n, d).graphs
+    for g1, g2 in compatible_pairs(Params(n, d)):
+        candidates = (
+            g for g in graphs
+            if g.top_valencies() == g2.top_valencies() and g.bottom_valencies() == g1.bottom_valencies()
+        )
+        fillings = {g: len(middle_fillings(g1, g2, g)[2]) for g in candidates}
+        assert multiply_basis_counting(g1, g2) == AlgebraElement(n, d, fillings), (g1, g2)
+
+
+@pytest.mark.parametrize("n, d", [(2, 4), (3, 3), (4, 2)])
+def test_rising_within_each_top_box_picks_the_canonical_bottom_row(n, d):
+    # counting's rule: among the a with pair_graph(a, c) == g, the one whose
+    # boxes never decrease along the balls of each box of c is canonical_pair's
+    for g in basis(n, d).graphs:
+        a0, c = canonical_pair(g)
+        top = to_multi_index(c)
+        rising = []
+        for a in apply_basis(g, c):
+            bottom = to_multi_index(a)
+            if all(bottom[s - 1] <= bottom[s] for s in range(1, d) if top[s - 1] == top[s]):
+                rising.append(a)
+        assert rising == [a0], g
+
+
+def test_counting_builds_no_configuration(monkeypatch):
+    built = []
+    post_init = Configuration.__post_init__
+
+    def counted(config):
+        built.append(config)
+        post_init(config)
+
+    monkeypatch.setattr(Configuration, "__post_init__", counted)
+    g = BipartiteMultigraph(((1, 1, 0), (1, 0, 0), (0, 0, 0)))
+    product = multiply_basis_counting(g, g)
+    assert len(product.items()) > 1
+    assert built == []
+    assert product == multiply_basis_euler(g, g)
+
+
+def test_counting_takes_a_column_longer_than_the_recursion_limit():
+    # one box of more balls than Python's default recursion limit of 1000
+    g = BipartiteMultigraph(((1500,),))
+    assert multiply_basis_counting(g, g) == AlgebraElement.basis(g)
 
 
 def test_euler_fold_and_term_joiner_agree_with_the_element_path():
