@@ -131,7 +131,9 @@ class _Combination:
 
     @classmethod
     def basis(cls, key):
-        return cls(key.n, key.d, [(key, 1)])
+        if not isinstance(key, cls._key_type):
+            raise TypeError(f"expected {cls._key_type.__name__} keys, got {key!r}")
+        return cls._from_terms(key.n, key.d, {key: 1})
 
     def coefficient(self, key) -> int:
         return self._terms.get(key, 0)

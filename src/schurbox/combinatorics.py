@@ -159,6 +159,18 @@ class Configuration:
         if missing:
             raise ConfigurationError(f"ball {min(missing)} is missing (labels must be exactly 1..d)")
 
+    @classmethod
+    def _trusted(cls, boxes: tuple[tuple[int, ...], ...]) -> "Configuration":
+        """A configuration taken as valid, without the checks of the public constructor.
+
+        The caller guarantees that ``boxes`` is a nonempty tuple of tuples
+        holding each of the balls 1..d once, increasing within each box, as
+        the boxes of a valid multi-index are.
+        """
+        config = object.__new__(cls)
+        object.__setattr__(config, "boxes", boxes)
+        return config
+
     @property
     def n(self) -> int:
         return len(self.boxes)
@@ -220,7 +232,7 @@ def to_configuration(index: Sequence[int], n: int) -> Configuration:
 
 def to_multi_index(config: Configuration) -> MultiIndex:
     """Inverse of :func:`to_configuration`: entry s is the box holding ball s."""
-    index = [0] * config.d
+    index = [0] * sum(map(len, config.boxes))
     for box_number, box in enumerate(config.boxes, start=1):
         for ball in box:
             index[ball - 1] = box_number
@@ -233,8 +245,17 @@ def act_on_configuration(w: Permutation, config: Configuration) -> Configuration
 
 
 def enumerate_configurations(p: Params) -> list[Configuration]:
-    """All configurations of shape ``p``, ordered like their multi-indices."""
-    return [to_configuration(index, p.n) for index in enumerate_multi_indices(p)]
+    """All configurations of shape ``p``, ordered like their multi-indices.
+
+    Every multi-index is valid, so its configuration skips the constructor's checks.
+    """
+    configs = []
+    for index in enumerate_multi_indices(p):
+        boxes: list[list[int]] = [[] for _ in range(p.n)]
+        for ball, box in enumerate(index, start=1):
+            boxes[box - 1].append(ball)
+        configs.append(Configuration._trusted(tuple(map(tuple, boxes))))
+    return configs
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -31,6 +31,7 @@ and the symmetry takes that pair and term to three more:
 {(0, 1): (1,), (3, 2): (2,), (2, 0): (2,), (1, 3): (1,)}
 """
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -126,22 +127,27 @@ class BipartiteMultigraph:
     @property
     def sort_key(self) -> tuple[int, ...]:
         """Flattened matrix; graphs are ordered lexicographically by this key."""
-        return tuple(entry for row in self.matrix for entry in row)
+        return tuple(itertools.chain.from_iterable(self.matrix))
 
     def __str__(self) -> str:
         return "[" + ",".join("[" + ",".join(str(e) for e in row) + "]" for row in self.matrix) + "]"
 
 
 def pair_graph(a: Configuration, b: Configuration) -> BipartiteMultigraph:
-    """The graph of (a, b): one edge per ball, from its box in b down to its box in a."""
-    if (a.n, a.d) != (b.n, b.d):
-        raise ValueError(f"configuration shapes differ: ({a.n},{a.d}) vs ({b.n},{b.d})")
-    rows = [[0] * a.n for _ in range(a.n)]
+    """The graph of (a, b): one edge per ball, from its box in b down to its box in a.
+
+    Counting balls always gives a valid matrix, so the graph skips the
+    constructor's checks.
+    """
     bottom = to_multi_index(a)
     top = to_multi_index(b)
+    n = len(a.boxes)
+    if len(b.boxes) != n or len(bottom) != len(top):
+        raise ValueError(f"configuration shapes differ: ({a.n},{a.d}) vs ({b.n},{b.d})")
+    rows = [[0] * n for _ in range(n)]
     for i, j in zip(bottom, top):
         rows[i - 1][j - 1] += 1
-    return BipartiteMultigraph(tuple(tuple(row) for row in rows))
+    return BipartiteMultigraph._trusted(tuple(map(tuple, rows)), n, len(bottom))
 
 
 def diagonal_graph(content: Sequence[int]) -> BipartiteMultigraph:

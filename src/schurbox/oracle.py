@@ -18,6 +18,7 @@ replace them.  It is the package's only numpy importer, and the rest of the
 package imports it only on the paths that read it.
 """
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -123,7 +124,7 @@ class PairTable:
             keys[r : r + block] = rank[keys[r : r + block]]
         keys.flags.writeable = False
         self.labels = keys
-        self._columns: dict[tuple[int, ...], tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._columns: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def __copy__(self) -> "PairTable":
         """A table sharing this one's arrays but not its column memo, so relabelling one leaves the other's."""
@@ -139,21 +140,25 @@ class PairTable:
         """The number of cells carrying each label, in label order."""
         return np.bincount(self.labels.ravel(), minlength=len(self.graphs)).tolist()
 
-    def column(self, content: tuple[int, ...]) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    def column(self, content: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Column y of the canonical configuration of ``content``, read once per content.
 
-        Returns y, the column's labels, and the labels it holds with the row
-        of each one's first cell (``np.unique(..., return_index=True)``).
-        The memo lives on the table, so it goes with it.
+        Returns the column's labels, and the labels it holds with the row of
+        each one's first cell and each row's position among them
+        (``np.unique(..., return_index=True, return_inverse=True)``).  The
+        memo lives on the table, so it goes with it.
         """
-        found = self._columns.get(content)
-        if found is None:
-            y = self.index_of[to_multi_index(canonical_configuration(content))]
-            orbits = self.labels[:, y]
-            labels, first = np.unique(orbits, return_index=True)
-            labels.flags.writeable = first.flags.writeable = False
-            found = self._columns[content] = y, orbits, labels, first
-        return found
+        memo = self._columns.get(content)
+        if memo is None:
+            orbits = np.ascontiguousarray(self.labels[:, self.canonical_index(content)])
+            memo = self._columns[content] = orbits, *np.unique(orbits, return_index=True, return_inverse=True)
+            for array in memo:
+                array.flags.writeable = False
+        return memo
+
+    def canonical_index(self, content: tuple[int, ...]) -> int:
+        """The position of the canonical configuration of ``content`` among the multi-indices."""
+        return self.index_of[to_multi_index(canonical_configuration(content))]
 
     def first_cell(self, label: int) -> tuple[int, int]:
         """Row and column of the first cell carrying ``label``, in row-scan order."""
@@ -267,26 +272,30 @@ def multiply_basis_oracle(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> A
     valencies; the table reads that column once per content
     (:meth:`PairTable.column`).  Entry z of the product's column counts the
     middle indices w with (z, w) in the orbit of g1 and (w, y) in that of
-    g2, a sum of at most N zeros and ones.  The product lies in the span of
-    the basis operators, so the column must be constant on each orbit it
-    meets; that value is the orbit's coefficient.
+    g2, a sum of at most N zeros and ones.  (z, w) lies in the orbit of g1
+    exactly when (w, z) lies in that of its transpose, so the count reads
+    the middle rows of the grid, not its columns.  The product lies in the
+    span of the basis operators, so the column must be constant on each
+    orbit it meets; that value is the orbit's coefficient.  The terms are
+    basis graphs with nonzero int coefficients, so the element is not
+    re-validated.
     """
     if (g1.n, g1.d) != (g2.n, g2.d):
         raise ValueError(f"graph shapes differ: ({g1.n},{g1.d}) vs ({g2.n},{g2.d})")
     table = pair_table(g1.n, g1.d)
-    y, orbits, found, first = table.column(g2.top_valencies())
+    orbits, found, first, inverse = table.column(g2.top_valencies())
     index_of = basis(g1.n, g1.d).index_of
     middle = orbits == index_of[g2.sort_key]
-    column = np.count_nonzero(table.labels[:, middle] == index_of[g1.sort_key], axis=1)
-    coefficients = np.zeros(len(table.graphs), dtype=np.int64)
-    coefficients[found] = column[first]
-    differ = np.flatnonzero(coefficients[orbits] != column)
+    transposed = index_of[tuple(itertools.chain.from_iterable(zip(*g1.matrix)))]
+    column = (table.labels[middle] == transposed).sum(axis=0)
+    values = column[first]
+    differ = (values[inverse] != column).nonzero()[0]
     if len(differ):
         z = int(differ[0])
-        z0 = int(np.argmax(orbits == orbits[z]))
+        z0, y = int(first[inverse[z]]), table.canonical_index(g2.top_valencies())
         raise NotInSpanError(
             f"product is not constant on the orbit of {table.graphs[orbits[z]]}: "
             f"entry {(z0, y)} is {column[z0]} but {(z, y)} is {column[z]}"
         )
-    terms = zip(found.tolist(), column[first].tolist())
-    return AlgebraElement(g1.n, g1.d, [(table.graphs[label], value) for label, value in terms if value])
+    terms = {table.graphs[label]: value for label, value in zip(found.tolist(), values.tolist()) if value}
+    return AlgebraElement._from_terms(g1.n, g1.d, terms)

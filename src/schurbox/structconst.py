@@ -8,7 +8,8 @@ pair_graph(a, b) == g1 and pair_graph(b, c) == g2.  The count is the same
 for every choice of (a, c), and :func:`multiply_basis_counting`, the
 referee, performs it literally with the pair from :func:`canonical_pair`.
 It sweeps rows as plain multi-indices, so it builds no configuration and
-no graph per diagram, only one graph per term at the end.
+no graph per diagram, only one graph per term at the end, without
+re-validation.
 
 Two further routes never touch configurations and work on the edges of g1
 and g2 alone.  An *Euler function* is a bijection from the edges of g2 onto
@@ -248,6 +249,11 @@ def euler_fold(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> dict[tuple[i
     return states
 
 
+def composed_graph(key: tuple[int, ...], n: int, d: int) -> BipartiteMultigraph:
+    """The graph of one of :func:`euler_fold`'s keys, valid by construction, so built without re-validation."""
+    return BipartiteMultigraph._trusted(tuple(key[s * n : (s + 1) * n] for s in range(n)), n, d)
+
+
 def multiply_basis_euler(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> AlgebraElement:
     """Product of basis operators by Green's product rule: :func:`euler_fold` as an element.
 
@@ -255,10 +261,7 @@ def multiply_basis_euler(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> Al
     are built without re-validation.
     """
     n, d = g1.n, g1.d
-    terms = {
-        BipartiteMultigraph._trusted(tuple(key[s * n : (s + 1) * n] for s in range(n)), n, d): ways
-        for key, ways in euler_fold(g1, g2).items()
-    }
+    terms = {composed_graph(key, n, d): ways for key, ways in euler_fold(g1, g2).items()}
     return AlgebraElement._from_terms(n, d, terms)
 
 
@@ -349,10 +352,11 @@ def multiply_basis_counting(g1: BipartiteMultigraph, g2: BipartiteMultigraph) ->
             keys = by_ball(sum(choice, ()))
             if all(map(le, keys, keys[1:])):
                 counts[keys] = counts.get(keys, 0) + 1
+    # distinct keys name distinct valid graphs, so neither they nor the element are re-validated
     terms = {}
     for keys, count in counts.items():
         rows = [[0] * n for _ in range(n)]
         for key in keys:
             rows[key % n][key // n] += 1
-        terms[BipartiteMultigraph(tuple(map(tuple, rows)))] = count
-    return AlgebraElement(n, d, terms)
+        terms[BipartiteMultigraph._trusted(tuple(map(tuple, rows)), n, d)] = count
+    return AlgebraElement._from_terms(n, d, terms)

@@ -6,9 +6,13 @@ read the graphs of :func:`graphs.basis`, enumerated once, and
 :func:`run_checks` raises any size refusal of a selected suite before the
 first suite starts.  The suites that read the dense oracle (``commutant``,
 ``t-basis``, and ``engines`` at a shape in its reach) import it, and numpy
-with it, when they run.  ``identity`` works on the graphs and configurations
-themselves, through :func:`structconst.euler_fold` and :func:`apply_basis`,
-and builds no element but the identity it checks.
+with it, when they run.  ``assoc`` and ``identity`` work on the graphs and
+configurations themselves, through :func:`structconst.euler_fold` (and
+:func:`apply_basis` for ``identity``'s basis vectors); ``assoc`` builds no
+element, and ``identity`` none but the identity it checks.  What the suites
+build from valid inputs (pair graphs, enumerated configurations, the
+referees' products) skips the constructors' checks, so they pay for the
+arithmetic they check rather than for re-validation.
 """
 
 import itertools
@@ -23,14 +27,12 @@ from .algebra import (
     apply_basis,
     engine_function,
     identity_element,
-    multiply,
 )
 from .combinatorics import (
     Params,
     _check_cap,
     compositions,
     enumerate_configurations,
-    to_configuration,
     to_multi_index,
 )
 from .graphs import (
@@ -174,10 +176,23 @@ def check_engines(p: Params, seed: int = 0) -> CheckResult:
 
 
 def check_assoc(p: Params, seed: int = 0) -> CheckResult:
+    """(g1·g2)·g3 = g1·(g2·g3) on every sampled triple, folded with :func:`structconst.euler_fold`.
+
+    Each side is summed as raw fold counts, each intermediate term folded as
+    its composed graph, so the suite builds no element and no basis product.
+    """
     triples, sampled = _sample(p, 3, ASSOC_TRIPLE_LIMIT, ASSOC_SAMPLE, seed)
+    fold, graph = structconst.euler_fold, structconst.composed_graph
     for g1, g2, g3 in triples:
-        x, y, z = (AlgebraElement.basis(g) for g in (g1, g2, g3))
-        if multiply(multiply(x, y), z) != multiply(x, multiply(y, z)):
+        left: dict[tuple[int, ...], int] = {}
+        for key, c in fold(g1, g2).items():
+            for term, c3 in fold(graph(key, p.n, p.d), g3).items():
+                left[term] = left.get(term, 0) + c * c3
+        right: dict[tuple[int, ...], int] = {}
+        for key, c in fold(g2, g3).items():
+            for term, c1 in fold(g1, graph(key, p.n, p.d)).items():
+                right[term] = right.get(term, 0) + c1 * c
+        if left != right:
             counterexample = serialize.dumps(
                 {
                     "g1": serialize.graph_record(g1),
@@ -255,7 +270,7 @@ def check_t_basis(p: Params) -> CheckResult:
 
     graphs = basis(p.n, p.d).graphs
     table = oracle.pair_table(p.n, p.d)
-    configs = [to_configuration(index, p.n) for index in table.indices]
+    configs = enumerate_configurations(p)  # in the order of table.indices, the multi-indices
     # pair_graph is renaming-invariant, so on a grid that commutes with renaming
     # the canonical rows stand for every cell; any other grid is read in full
     rows = range(table.size)

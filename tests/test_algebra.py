@@ -147,6 +147,10 @@ def test_vectors_and_operators_do_not_mix():
         x + v
     with pytest.raises(TypeError):
         v - x
+    with pytest.raises(TypeError):
+        AlgebraElement.basis(b)
+    with pytest.raises(TypeError):
+        VectorElement.basis(G1)
     assert x != v
     assert not x == v
     assert AlgebraElement.zero(2, 4) != VectorElement.zero(2, 4)

@@ -183,6 +183,16 @@ def test_index_configuration_roundtrip():
             assert to_configuration(to_multi_index(c), p.n) == c
 
 
+def test_enumerated_configurations_equal_the_checked_ones():
+    # enumerate_configurations skips the constructor's checks
+    p = Params(3, 3)
+    checked = [to_configuration(index, p.n) for index in enumerate_multi_indices(p)]
+    configs = enumerate_configurations(p)
+    assert configs == checked
+    assert [c.boxes for c in configs] == [c.boxes for c in checked]
+    assert all(type(box) is tuple for c in configs for box in c.boxes)
+
+
 def test_to_configuration_rejects_bad_entries():
     with pytest.raises(ValueError):
         to_configuration((1, 3), 2)

@@ -14,6 +14,7 @@ from schurbox.combinatorics import (
     enumerate_configurations,
     enumerate_multi_indices,
     to_configuration,
+    to_multi_index,
 )
 from schurbox.graphs import (
     BipartiteMultigraph,
@@ -88,6 +89,23 @@ def test_pair_graph_worked_example():
 def test_pair_graph_shape_mismatch():
     with pytest.raises(ValueError):
         pair_graph(Configuration.from_word("|12|"), Configuration.from_word("|1|2|"))
+    with pytest.raises(ValueError):
+        pair_graph(Configuration.from_word("|12|3|"), Configuration.from_word("|1|2|"))
+    with pytest.raises(ValueError):
+        pair_graph(Configuration.from_word("|1|2|"), Configuration.from_word("|1|2||"))
+
+
+@pytest.mark.parametrize("p", [Params(2, 3), Params(3, 2), Params(3, 3)], ids=str)
+def test_pair_graph_equals_the_checked_graph(p):
+    # pair_graph skips the constructor's checks; its graphs must be the ones they pass
+    for a, b in itertools.product(enumerate_configurations(p), repeat=2):
+        g = pair_graph(a, b)
+        cells = list(zip(to_multi_index(a), to_multi_index(b)))
+        checked = BipartiteMultigraph(
+            tuple(tuple(cells.count((i, j)) for j in range(1, p.n + 1)) for i in range(1, p.n + 1))
+        )
+        assert (g.matrix, g.n, g.d) == (checked.matrix, checked.n, checked.d)
+        assert type(g.matrix) is tuple and all(type(row) is tuple for row in g.matrix)
 
 
 def test_pair_graph_valencies_exhaustive():

@@ -22,7 +22,7 @@ from schurbox.combinatorics import (
     to_configuration,
 )
 from schurbox.graphs import BipartiteMultigraph, basis, enumerate_graphs, pair_graph
-from schurbox.structconst import multiply_basis_euler
+from schurbox.structconst import multiply_basis_counting, multiply_basis_euler
 from schurbox.oracle import (
     ORACLE_CAP,
     DenseOperator,
@@ -99,13 +99,13 @@ def test_pair_table_keeps_one_shape():
     pair_table.cache_clear()
     layer = basis(2, 3)
     multiply_basis_oracle(layer.graphs[0], layer.graphs[0])
-    (y, orbits, found, first), = pair_table(2, 3)._columns.values()
-    kept = [weakref.ref(x) for x in (layer, layer.graphs[0], pair_table(2, 3), orbits, found, first)]
-    del layer, orbits, found, first
+    (orbits, found, first, inverse), = pair_table(2, 3)._columns.values()
+    kept = [weakref.ref(x) for x in (layer, layer.graphs[0], pair_table(2, 3), orbits, found, first, inverse)]
+    del layer, orbits, found, first, inverse
     basis(3, 2)
     pair_table(3, 2)
     gc.collect()
-    assert [ref() for ref in kept] == [None] * 6
+    assert [ref() for ref in kept] == [None] * 7
 
 
 def test_oracle_column_memo_agrees_with_a_fresh_table():
@@ -276,6 +276,16 @@ def test_oracle_product_rejects_a_relabelled_cell(monkeypatch):
     g2 = BipartiteMultigraph(((0, 0), (2, 0)))
     with pytest.raises(NotInSpanError, match=r"product is not constant on the orbit of \[\[1,0\],\[1,0\]\]"):
         multiply_basis_oracle(g1, g2)
+
+
+def test_referees_build_what_the_checked_constructors_build():
+    # counting and the oracle build their terms and elements without re-validation
+    graphs = basis(2, 4).graphs
+    for g1, g2 in itertools.product(graphs, repeat=2):
+        for product in (multiply_basis_counting(g1, g2), multiply_basis_oracle(g1, g2)):
+            terms = [(BipartiteMultigraph(g.matrix), c) for g, c in product.items()]
+            assert product == AlgebraElement(2, 4, terms), (g1, g2)
+            assert all((g.n, g.d) == (2, 4) and c != 0 for g, c in product.items())
 
 
 def test_orbit_composition_count_matches_products():

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import random
 import tracemalloc
 from collections import Counter
 
@@ -486,6 +487,39 @@ def test_identity_fails_a_wrong_identity_element_without_raising(monkeypatch, da
 def test_identity_builds_no_basis_product():
     algebra.basis_product.cache_clear()
     assert check_identity(Params(3, 3)).passed
+    assert algebra.basis_product.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("p", [Params(2, 2), Params(2, 3)], ids=str)
+def test_assoc_catches_a_seeded_wrong_fold(monkeypatch, p):
+    # every product with the drawn graph on the left gains 1 on its first term;
+    # such a fold can still associate (at (2,3) the default sample misses 3 of
+    # the 20 left factors), so one seeded draw is pinned per shape
+    g = random.Random(0).choice(basis(p.n, p.d).graphs)
+    real = structconst.euler_fold
+
+    def mutant(g1, g2):
+        counts = real(g1, g2)
+        if g1 == g and counts:
+            counts = dict(counts)
+            counts[next(iter(counts))] += 1
+        return counts
+
+    assert check_assoc(p).passed
+    monkeypatch.setattr(structconst, "euler_fold", mutant)
+    result = check_assoc(p)
+    assert not result.passed
+    assert result.detail.startswith("associativity fails at ")
+
+
+def test_assoc_builds_no_element_and_no_basis_product(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("assoc built an element")
+
+    monkeypatch.setattr(AlgebraElement, "__init__", refused)
+    monkeypatch.setattr(AlgebraElement, "_from_terms", classmethod(refused))
+    algebra.basis_product.cache_clear()
+    assert check_assoc(Params(2, 3)).passed
     assert algebra.basis_product.cache_info().currsize == 0
 
 
