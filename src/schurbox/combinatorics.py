@@ -34,6 +34,7 @@ above intertwines the two actions.
 """
 
 import itertools
+import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -262,9 +263,7 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of ``parts`` nonnegative integers summing to ``total``, lexicographically."""
     if parts < 1:
         raise ValueError(f"need at least one part, got {parts!r}")
-    # stars and bars: parts - 1 bars among total + parts - 1 slots, taken in
-    # lexicographic order; a part is the run of stars between two bars
-    end = total + parts - 1
-    for bars in itertools.combinations(range(end), parts - 1):
-        edges = (-1, *bars, end)
-        yield tuple(right - left - 1 for left, right in zip(edges, edges[1:]))
+    # the parts' prefix sums, taken in lexicographic order as the parts are;
+    # a part is the gap between two cuts
+    for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(operator.sub, (*cuts, total), (0, *cuts)))

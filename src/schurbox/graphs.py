@@ -22,11 +22,14 @@ with total sum d; there are C(n*n + d - 1, d) of them.
 >>> canonical_pair(BipartiteMultigraph(((2, 1), (1, 0))))[0].word()
 '|124|3|'
 
-:func:`basis` indexes one shape's graphs.  Graph 0 times graph 1 is graph 1,
-and the symmetry takes that pair and term to three more:
+:func:`basis` lists one shape's graphs, and :func:`rank` computes a graph's
+index in that list from its flattened matrix.  Graph 0 times graph 1 is
+graph 1, and the symmetry takes that pair and term to three more:
 
 >>> [str(g) for g in basis(2, 1).graphs]
 ['[[0,0],[0,1]]', '[[0,0],[1,0]]', '[[0,1],[0,0]]', '[[1,0],[0,0]]']
+>>> rank((0, 1, 0, 0))
+2
 >>> basis(2, 1).orbit(0, 1, (1,))
 {(0, 1): (1,), (3, 2): (2,), (2, 0): (2,), (1, 3): (1,)}
 """
@@ -36,6 +39,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import getitem
 
 from .combinatorics import Configuration, Params, TooLargeError, _check_cap, compositions, to_multi_index
 
@@ -183,6 +187,28 @@ def check_graph_caps(p: Params) -> None:
     _check_cap(graph_count(p) * p.n * p.n, CELL_CAP, f"the graph set's matrix cells at n={p.n}, d={p.d}")
 
 
+@lru_cache(maxsize=8)
+def rank_weights(m: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """What each ball adds to a flattened matrix's :func:`rank`: entry [j][c] for ball j in cell c.
+
+    Balls are taken in cell order, counted from 0.  Ball j in cell c < m - 1
+    counts the matrices that come earlier because they agree before it and
+    end cell c just before it: their other d - j balls fill the m - c - 1
+    later cells, in C(d - j + m - c - 2, m - c - 2) ways.  In the last cell
+    no matrix ends earlier, so it adds 0.
+    """
+    return tuple(
+        tuple(math.comb(d - j + m - c - 2, m - c - 2) for c in range(m - 1)) + (0,) for j in range(d)
+    )
+
+
+def rank(flat: Sequence[int]) -> int:
+    """The position of a flattened matrix in :func:`enumerate_graphs` order, read off its occupied cells."""
+    m = len(flat)
+    balls = [c for c in itertools.compress(range(m), flat) for _ in range(flat[c])]
+    return sum(map(getitem, rank_weights(m, len(balls)), balls))
+
+
 def enumerate_graphs(p: Params) -> list[BipartiteMultigraph]:
     """All graphs of shape ``p``, ordered lexicographically by flattened matrix."""
     check_graph_caps(p)
@@ -198,7 +224,7 @@ def enumerate_graphs(p: Params) -> list[BipartiteMultigraph]:
 
 
 class Basis:
-    """One shape's graphs in enumeration order, shared read-only; each index is built on first use.
+    """One shape's graphs in enumeration order, shared read-only; each grouping and map is built on first use.
 
     Relabelling boxes by σ in S_n is an automorphism of the algebra and
     transposing an anti-automorphism, so c(g1, g2; g) = c(σg1σᵀ, σg2σᵀ; σgσᵀ)
@@ -207,11 +233,6 @@ class Basis:
 
     def __init__(self, p: Params):
         self.graphs = tuple(enumerate_graphs(p))
-
-    @cached_property
-    def index_of(self) -> dict[tuple[int, ...], int]:
-        """The basis index of each flattened matrix."""
-        return {g.sort_key: k for k, g in enumerate(self.graphs)}
 
     @cached_property
     def by_bottom(self) -> dict[tuple[int, ...], list[int]]:
@@ -229,8 +250,7 @@ class Basis:
         swaps = [[*range(s), s + 1, s, *range(s + 2, n)] for s in range(n - 1)]
         # each generator as the flattened cell that every cell of the image reads
         flats = [[box[i] * n + box[j] for i, j in cells] for box in swaps] + [[j * n + i for i, j in cells]]
-        key = self.index_of
-        return [[key[tuple(map(g.sort_key.__getitem__, flat))] for g in self.graphs] for flat in flats]
+        return [[rank(tuple(map(g.sort_key.__getitem__, flat))) for g in self.graphs] for flat in flats]
 
     def orbit(self, i: int, k: int, indices: tuple[int, ...]) -> dict[tuple[int, int], tuple[int, ...]]:
         """Every pair in the orbit of (i, k), whose product has terms at ``indices``, with its terms.

@@ -4,9 +4,10 @@ Green's product rule (J. A. Green, *Polynomial Representations of GL_n*,
 LNM 830, §2.3) indexes the basis by the renaming orbits on pairs of
 multi-indices, and needs one thing from a dense model: the N×N array that
 gives the orbit label, the basis index of the orbit's graph, of each index
-pair.  :func:`pair_table` builds it in numpy from the multi-indices alone,
-never calling :func:`graphs.pair_graph` or building a graph, so the oracle
-stays independent of the combinatorial engines.  Everything else here reads
+pair.  :func:`pair_table` builds it in numpy from the multi-indices alone:
+each label is computed by :func:`graphs.rank`'s formula, not looked up, and
+no :func:`graphs.pair_graph` call or graph is made, so the oracle stays
+independent of the combinatorial engines.  Everything else here reads
 it: the 0/1 matrix of a basis operator is ``labels == label``, the product
 of two basis operators is one column of middle-index counts, and commuting
 with the renaming action is one reindexing of the grid per adjacent
@@ -25,13 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import (
-    Params,
-    Permutation,
-    act_on_index,
-    enumerate_multi_indices,
-    to_multi_index,
-)
+from .combinatorics import Params, enumerate_multi_indices, to_multi_index
 from .graphs import (
     ORACLE_CAP,
     BipartiteMultigraph,
@@ -40,6 +35,8 @@ from .graphs import (
     canonical_pair,
     check_reach,
     in_reach,
+    rank,
+    rank_weights,
 )
 from .algebra import AlgebraElement
 
@@ -83,11 +80,10 @@ class PairTable:
     of its graph in ``graphs``, the tuple that :func:`graphs.basis` holds.
 
     A pair (x, y) puts ball k in cell ``(x_k - 1)·n + (y_k - 1)`` of the
-    n×n grid, and its orbit is the multiset of those cells.  Sorted along
-    the balls and read as the digits of a base-n² number, the cells pack into
-    one key below (n²)^d = N² <= 2^24.  Each key that occurs is decoded into
-    its cell counts, the graph's flattened matrix, and labelled through a
-    dense lookup over all N² possible keys.
+    n×n grid, the flattened matrix's entry (x_k, y_k), and its orbit is the
+    multiset of those cells.  Sorted along the balls, the cells are the
+    graph's balls in cell order, so the label is the graph's
+    :func:`graphs.rank`, summed ball by ball from :func:`graphs.rank_weights`.
     """
 
     def __init__(self, p: Params):
@@ -95,35 +91,19 @@ class PairTable:
         self.p = p
         self.indices = enumerate_multi_indices(p, cap=ORACLE_CAP)
         self.index_of = {index: k for k, index in enumerate(self.indices)}
-        layer = basis(p.n, p.d)
-        self.graphs = layer.graphs
+        self.graphs = basis(p.n, p.d).graphs
         n, d, size = p.n, p.d, len(self.indices)
-        base = n * n
+        weights = np.array(rank_weights(n * n, d), dtype=np.int32)  # every label is below ORBIT_CAP
         digits = np.array(self.indices, dtype=np.int32) - 1
-        keys = np.empty((size, size), dtype=np.int32)
-        rank = np.zeros(size * size, dtype=np.int32)  # 1 at each key that occurs, then its label
+        labels = np.empty((size, size), dtype=np.int32)
         block = max(1, _BLOCK_CELLS // (size * d))
         for r in range(0, size, block):
             cells = digits[r : r + block, None, :] * n + digits[None, :, :]
             cells.sort(axis=2)
-            key = cells[:, :, 0]
-            for k in range(1, d):
-                key = key * base + cells[:, :, k]
-            keys[r : r + block] = key
-            rank[key] = 1
-        found = np.flatnonzero(rank)
-        labels = []
-        for key in found.tolist():
-            counts = [0] * base  # the flattened matrix: cell (x-1)·n + (y-1) is entry (x, y)
-            for _ in range(d):
-                key, cell = divmod(key, base)
-                counts[cell] += 1
-            labels.append(layer.index_of[tuple(counts)])
-        rank[found] = labels
-        for r in range(0, size, block):
-            keys[r : r + block] = rank[keys[r : r + block]]
-        keys.flags.writeable = False
-        self.labels = keys
+            # one take per ball: a single gather over (ball, cell) pairs was 2x slower at (2,12)
+            labels[r : r + block] = sum(w.take(cells[:, :, j]) for j, w in enumerate(weights))
+        labels.flags.writeable = False
+        self.labels = labels
         self._columns: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def __copy__(self) -> "PairTable":
@@ -173,7 +153,7 @@ def pair_table(n: int, d: int) -> PairTable:
 def operator_matrix(g: BipartiteMultigraph) -> DenseOperator:
     """0/1 matrix of a basis operator: entry (r, c) is 1 exactly when pair (r, c) lies in the orbit of g."""
     table = pair_table(g.n, g.d)
-    m = (table.labels == basis(g.n, g.d).index_of[g.sort_key]).astype(np.int64).astype(object)
+    m = (table.labels == rank(g.sort_key)).astype(np.int64).astype(object)
     return DenseOperator(g.n, g.d, m)
 
 
@@ -196,8 +176,7 @@ def orbit_composition_counts(g: BipartiteMultigraph) -> Counter:
 
 def orbit_composition_count(g1: BipartiteMultigraph, g2: BipartiteMultigraph, g: BipartiteMultigraph) -> int:
     """Middle indices z with (x, z) in the orbit of g1 and (z, y) in that of g2, at the canonical cell of g."""
-    index_of = basis(g.n, g.d).index_of
-    return orbit_composition_counts(g)[(index_of[g1.sort_key], index_of[g2.sort_key])]
+    return orbit_composition_counts(g)[(rank(g1.sort_key), rank(g2.sort_key))]
 
 
 @lru_cache(maxsize=8)
@@ -206,16 +185,15 @@ def _transposition_indices(n: int, d: int) -> tuple[np.ndarray, ...]:
 
     Entry i of map s is the position of the multi-index that the
     transposition sends multi-index i to, the row of column i's one in the
-    transposition's permutation matrix.
+    transposition's permutation matrix.  Multi-indices are in lexicographic
+    order, the C order of an array of d axes of length n, so the map is that
+    array's positions with axes s - 1 and s swapped.
     """
-    table = pair_table(n, d)
-    maps = []
-    for s in range(1, d):
-        w = Permutation.transposition(d, s, s + 1)
-        sigma = np.array([table.index_of[act_on_index(w, index)] for index in table.indices], dtype=np.intp)
+    grid = np.arange(n**d).reshape((n,) * d)
+    maps = tuple(grid.swapaxes(s - 1, s).ravel() for s in range(1, d))
+    for sigma in maps:
         sigma.flags.writeable = False
-        maps.append(sigma)
-    return tuple(maps)
+    return maps
 
 
 def commutes_with_renaming(op: DenseOperator) -> bool:
@@ -284,9 +262,8 @@ def multiply_basis_oracle(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> A
         raise ValueError(f"graph shapes differ: ({g1.n},{g1.d}) vs ({g2.n},{g2.d})")
     table = pair_table(g1.n, g1.d)
     orbits, found, first, inverse = table.column(g2.top_valencies())
-    index_of = basis(g1.n, g1.d).index_of
-    middle = orbits == index_of[g2.sort_key]
-    transposed = index_of[tuple(itertools.chain.from_iterable(zip(*g1.matrix)))]
+    middle = orbits == rank(g2.sort_key)
+    transposed = rank(tuple(itertools.chain.from_iterable(zip(*g1.matrix))))
     column = (table.labels[middle] == transposed).sum(axis=0)
     values = column[first]
     differ = (values[inverse] != column).nonzero()[0]

@@ -61,6 +61,7 @@ from .graphs import (
     canonical_pair,
     edge_labels,
     pair_graph,
+    rank,
 )
 
 Pair = tuple[EdgeLabel, EdgeLabel]
@@ -277,7 +278,7 @@ def product_rows(n: int, d: int) -> Iterator[list[tuple[int, list[tuple[int, int
     those of rows still to come.
     """
     layer = basis(n, d)
-    graphs, index_of, by_bottom = layer.graphs, layer.index_of, layer.by_bottom
+    graphs, by_bottom = layer.graphs, layer.by_bottom
     pending: dict[int, dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = {}
     for i, g1 in enumerate(graphs):
         bucket = pending.pop(i, {})
@@ -286,7 +287,7 @@ def product_rows(n: int, d: int) -> Iterator[list[tuple[int, list[tuple[int, int
             if k not in bucket:
                 fold = euler_fold(g1, graphs[k])
                 ways = tuple(fold.values())
-                for (a, b), image in layer.orbit(i, k, tuple(map(index_of.__getitem__, fold))).items():
+                for (a, b), image in layer.orbit(i, k, tuple(map(rank, fold))).items():
                     (bucket if a == i else pending.setdefault(a, {}))[b] = image, ways
             row.append((k, sorted(zip(*bucket.pop(k)))))
         yield row

@@ -17,6 +17,7 @@ from schurbox.combinatorics import (
     to_multi_index,
 )
 from schurbox.graphs import (
+    ORBIT_CAP,
     BipartiteMultigraph,
     canonical_configuration,
     canonical_pair,
@@ -24,7 +25,10 @@ from schurbox.graphs import (
     edge_labels,
     enumerate_graphs,
     graph_count,
+    in_reach,
     pair_graph,
+    rank,
+    rank_weights,
 )
 
 from reference import all_permutations
@@ -166,6 +170,23 @@ def test_enumerate_graphs_sorted():
     graphs = enumerate_graphs(Params(2, 3))
     keys = [g.sort_key for g in graphs]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("p", [Params(1, 1), Params(1, 4), Params(4, 1), Params(2, 3), Params(3, 3), Params(2, 12), Params(4, 4)], ids=str)
+def test_rank_is_the_enumeration_order(p):
+    graphs = enumerate_graphs(p)
+    assert [rank(g.sort_key) for g in graphs] == list(range(len(graphs)))
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_rank_weights_keep_oracle_labels_below_the_orbit_cap(d):
+    # the oracle sums one weight per ball into int32 labels; at the widest
+    # shape it reaches for each d, the largest sum is the last graph's rank
+    n = 1
+    while in_reach(Params(n + 1, d)):
+        n += 1
+    largest = sum(map(max, rank_weights(n * n, d)))
+    assert largest == graph_count(Params(n, d)) - 1 < ORBIT_CAP
 
 
 def test_enumerate_graphs_cap():

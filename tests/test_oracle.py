@@ -21,7 +21,7 @@ from schurbox.combinatorics import (
     enumerate_multi_indices,
     to_configuration,
 )
-from schurbox.graphs import BipartiteMultigraph, basis, enumerate_graphs, pair_graph
+from schurbox.graphs import BipartiteMultigraph, basis, enumerate_graphs, pair_graph, rank
 from schurbox.structconst import multiply_basis_counting, multiply_basis_euler
 from schurbox.oracle import (
     ORACLE_CAP,
@@ -50,7 +50,7 @@ def _configs(table):
 
 def _first_cell(table, g):
     """First cell of g's orbit in row-scan order."""
-    return table.first_cell(basis(g.n, g.d).index_of[g.sort_key])
+    return table.first_cell(rank(g.sort_key))
 
 
 def permutation_matrix(w: Permutation, p: Params) -> DenseOperator:
@@ -70,7 +70,7 @@ def test_pair_table_partitions_the_square():
     assert table.labels.shape == (8, 8)
     assert not table.labels.flags.writeable
     assert sorted(table.graphs, key=lambda g: g.sort_key) == enumerate_graphs(Params(2, 3))
-    assert all(basis(2, 3).index_of[g.sort_key] == label for label, g in enumerate(table.graphs))
+    assert all(rank(g.sort_key) == label for label, g in enumerate(table.graphs))
     sizes = np.bincount(table.labels.ravel(), minlength=len(table.graphs))
     assert sizes.sum() == 64
     assert sizes.min() >= 1
@@ -90,7 +90,7 @@ def test_pair_table_labels_every_cell_by_its_basis_index(p):
     labels = table.labels.tolist()
     for r, a in enumerate(configs):
         for c, b in enumerate(configs):
-            assert labels[r][c] == layer.index_of[pair_graph(a, b).sort_key]
+            assert labels[r][c] == rank(pair_graph(a, b).sort_key)
 
 
 def test_pair_table_keeps_one_shape():
@@ -270,7 +270,7 @@ def test_oracle_product_rejects_a_relabelled_cell(monkeypatch):
     table = pair_table(2, 2)
     broken = copy.copy(table)
     broken.labels = table.labels.copy()
-    broken.labels[0, 0] = basis(2, 2).index_of[(1, 0, 1, 0)]
+    broken.labels[0, 0] = rank((1, 0, 1, 0))
     monkeypatch.setattr(oracle, "pair_table", lambda n, d: broken)
     g1 = BipartiteMultigraph(((0, 1), (0, 1)))
     g2 = BipartiteMultigraph(((0, 0), (2, 0)))
@@ -356,6 +356,18 @@ def test_transposition_indices_built_once_per_shape():
         oracle._transposition_indices.cache_clear()
         assert verify.check_commutant(p).passed
         assert oracle._transposition_indices.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("p", [Params(2, 3), Params(3, 3), Params(2, 5)], ids=str)
+def test_transposition_indices_are_the_renaming_action(p):
+    # the maps are array arithmetic; the reference is the permutation matrix's rows
+    table = pair_table(p.n, p.d)
+    maps = oracle._transposition_indices(p.n, p.d)
+    assert len(maps) == p.d - 1
+    for s, sigma in enumerate(maps, start=1):
+        w = Permutation.transposition(p.d, s, s + 1)
+        assert not sigma.flags.writeable
+        assert sigma.tolist() == [table.index_of[act_on_index(w, index)] for index in table.indices]
 
 
 @pytest.mark.parametrize("p", [Params(2, 3), Params(3, 2)])
