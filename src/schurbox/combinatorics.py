@@ -117,13 +117,18 @@ class Permutation:
         return Permutation(tuple(images))
 
 
-def enumerate_multi_indices(p: Params, cap: int | None = None) -> list[MultiIndex]:
+def enumerate_multi_indices(p: Params) -> list[MultiIndex]:
     """All multi-indices of shape ``p`` in lexicographic order.
 
     This order is the canonical basis order for everything downstream.
     """
-    _check_cap(p.index_count, cap, f"the multi-index set at n={p.n}, d={p.d}")
+    _check_cap(p.index_count, None, f"the multi-index set at n={p.n}, d={p.d}")
     return list(itertools.product(range(1, p.n + 1), repeat=p.d))
+
+
+def index_position(index: Sequence[int], n: int) -> int:
+    """The position of ``index`` in :func:`enumerate_multi_indices` order: Σ (x_k - 1)·n^(d-k)."""
+    return sum((box - 1) * n**k for k, box in enumerate(reversed(index)))
 
 
 def act_on_index(w: Permutation, index: Sequence[int]) -> MultiIndex:

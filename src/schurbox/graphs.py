@@ -41,7 +41,15 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import getitem
 
-from .combinatorics import Configuration, Params, TooLargeError, _check_cap, compositions, to_multi_index
+from .combinatorics import (
+    Configuration,
+    Params,
+    TooLargeError,
+    _check_cap,
+    compositions,
+    to_configuration,
+    to_multi_index,
+)
 
 EdgeLabel = tuple[int, int]
 """A parallel class of edges, as the pair (top vertex, bottom vertex)."""
@@ -49,7 +57,7 @@ EdgeLabel = tuple[int, int]
 ORACLE_CAP = 4096
 """Basis vectors (n**d) the dense oracle takes at most."""
 ORBIT_CAP = 2**17
-"""Orbits, one graph object each: (5,5), (9,3) and (6,4) fit, (8,4)'s 766,480 do not."""
+"""Orbits, one graph each where a suite enumerates them: (5,5), (9,3) and (6,4) fit, (8,4)'s 766,480 do not."""
 CELL_CAP = 2**24
 """Matrix cells (graphs times n**2 each) the graph set holds at most: (32,1)'s 1,048,576 fit."""
 
@@ -290,29 +298,24 @@ def edge_labels(g: BipartiteMultigraph) -> list[EdgeLabel]:
     ]
 
 
+def canonical_indices(g: BipartiteMultigraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The multi-indices of the fixed pair (a, c) with ``pair_graph(a, c) == g``: g read column by column.
+
+    Balls are numbered box by box of c, and entry g[i][j] gives the next
+    g[i][j] balls, from top box j + 1 down to bottom box i + 1.  Any other
+    pair with graph g is a simultaneous renaming of this one.
+    """
+    columns = list(zip(*g.matrix))
+    a = tuple(bottom for column in columns for bottom, k in enumerate(column, start=1) for _ in range(k))
+    c = tuple(top for top, column in enumerate(columns, start=1) for _ in range(sum(column)))
+    return a, c
+
+
 def canonical_configuration(content: Sequence[int]) -> Configuration:
-    """The configuration of given content whose balls are numbered box by box."""
-    boxes = []
-    next_ball = 1
-    for size in content:
-        boxes.append(tuple(range(next_ball, next_ball + size)))
-        next_ball += size
-    return Configuration(tuple(boxes))
+    """The configuration of given content whose balls are numbered box by box: c of its diagonal graph."""
+    return to_configuration(canonical_indices(diagonal_graph(content))[1], len(content))
 
 
 def canonical_pair(g: BipartiteMultigraph) -> tuple[Configuration, Configuration]:
-    """A fixed pair (a, c) with ``pair_graph(a, c) == g``.
-
-    c is the canonical configuration of the top valencies; a sends, within
-    each top box, the smallest balls down to the lowest-numbered bottom box.
-    Any other pair with graph g is a simultaneous renaming of this one.
-    """
-    c = canonical_configuration(g.top_valencies())
-    bottoms: list[list[int]] = [[] for _ in range(g.n)]
-    for j in range(g.n):
-        queue = iter(c.boxes[j])
-        for i in range(g.n):
-            for _ in range(g.matrix[i][j]):
-                bottoms[i].append(next(queue))
-    a = Configuration(tuple(tuple(sorted(box)) for box in bottoms))
-    return a, c
+    """The configurations of :func:`canonical_indices`: c numbers the balls box by box."""
+    return tuple(to_configuration(index, g.n) for index in canonical_indices(g))

@@ -6,8 +6,9 @@ multi-indices, and needs one thing from a dense model: the N×N array that
 gives the orbit label, the basis index of the orbit's graph, of each index
 pair.  :func:`pair_table` builds it in numpy from the multi-indices alone:
 each label is computed by :func:`graphs.rank`'s formula, not looked up, and
-no :func:`graphs.pair_graph` call or graph is made, so the oracle stays
-independent of the combinatorial engines.  Everything else here reads
+no :func:`graphs.pair_graph` call, graph or basis is made, so the oracle
+stays independent of the combinatorial engines.  A graph is counted from
+its cell only when an answer names it.  Everything else here reads
 it: the 0/1 matrix of a basis operator is ``labels == label``, the product
 of two basis operators is one column of middle-index counts, and commuting
 with the renaming action is one reindexing of the grid per adjacent
@@ -26,14 +27,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import Params, enumerate_multi_indices, to_multi_index
+from .combinatorics import Params, index_position
 from .graphs import (
-    ORACLE_CAP,
     BipartiteMultigraph,
-    basis,
-    canonical_configuration,
-    canonical_pair,
+    canonical_indices,
     check_reach,
+    diagonal_graph,
+    graph_count,
     in_reach,
     rank,
     rank_weights,
@@ -76,25 +76,27 @@ class PairTable:
     """The orbit label of every pair of multi-indices of one shape.
 
     ``labels[r, c]`` (a read-only int32 array) is the label of the renaming
-    orbit of the r-th and c-th multi-indices, in multi-index order: the index
-    of its graph in ``graphs``, the tuple that :func:`graphs.basis` holds.
+    orbit of the r-th and c-th multi-indices, in multi-index order: the
+    :func:`graphs.rank` of its graph.  ``digits[r]`` (read-only) is the r-th
+    multi-index with boxes counted from 0, r's digits in base n.
 
     A pair (x, y) puts ball k in cell ``(x_k - 1)·n + (y_k - 1)`` of the
     n×n grid, the flattened matrix's entry (x_k, y_k), and its orbit is the
     multiset of those cells.  Sorted along the balls, the cells are the
     graph's balls in cell order, so the label is the graph's
-    :func:`graphs.rank`, summed ball by ball from :func:`graphs.rank_weights`.
+    :func:`graphs.rank`, summed ball by ball from :func:`graphs.rank_weights`;
+    counted, they are the graph (:meth:`graph`), so the table holds none.
     """
 
     def __init__(self, p: Params):
         check_reach(p)
         self.p = p
-        self.indices = enumerate_multi_indices(p, cap=ORACLE_CAP)
-        self.index_of = {index: k for k, index in enumerate(self.indices)}
-        self.graphs = basis(p.n, p.d).graphs
-        n, d, size = p.n, p.d, len(self.indices)
+        n, d, size = p.n, p.d, p.index_count
         weights = np.array(rank_weights(n * n, d), dtype=np.int32)  # every label is below ORBIT_CAP
-        digits = np.array(self.indices, dtype=np.int32) - 1
+        # C order: the build reads whole rows, which a transposed view made 20% slower at (2,12)
+        digits = np.ascontiguousarray(np.indices((n,) * d, dtype=np.int32).reshape(d, size).T)
+        digits.flags.writeable = False
+        self.digits = digits
         labels = np.empty((size, size), dtype=np.int32)
         block = max(1, _BLOCK_CELLS // (size * d))
         for r in range(0, size, block):
@@ -114,11 +116,18 @@ class PairTable:
 
     @property
     def size(self) -> int:
-        return len(self.indices)
+        return len(self.digits)
 
     def orbit_sizes(self) -> list[int]:
         """The number of cells carrying each label, in label order."""
-        return np.bincount(self.labels.ravel(), minlength=len(self.graphs)).tolist()
+        return np.bincount(self.labels.ravel(), minlength=graph_count(self.p)).tolist()
+
+    def graph(self, r: int, c: int) -> BipartiteMultigraph:
+        """The graph of cell (r, c), its balls counted by cell; counting always gives a valid matrix."""
+        n = self.p.n
+        flat = np.bincount(self.digits[r] * n + self.digits[c], minlength=n * n).tolist()
+        matrix = tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
+        return BipartiteMultigraph._trusted(matrix, n, self.p.d)
 
     def column(self, content: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Column y of the canonical configuration of ``content``, read once per content.
@@ -130,15 +139,11 @@ class PairTable:
         """
         memo = self._columns.get(content)
         if memo is None:
-            orbits = np.ascontiguousarray(self.labels[:, self.canonical_index(content)])
+            orbits = np.ascontiguousarray(self.labels[:, canonical_index(content)])
             memo = self._columns[content] = orbits, *np.unique(orbits, return_index=True, return_inverse=True)
             for array in memo:
                 array.flags.writeable = False
         return memo
-
-    def canonical_index(self, content: tuple[int, ...]) -> int:
-        """The position of the canonical configuration of ``content`` among the multi-indices."""
-        return self.index_of[to_multi_index(canonical_configuration(content))]
 
     def first_cell(self, label: int) -> tuple[int, int]:
         """Row and column of the first cell carrying ``label``, in row-scan order."""
@@ -148,6 +153,12 @@ class PairTable:
 @lru_cache(maxsize=1)
 def pair_table(n: int, d: int) -> PairTable:
     return PairTable(Params(n, d))
+
+
+@lru_cache(maxsize=4096)
+def canonical_index(content: tuple[int, ...]) -> int:
+    """The position of the canonical configuration of ``content`` among the multi-indices, memoized per content."""
+    return index_position(canonical_indices(diagonal_graph(content))[1], len(content))
 
 
 def operator_matrix(g: BipartiteMultigraph) -> DenseOperator:
@@ -164,11 +175,11 @@ def orbit_composition_counts(g: BipartiteMultigraph) -> Counter:
     orbit operator in the product of the operators of basis graphs i and j.
     Each z's label pair is one int64 key ``label_x·G + label_y`` below G² <=
     2^34, and the keys are counted in one sort.  The canonical cell holds the
-    pair that :func:`canonical_pair` gives for g.
+    pair that :func:`graphs.canonical_indices` gives for g.
     """
     table = pair_table(g.n, g.d)
-    x, y = (table.index_of[to_multi_index(config)] for config in canonical_pair(g))
-    size = len(table.graphs)
+    x, y = (index_position(index, g.n) for index in canonical_indices(g))
+    size = graph_count(table.p)
     keys = table.labels[x].astype(np.int64) * size + table.labels[:, y]
     found, counts = np.unique(keys, return_counts=True)
     return Counter({divmod(key, size): count for key, count in zip(found.tolist(), counts.tolist())})
@@ -222,7 +233,7 @@ def decompose(op: DenseOperator) -> AlgebraElement:
 
     The orbits partition all entries, so the expansion exists exactly when
     the matrix is constant on each orbit; the coefficient is read off at
-    each orbit's first cell in row-scan order.
+    each orbit's first cell in row-scan order, and so is the orbit's graph.
     """
     table = pair_table(op.n, op.d)
     labels = table.labels.ravel()
@@ -231,15 +242,14 @@ def decompose(op: DenseOperator) -> AlgebraElement:
     values = entries[first]
     differ = np.flatnonzero(entries != values[labels])
     if len(differ):
-        cell = int(differ[0])
-        label = labels[cell]
-        r0, c0 = divmod(int(first[label]), table.size)
-        r, c = divmod(cell, table.size)
+        r0, c0 = divmod(int(first[labels[differ[0]]]), table.size)
+        r, c = divmod(int(differ[0]), table.size)
         raise NotInSpanError(
-            f"matrix is not constant on the orbit of {table.graphs[label]}: "
+            f"matrix is not constant on the orbit of {table.graph(r, c)}: "
             f"entry {(r0, c0)} is {op.matrix[r0, c0]} but {(r, c)} is {op.matrix[r, c]}"
         )
-    return AlgebraElement(op.n, op.d, [(g, int(value)) for g, value in zip(table.graphs, values) if value])
+    terms = [(divmod(cell, table.size), int(value)) for cell, value in zip(first.tolist(), values) if value]
+    return AlgebraElement(op.n, op.d, [(table.graph(*cell), value) for cell, value in terms])
 
 
 def multiply_basis_oracle(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> AlgebraElement:
@@ -254,25 +264,26 @@ def multiply_basis_oracle(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> A
     exactly when (w, z) lies in that of its transpose, so the count reads
     the middle rows of the grid, not its columns.  The product lies in the
     span of the basis operators, so the column must be constant on each
-    orbit it meets; that value is the orbit's coefficient.  The terms are
-    basis graphs with nonzero int coefficients, so the element is not
-    re-validated.
+    orbit it meets; that value is the orbit's coefficient, and the orbit's
+    graph is that of its first cell.  The terms are graphs counted from
+    cells, with nonzero int coefficients, so the element is not re-validated.
     """
     if (g1.n, g1.d) != (g2.n, g2.d):
         raise ValueError(f"graph shapes differ: ({g1.n},{g1.d}) vs ({g2.n},{g2.d})")
     table = pair_table(g1.n, g1.d)
-    orbits, found, first, inverse = table.column(g2.top_valencies())
+    orbits, _, first, inverse = table.column(g2.top_valencies())
     middle = orbits == rank(g2.sort_key)
     transposed = rank(tuple(itertools.chain.from_iterable(zip(*g1.matrix))))
     column = (table.labels[middle] == transposed).sum(axis=0)
     values = column[first]
+    y = canonical_index(g2.top_valencies())
     differ = (values[inverse] != column).nonzero()[0]
     if len(differ):
         z = int(differ[0])
-        z0, y = int(first[inverse[z]]), table.canonical_index(g2.top_valencies())
+        z0 = int(first[inverse[z]])
         raise NotInSpanError(
-            f"product is not constant on the orbit of {table.graphs[orbits[z]]}: "
+            f"product is not constant on the orbit of {table.graph(z, y)}: "
             f"entry {(z0, y)} is {column[z0]} but {(z, y)} is {column[z]}"
         )
-    terms = {table.graphs[label]: value for label, value in zip(found.tolist(), values.tolist()) if value}
+    terms = {table.graph(z, y): value for z, value in zip(first.tolist(), values.tolist()) if value}
     return AlgebraElement._from_terms(g1.n, g1.d, terms)

@@ -59,7 +59,6 @@ from .graphs import (
     EdgeLabel,
     basis,
     canonical_pair,
-    edge_labels,
     pair_graph,
     rank,
 )
@@ -134,30 +133,19 @@ def _vertex_moves(
 def _label_pairings(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> Iterator[dict[Pair, int]]:
     """All ways to pair parallel classes across the middle row, with counts.
 
-    At each middle vertex the g2 classes arriving from above and the g1
-    classes leaving below form a small contingency table whose margins are
-    the class multiplicities; per-vertex tables combine freely.  Yields
-    {(g2 label, g1 label): count} maps, exactly the label-level shadows of
-    Euler functions.
+    At each middle vertex v the pairings are :func:`_vertex_moves` of row v
+    of g2 and column v of g1, and per-vertex moves combine freely.  An entry
+    k at cell s·n + t pairs the g2 class (t + 1, v) with the g1 class
+    (v, s + 1).  Yields {(g2 label, g1 label): count} maps, exactly the
+    label-level shadows of Euler functions.
     """
-    fragment_lists = []
-    for v in range(1, g1.n + 1):
-        rows = [(label, g2.matrix[label[1] - 1][label[0] - 1]) for label in edge_labels(g2) if label[1] == v]
-        cols = [(label, g1.matrix[label[1] - 1][label[0] - 1]) for label in edge_labels(g1) if label[0] == v]
-        fragments = []
-        for table in _tables(tuple(m for _, m in rows), tuple(m for _, m in cols)):
-            fragment = {}
-            for (row_label, _), counts in zip(rows, table):
-                for (col_label, _), count in zip(cols, counts):
-                    if count:
-                        fragment[(row_label, col_label)] = count
-            fragments.append(fragment)
-        fragment_lists.append(fragments)
-    for combo in itertools.product(*fragment_lists):
-        merged: dict[Pair, int] = {}
-        for fragment in combo:
-            merged.update(fragment)
-        yield merged
+    n = g1.n
+    for moves in itertools.product(*map(_vertex_moves, g2.matrix, zip(*g1.matrix))):
+        yield {
+            ((cell % n + 1, v), (v, cell // n + 1)): k
+            for v, move in enumerate(moves, start=1)
+            for cell, k in move
+        }
 
 
 def _arrangements(multiset: Counter) -> Iterator[tuple]:
@@ -200,12 +188,11 @@ def enumerate_word_matrices(g1: BipartiteMultigraph, g2: BipartiteMultigraph) ->
     _check_same_shape(g1, g2)
     n = g1.n
     for pairing in _label_pairings(g1, g2):
-        entry_multisets = [[Counter() for _ in range(n)] for _ in range(n)]
+        entries = [Counter() for _ in range(n * n)]  # entry (s, t) at s * n + t
         for (label2, label1), count in pairing.items():
-            entry_multisets[label1[1] - 1][label2[0] - 1][(label2, label1)] += count
-        per_entry = [list(_arrangements(entry_multisets[s][t])) for s in range(n) for t in range(n)]
-        for choice in itertools.product(*per_entry):
-            yield WordMatrix(tuple(tuple(choice[s * n + t] for t in range(n)) for s in range(n)))
+            entries[(label1[1] - 1) * n + label2[0] - 1][(label2, label1)] = count
+        for choice in itertools.product(*map(_arrangements, entries)):
+            yield WordMatrix(tuple(choice[s * n : (s + 1) * n] for s in range(n)))
 
 
 def multiply_basis_mendez(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> AlgebraElement:

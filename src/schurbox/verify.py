@@ -1,15 +1,16 @@
 """Cross-check suites: every consistency property the tool promises, at one shape.
 
 Each suite returns a :class:`CheckResult`; a failure carries the first
-counterexample fully serialized so it can be replayed by hand.  All suites
-read the graphs of :func:`graphs.basis`, enumerated once, and
-:func:`run_checks` raises any size refusal of a selected suite before the
-first suite starts.  The suites that read the dense oracle (``commutant``,
-``t-basis``, and ``engines`` at a shape in its reach) import it, and numpy
-with it, when they run.  ``assoc`` and ``identity`` work on the graphs and
-configurations themselves, through :func:`structconst.euler_fold` (and
-:func:`apply_basis` for ``identity``'s basis vectors); ``assoc`` builds no
-element, and ``identity`` none but the identity it checks.  What the suites
+counterexample fully serialized so it can be replayed by hand.  Every suite
+but a passing ``commutant`` reads the graphs of :func:`graphs.basis`,
+enumerated once, and :func:`run_checks` raises any size refusal of a
+selected suite before the first suite starts.  The suites that read the
+dense oracle (``commutant``, ``t-basis``, and ``engines`` at a shape in its
+reach) import it, and numpy with it, when they run.  ``assoc`` and
+``identity`` work on the graphs and configurations themselves, through
+:func:`structconst.euler_fold` (and :func:`apply_basis` for ``identity``'s
+basis vectors); ``assoc`` builds no element, and ``identity`` none but the
+identity it checks.  What the suites
 build from valid inputs (pair graphs, enumerated configurations, the
 referees' products) skips the constructors' checks, so they pay for the
 arithmetic they check rather than for re-validation.
@@ -33,7 +34,6 @@ from .combinatorics import (
     _check_cap,
     compositions,
     enumerate_configurations,
-    to_multi_index,
 )
 from .graphs import (
     basis,
@@ -109,7 +109,6 @@ def check_orbit_bijection(p: Params) -> CheckResult:
 def check_commutant(p: Params, corrupt: bool = False) -> CheckResult:
     from . import oracle
 
-    graphs = basis(p.n, p.d).graphs
     table = oracle.pair_table(p.n, p.d)
     if corrupt:
         # deliberately relabel the first cell of the first orbit with two or
@@ -118,32 +117,26 @@ def check_commutant(p: Params, corrupt: bool = False) -> CheckResult:
         label = next((k for k, size in enumerate(table.orbit_sizes()) if size >= 2), None)
         if label is None:
             raise ValueError(f"nothing to corrupt: no orbit at n={p.n}, d={p.d} has two or more cells")
-        g, (r, c) = graphs[label], table.first_cell(label)
+        r, c = table.first_cell(label)
+        g = table.graph(r, c)
         broken = table.labels.copy()
         broken[r, c] = -1
         if not oracle.commutes_with_renaming(oracle.DenseOperator(p.n, p.d, broken)):
-            counterexample = serialize.dumps(
-                {"corrupted": serialize.graph_record(g), "cleared-entry": [r, c]}
-            )
-            return CheckResult(
-                "commutant",
-                False,
-                f"self-test: corrupted operator for {g} no longer commutes",
-                counterexample,
-            )
+            counterexample = serialize.dumps({"corrupted": serialize.graph_record(g), "cleared-entry": [r, c]})
+            detail = f"self-test: corrupted operator for {g} no longer commutes"
+            return CheckResult("commutant", False, detail, counterexample)
         return CheckResult("commutant", False, "self-test failed to detect the corruption", None)
-    # one check on the label grid covers every basis operator: they partition the square
-    if not oracle.commutes_with_renaming(oracle.DenseOperator(p.n, p.d, table.labels)):
-        g = next(g for g in graphs if not oracle.check_commutant(g))
-        return CheckResult(
-            "commutant",
-            False,
-            f"operator of {g} does not commute with renaming",
-            serialize.dumps(serialize.graph_record(g)),
-        )
-    return CheckResult(
-        "commutant", True, f"{len(graphs)} operators x {max(p.d - 1, 0)} generators", None
-    )
+    # one check on the label grid covers every basis operator: they partition the square.  An operator
+    # fails when a transposition moves one of its cells to another label, so the first to fail in
+    # basis order carries the least label of a moved cell
+    labels = table.labels
+    if not oracle.commutes_with_renaming(oracle.DenseOperator(p.n, p.d, labels)):
+        maps = oracle._transposition_indices(p.n, p.d)
+        label = min(labels[moved].min() for moved in (labels[s][:, s] != labels for s in maps) if moved.any())
+        g = basis(p.n, p.d).graphs[label]
+        detail = f"operator of {g} does not commute with renaming"
+        return CheckResult("commutant", False, detail, serialize.dumps(serialize.graph_record(g)))
+    return CheckResult("commutant", True, f"{graph_count(p)} operators x {max(p.d - 1, 0)} generators", None)
 
 
 def _sample(p: Params, k: int, limit: int, size: int, seed: int) -> tuple[list[tuple], str]:
@@ -270,12 +263,12 @@ def check_t_basis(p: Params) -> CheckResult:
 
     graphs = basis(p.n, p.d).graphs
     table = oracle.pair_table(p.n, p.d)
-    configs = enumerate_configurations(p)  # in the order of table.indices, the multi-indices
+    configs = enumerate_configurations(p)  # in multi-index order, the grid's
     # pair_graph is renaming-invariant, so on a grid that commutes with renaming
     # the canonical rows stand for every cell; any other grid is read in full
     rows = range(table.size)
     if oracle.commutes_with_renaming(oracle.DenseOperator(p.n, p.d, table.labels)):
-        rows = [table.index_of[to_multi_index(a)] for a in _canonical_rows(p)]
+        rows = [oracle.canonical_index(content) for content in compositions(p.d, p.n)]
     differ = set()
     for r in rows:
         a = configs[r]

@@ -17,6 +17,7 @@ from schurbox.combinatorics import (
     Configuration,
     Params,
     enumerate_configurations,
+    enumerate_multi_indices,
     to_configuration,
     to_multi_index,
 )
@@ -32,7 +33,6 @@ from schurbox.oracle import (
     multiply_basis_oracle,
     operator_matrix,
     orbit_composition_count,
-    pair_table,
 )
 from schurbox.structconst import (
     enumerate_word_matrices,
@@ -147,8 +147,8 @@ def test_08_orbit_sum_basis_consistency():
     started = time.monotonic()
     p = Params(2, 2)
     graphs = enumerate_graphs(p)
-    table = pair_table(p.n, p.d)
-    configs = [to_configuration(index, p.n) for index in table.indices]
+    indices = enumerate_multi_indices(p)
+    configs = [to_configuration(index, p.n) for index in indices]
     for g in graphs:
         expected = [[int(pair_graph(a, b) == g) for b in configs] for a in configs]
         assert operator_matrix(g).matrix.tolist() == expected
@@ -156,8 +156,8 @@ def test_08_orbit_sum_basis_consistency():
         product = operator_matrix(g1) @ operator_matrix(g2)
         for g in graphs:
             a, c = canonical_pair(g)
-            x = table.index_of[to_multi_index(a)]
-            y = table.index_of[to_multi_index(c)]
+            x = indices.index(to_multi_index(a))
+            y = indices.index(to_multi_index(c))
             assert orbit_composition_count(g1, g2, g) == product.matrix[x, y]
     report(8, 60, started, "orbit-sum matrices and middle-index counts match matrix products")
 

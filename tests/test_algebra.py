@@ -25,10 +25,11 @@ from schurbox.combinatorics import (
     Params,
     TooLargeError,
     enumerate_configurations,
+    enumerate_multi_indices,
     to_configuration,
 )
 from schurbox.graphs import BipartiteMultigraph, canonical_configuration, diagonal_graph, enumerate_graphs
-from schurbox.oracle import operator_matrix, pair_table
+from schurbox.oracle import operator_matrix
 
 G1 = BipartiteMultigraph(((2, 1), (0, 1)))
 
@@ -184,7 +185,7 @@ def test_apply_basis_diagonal_fixes():
 def test_apply_basis_matches_oracle_columns():
     # the preimage set of b is exactly the 1-entries of b's operator column
     p = Params(2, 3)
-    configs = [to_configuration(index, p.n) for index in pair_table(p.n, p.d).indices]
+    configs = [to_configuration(index, p.n) for index in enumerate_multi_indices(p)]
     for g in enumerate_graphs(p):
         op = operator_matrix(g)
         for y, b in enumerate(configs):

@@ -16,6 +16,7 @@ from schurbox.combinatorics import (
     compositions,
     enumerate_configurations,
     enumerate_multi_indices,
+    index_position,
     to_configuration,
     to_multi_index,
 )
@@ -97,9 +98,15 @@ def test_enumerate_multi_indices_lex():
     assert len(indices) == 9
 
 
+@pytest.mark.parametrize("p", [Params(1, 1), Params(2, 3), Params(3, 3), Params(2, 5)], ids=str)
+def test_index_position_inverts_enumeration_order(p):
+    indices = enumerate_multi_indices(p)
+    assert [index_position(index, p.n) for index in indices] == list(range(len(indices)))
+
+
 def test_enumeration_cap():
     with pytest.raises(TooLargeError):
-        enumerate_multi_indices(Params(10, 10), cap=100)
+        enumerate_multi_indices(Params(2, 20))
     with pytest.raises(TooLargeError):
         enumerate_configurations(Params(2, 30))
 

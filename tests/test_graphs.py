@@ -20,6 +20,7 @@ from schurbox.graphs import (
     ORBIT_CAP,
     BipartiteMultigraph,
     canonical_configuration,
+    canonical_indices,
     canonical_pair,
     diagonal_graph,
     edge_labels,
@@ -215,6 +216,17 @@ def test_canonical_pair_example():
     a, c = canonical_pair(BipartiteMultigraph(((2, 1), (1, 0))))
     assert c.word() == "|123|4|"
     assert a.word() == "|124|3|"
+
+
+@pytest.mark.parametrize("p", SHAPES + (Params(3, 3), Params(1, 3), Params(3, 1)), ids=str)
+def test_canonical_indices_read_the_graph_column_by_column(p):
+    # c sorted is the canonical configuration; within a box of c, a never decreases
+    for g in enumerate_graphs(p):
+        a, c = canonical_indices(g)
+        assert pair_graph(to_configuration(a, p.n), to_configuration(c, p.n)) == g
+        assert list(c) == sorted(c)
+        assert all(a[s] <= a[s + 1] for s in range(p.d - 1) if c[s] == c[s + 1])
+        assert canonical_pair(g) == (to_configuration(a, p.n), to_configuration(c, p.n))
 
 
 def test_canonical_pair_realizes_every_graph():

@@ -19,12 +19,12 @@ from schurbox.combinatorics import (
     TooLargeError,
     act_on_index,
     enumerate_multi_indices,
+    index_position,
     to_configuration,
 )
-from schurbox.graphs import BipartiteMultigraph, basis, enumerate_graphs, pair_graph, rank
+from schurbox.graphs import ORACLE_CAP, BipartiteMultigraph, basis, enumerate_graphs, pair_graph, rank
 from schurbox.structconst import multiply_basis_counting, multiply_basis_euler
 from schurbox.oracle import (
-    ORACLE_CAP,
     DenseOperator,
     NotInSpanError,
     check_commutant,
@@ -45,7 +45,7 @@ G4 = BipartiteMultigraph(((2, 1), (1, 0)))
 
 
 def _configs(table):
-    return [to_configuration(index, table.p.n) for index in table.indices]
+    return [to_configuration(index, table.p.n) for index in enumerate_multi_indices(table.p)]
 
 
 def _first_cell(table, g):
@@ -59,8 +59,8 @@ def permutation_matrix(w: Permutation, p: Params) -> DenseOperator:
         raise ValueError(f"permutation degree {w.degree} does not match d={p.d}")
     table = pair_table(p.n, p.d)
     m = np.zeros((table.size, table.size), dtype=object)
-    for col, index in enumerate(table.indices):
-        m[table.index_of[act_on_index(w, index)], col] = 1
+    for col, index in enumerate(enumerate_multi_indices(p)):
+        m[index_position(act_on_index(w, index), p.n), col] = 1
     return DenseOperator(p.n, p.d, m)
 
 
@@ -69,23 +69,26 @@ def test_pair_table_partitions_the_square():
     assert table.size == 8
     assert table.labels.shape == (8, 8)
     assert not table.labels.flags.writeable
-    assert sorted(table.graphs, key=lambda g: g.sort_key) == enumerate_graphs(Params(2, 3))
-    assert all(rank(g.sort_key) == label for label, g in enumerate(table.graphs))
-    sizes = np.bincount(table.labels.ravel(), minlength=len(table.graphs))
+    assert not table.digits.flags.writeable
+    graphs = basis(2, 3).graphs
+    assert sorted(graphs, key=lambda g: g.sort_key) == enumerate_graphs(Params(2, 3))
+    assert all(rank(g.sort_key) == label for label, g in enumerate(graphs))
+    sizes = np.bincount(table.labels.ravel(), minlength=len(graphs))
     assert sizes.sum() == 64
     assert sizes.min() >= 1
     configs = _configs(table)
     for r, c in itertools.product(range(table.size), repeat=2):
-        assert pair_graph(configs[r], configs[c]) == table.graphs[table.labels[r, c]]
+        assert pair_graph(configs[r], configs[c]) == graphs[table.labels[r, c]]
 
 
 @pytest.mark.parametrize("p", [Params(2, 3), Params(3, 2)], ids=str)
 def test_pair_table_labels_every_cell_by_its_basis_index(p):
-    # the oracle shares the basis's graphs and numbering: it builds no graphs of its own
+    # the oracle shares the basis's numbering, but neither builds the basis nor holds a graph
+    basis.cache_clear()
     pair_table.cache_clear()
     table = pair_table(p.n, p.d)
-    layer = basis(p.n, p.d)
-    assert table.graphs is layer.graphs
+    assert basis.cache_info().currsize == 0
+    assert sorted(vars(table)) == ["_columns", "digits", "labels", "p"]
     configs = _configs(table)
     labels = table.labels.tolist()
     for r, a in enumerate(configs):
@@ -93,9 +96,19 @@ def test_pair_table_labels_every_cell_by_its_basis_index(p):
             assert labels[r][c] == rank(pair_graph(a, b).sort_key)
 
 
+@pytest.mark.parametrize("p", [Params(2, 3), Params(3, 3), Params(2, 5)], ids=str)
+def test_pair_table_counts_each_cells_graph(p):
+    # the checking constructor rejects any entry that is not a plain int
+    table = pair_table(p.n, p.d)
+    graphs = basis(p.n, p.d).graphs
+    for r, c in itertools.product(range(table.size), repeat=2):
+        g = table.graph(r, c)
+        assert g == graphs[table.labels[r, c]] == BipartiteMultigraph(g.matrix)
+        assert (g.n, g.d) == (p.n, p.d)
+
+
 def test_pair_table_keeps_one_shape():
-    # a cached table holds its basis's graphs and its column memo, so an
-    # older shape's must go with it
+    # a cached table holds its column memo, so an older shape's must go with it
     pair_table.cache_clear()
     layer = basis(2, 3)
     multiply_basis_oracle(layer.graphs[0], layer.graphs[0])
@@ -138,7 +151,7 @@ def test_in_reach_bounds_vectors_and_orbits(shape, reached):
 
 def test_orbit_cap_refuses_before_allocating():
     # 16^3 = 4096 vectors is within the vector cap, but C(258, 3) = 2,829,056
-    # orbits would each need a graph object
+    # orbits would each be a graph for the suites that read the grid
     assert Params(16, 3).index_count == ORACLE_CAP
     pair_table.cache_clear()
     tracemalloc.start()
@@ -167,23 +180,25 @@ def test_label_grid_matches_orbit_keys():
     # the orbit key of (x, y) counts the positions k with (x_k, y_k) == (i, j)
     indices = enumerate_multi_indices(Params(2, 3))
     table = pair_table(2, 3)
-    assert table.indices == indices
+    assert table.digits.tolist() == [[i - 1 for i in index] for index in indices]
+    graphs = basis(2, 3).graphs
     for r, x in enumerate(indices):
         for c, y in enumerate(indices):
             counts = [[0, 0], [0, 0]]
             for i, j in zip(x, y):
                 counts[i - 1][j - 1] += 1
-            assert table.graphs[table.labels[r, c]].matrix == tuple(map(tuple, counts))
+            assert graphs[table.labels[r, c]].matrix == tuple(map(tuple, counts))
 
 
 @pytest.mark.parametrize("p", [Params(2, 3), Params(3, 2)])
 def test_label_grid_matches_pair_graph_on_every_cell(p):
     table = pair_table(p.n, p.d)
+    graphs = basis(p.n, p.d).graphs
     configs = _configs(table)
     cells = 0
     for r, a in enumerate(configs):
         for c, b in enumerate(configs):
-            assert table.graphs[table.labels[r, c]] == pair_graph(a, b)
+            assert graphs[table.labels[r, c]] == pair_graph(a, b)
             cells += 1
     assert cells == p.index_count**2
 
@@ -361,13 +376,13 @@ def test_transposition_indices_built_once_per_shape():
 @pytest.mark.parametrize("p", [Params(2, 3), Params(3, 3), Params(2, 5)], ids=str)
 def test_transposition_indices_are_the_renaming_action(p):
     # the maps are array arithmetic; the reference is the permutation matrix's rows
-    table = pair_table(p.n, p.d)
+    indices = enumerate_multi_indices(p)
     maps = oracle._transposition_indices(p.n, p.d)
     assert len(maps) == p.d - 1
     for s, sigma in enumerate(maps, start=1):
         w = Permutation.transposition(p.d, s, s + 1)
         assert not sigma.flags.writeable
-        assert sigma.tolist() == [table.index_of[act_on_index(w, index)] for index in table.indices]
+        assert sigma.tolist() == [indices.index(act_on_index(w, index)) for index in indices]
 
 
 @pytest.mark.parametrize("p", [Params(2, 3), Params(3, 2)])

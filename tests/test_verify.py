@@ -17,6 +17,8 @@ from schurbox.combinatorics import (
     TooLargeError,
     compositions,
     enumerate_configurations,
+    enumerate_multi_indices,
+    index_position,
     to_configuration,
     to_multi_index,
 )
@@ -243,7 +245,7 @@ def test_t_basis_names_a_relabelled_cell(monkeypatch):
     p = Params(2, 3)
     graphs = enumerate_graphs(p)
     table = oracle.pair_table(p.n, p.d)
-    was = table.graphs[table.labels[0, 2]]
+    was = graphs[table.labels[0, 2]]
     now = next(g for g in graphs if g != was)
     broken = copy.copy(table)
     broken.labels = table.labels.copy()
@@ -292,7 +294,7 @@ def test_canonical_rows_and_renaming_reach_every_cell(p):
     table = oracle.pair_table(p.n, p.d)
     reached = np.zeros((table.size, table.size), dtype=bool)
     for a in _canonical_rows(p):
-        reached[table.index_of[to_multi_index(a)]] = True
+        reached[index_position(to_multi_index(a), p.n)] = True
     while True:
         grown = reached.copy()
         for sigma in oracle._transposition_indices(p.n, p.d):
@@ -306,8 +308,9 @@ def test_canonical_rows_and_renaming_reach_every_cell(p):
 @pytest.mark.parametrize("p", CUT_SHAPES, ids=str)
 def test_orbit_composition_counts_match_the_zip_reference(p):
     table = oracle.pair_table(p.n, p.d)
+    indices = enumerate_multi_indices(p)
     for g in enumerate_graphs(p):
-        x, y = (table.index_of[to_multi_index(config)] for config in canonical_pair(g))
+        x, y = (indices.index(to_multi_index(config)) for config in canonical_pair(g))
         reference = Counter(zip(table.labels[x].tolist(), table.labels[:, y].tolist()))
         assert oracle.orbit_composition_counts(g) == reference
 
@@ -355,10 +358,11 @@ def test_a_merged_pair_graph_fails_the_smaller_sweeps(monkeypatch, p):
 def test_a_transposed_pair_graph_fails_the_smaller_grid_sweep(monkeypatch):
     p = Params(2, 3)
     table = oracle.pair_table(p.n, p.d)
-    configs = [to_configuration(index, p.n) for index in table.indices]
+    graphs = basis(p.n, p.d).graphs
+    configs = [to_configuration(index, p.n) for index in enumerate_multi_indices(p)]
     # the full sweep caught it on some cell
     assert any(
-        _transposing(a, b) != table.graphs[label]
+        _transposing(a, b) != graphs[label]
         for a, row in zip(configs, table.labels.tolist())
         for b, label in zip(configs, row)
     )
@@ -374,7 +378,7 @@ def test_t_basis_reads_every_row_of_a_grid_that_does_not_commute(monkeypatch):
     # two cells off the canonical rows swap labels: only the full read sees which
     p = Params(2, 3)
     table = oracle.pair_table(p.n, p.d)
-    rows = {table.index_of[to_multi_index(a)] for a in _canonical_rows(p)}
+    rows = {index_position(to_multi_index(a), p.n) for a in _canonical_rows(p)}
     r = next(r for r in range(table.size) if r not in rows)
     c1, c2 = next(
         (c1, c2)
@@ -387,10 +391,101 @@ def test_t_basis_reads_every_row_of_a_grid_that_does_not_commute(monkeypatch):
     broken.labels[r, c1], broken.labels[r, c2] = table.labels[r, c2], table.labels[r, c1]
     monkeypatch.setattr(oracle, "pair_table", lambda n, d: broken)
     graphs = enumerate_graphs(p)
-    g = min(table.graphs[table.labels[r, c1]], table.graphs[table.labels[r, c2]], key=graphs.index)
+    g = min(graphs[table.labels[r, c1]], graphs[table.labels[r, c2]], key=graphs.index)
     result = check_t_basis(p)
     assert not result.passed
     assert result.detail == f"orbit and configuration matrices differ at {g}"
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("built an operator matrix")
+
+
+def test_commutant_names_the_least_moved_label_of_a_grid_that_does_not_commute(monkeypatch):
+    # two cells off the canonical rows swap labels: the smaller label's operator fails first
+    p = Params(2, 3)
+    table = oracle.pair_table(p.n, p.d)
+    rows = {index_position(to_multi_index(a), p.n) for a in _canonical_rows(p)}
+    r = next(r for r in range(table.size) if r not in rows)
+    c1, c2 = next(
+        (c1, c2)
+        for c1 in range(table.size)
+        for c2 in range(table.size)
+        if table.labels[r, c1] != table.labels[r, c2]
+    )
+    broken = copy.copy(table)
+    broken.labels = table.labels.copy()
+    broken.labels[r, c1], broken.labels[r, c2] = table.labels[r, c2], table.labels[r, c1]
+    monkeypatch.setattr(oracle, "pair_table", lambda n, d: broken)
+    monkeypatch.setattr(oracle, "operator_matrix", _refused)
+    g = basis(p.n, p.d).graphs[min(table.labels[r, c1], table.labels[r, c2])]
+    result = check_commutant(p)
+    assert not result.passed
+    assert result.detail == f"operator of {g} does not commute with renaming"
+    assert graph_from_record(json.loads(result.counterexample)) == g
+
+
+def test_commutant_takes_the_least_moved_label_over_every_transposition(monkeypatch):
+    # cell a is moved only by the second transposition and cell b only by the
+    # first; both take the top label, so each transposition sees a different least label
+    p = Params(2, 3)
+    table = oracle.pair_table(p.n, p.d)
+    a = (index_position((1, 1, 2), p.n), index_position((2, 2, 1), p.n))
+    b = (index_position((1, 2, 2), p.n), index_position((2, 1, 1), p.n))
+    broken = copy.copy(table)
+    broken.labels = table.labels.copy()
+    broken.labels[a] = broken.labels[b] = graph_count(p) - 1
+    monkeypatch.setattr(oracle, "pair_table", lambda n, d: broken)
+    graphs = enumerate_graphs(p)
+    first = next(g for g in graphs if not oracle.check_commutant(g))
+    assert first == min(table.graph(*a), table.graph(*b), key=graphs.index)
+    monkeypatch.setattr(oracle, "operator_matrix", _refused)
+    assert check_commutant(p).detail == f"operator of {first} does not commute with renaming"
+
+
+@pytest.mark.parametrize("p", [Params(2, 3), Params(3, 2), Params(2, 4), Params(3, 3)], ids=str)
+def test_commutant_names_the_graph_the_basis_order_search_finds(monkeypatch, p):
+    # the reference walks the basis, building each operator's matrix until one fails
+    table = oracle.pair_table(p.n, p.d)
+    graphs = enumerate_graphs(p)
+    rng = random.Random(0)
+    for _ in range(8):
+        (r1, c1), (r2, c2) = (divmod(rng.randrange(table.size**2), table.size) for _ in range(2))
+        broken = copy.copy(table)
+        broken.labels = table.labels.copy()
+        broken.labels[r1, c1], broken.labels[r2, c2] = table.labels[r2, c2], table.labels[r1, c1]
+        with monkeypatch.context() as patched:
+            patched.setattr(oracle, "pair_table", lambda n, d: broken)
+            first = next((g for g in graphs if not oracle.check_commutant(g)), None)
+            patched.setattr(oracle, "operator_matrix", _refused)
+            result = check_commutant(p)
+        assert result.passed is (first is None)
+        if first is not None:
+            assert result.detail == f"operator of {first} does not commute with renaming"
+
+
+def test_the_oracle_and_commutant_enumerate_no_graph(monkeypatch):
+    # as in test_a_full_run_enumerates_the_basis_once, graphs.compositions
+    # counts every enumeration of the graph set
+    calls = []
+
+    def counted(total, parts):
+        calls.append((total, parts))
+        return compositions(total, parts)
+
+    monkeypatch.setattr("schurbox.graphs.compositions", counted)
+    basis.cache_clear()
+    oracle.pair_table.cache_clear()
+    p = Params(3, 3)
+    oracle.pair_table(p.n, p.d)
+    g1 = BipartiteMultigraph(((1, 1, 0), (0, 0, 1), (0, 0, 0)))
+    g2 = BipartiteMultigraph(((1, 0, 0), (0, 1, 0), (0, 1, 0)))
+    assert oracle.multiply_basis_oracle(g1, g2) == structconst.multiply_basis_euler(g1, g2)
+    assert oracle.decompose(oracle.operator_matrix(g1)) == AlgebraElement.basis(g1)
+    assert check_commutant(p).passed
+    assert not check_commutant(p, corrupt=True).passed
+    assert calls == []
+    assert basis.cache_info().currsize == 0
 
 
 def _wrong_fold(monkeypatch, left, right, counts):
