@@ -23,10 +23,7 @@ from .combinatorics import (
     Configuration,
     ConfigurationError,
     Params,
-    Permutation,
     TooLargeError,
-    act_on_configuration,
-    act_on_index,
     compositions,
     enumerate_configurations,
     enumerate_multi_indices,
@@ -76,10 +73,7 @@ __all__ = [
     "Configuration",
     "ConfigurationError",
     "Params",
-    "Permutation",
     "TooLargeError",
-    "act_on_configuration",
-    "act_on_index",
     "compositions",
     "enumerate_configurations",
     "enumerate_multi_indices",

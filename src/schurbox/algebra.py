@@ -31,10 +31,10 @@ import itertools
 import math
 import sys
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from functools import lru_cache
 
-from .combinatorics import Configuration, Params, _check_cap, compositions, to_multi_index
+from .combinatorics import Configuration, Params, _check_cap, column_arrangements, compositions, to_multi_index
 from .graphs import BipartiteMultigraph, diagonal_graph
 
 # the engine roster: name -> (module, product function of two basis graphs)
@@ -227,43 +227,28 @@ class AlgebraElement(_Combination):
         return NotImplemented
 
 
-def _splits(balls: tuple[int, ...], sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Ways of splitting ``balls`` into ordered blocks of the given sizes."""
-    if len(sizes) <= 1:
-        yield (tuple(balls),) if sizes else ()
-        return
-    for head in itertools.combinations(balls, sizes[0]):
-        taken = set(head)
-        rest = tuple(ball for ball in balls if ball not in taken)
-        for tail in _splits(rest, sizes[1:]):
-            yield (head,) + tail
-
-
 def apply_basis(g: BipartiteMultigraph, b: Configuration) -> set[Configuration]:
     """All configurations reached by sending each ball of b down an edge of g.
 
-    Each of the d edges carries exactly one ball: the balls in box j of b are
-    split among the bottom boxes according to column j of the multiplicity
-    matrix.  Equivalently this is the set of all a with pair_graph(a, b) == g.
-    Empty when the top valencies of g differ from the content of b.
+    Each of the d edges carries exactly one ball: in each choice of
+    :func:`combinatorics.column_arrangements`, place k of b's box j goes to
+    bottom box ``choice[j][k]``.  Equivalently this is the set of all a with
+    pair_graph(a, b) == g; empty when the top valencies of g differ from the
+    content of b.  Balls are placed in increasing order, so every box comes
+    out increasing and the images skip re-validation.
     """
     if (g.n, g.d) != (b.n, b.d):
         raise ValueError(f"shape mismatch: graph ({g.n},{g.d}) vs configuration ({b.n},{b.d})")
     if g.top_valencies() != b.content():
         return set()
-    per_box = []
-    for j in range(g.n):
-        sizes = tuple(g.matrix[i][j] for i in range(g.n))
-        per_box.append(list(_splits(b.boxes[j], sizes)))
+    # (ball, top box, place in it), in ball order
+    places = sorted((ball, j, k) for j, box in enumerate(b.boxes) for k, ball in enumerate(box))
     out = set()
-    for choice in itertools.product(*per_box):
-        boxes = []
-        for i in range(g.n):
-            merged: list[int] = []
-            for blocks in choice:
-                merged.extend(blocks[i])
-            boxes.append(tuple(sorted(merged)))
-        out.add(Configuration(tuple(boxes)))
+    for choice in itertools.product(*map(column_arrangements, zip(*g.matrix))):
+        boxes: list[list[int]] = [[] for _ in range(g.n)]
+        for ball, j, k in places:
+            boxes[choice[j][k]].append(ball)
+        out.add(Configuration._trusted(tuple(map(tuple, boxes))))
     return out
 
 

@@ -1,4 +1,4 @@
-"""Multi-indices, balls-in-boxes configurations, and the ball-renaming action.
+"""Multi-indices, balls-in-boxes configurations, and the arrangements of a graph's columns.
 
 A multi-index of degree d over n boxes is a tuple (i_1, ..., i_d) with every
 entry between 1 and n.  Putting ball s into box i_s identifies multi-indices
@@ -22,21 +22,23 @@ The symmetric group of degree d acts on multi-indices by place permutation,
     w . (i_1, ..., i_d)  =  (i_w(1), ..., i_w(d)),
 
 equivalently on configurations by renaming the balls; the identification
-above intertwines the two actions.
+above intertwines the two actions.  ``oracle._transposition_indices``
+implements the action for the package, one adjacent transposition at a time.
 
->>> w = Permutation((2, 3, 1))
->>> act_on_index(w, (1, 1, 2))
-(1, 2, 1)
+:func:`column_arrangements` lists the ways a basis operator sends the balls
+of box j down column j of its graph; ``algebra.apply_basis`` and the
+``structconst`` engines walk their product over the columns.
+
 >>> to_configuration((1, 1, 1, 2), n=2).word()
 '|123|4|'
->>> act_on_configuration(Permutation.transposition(4, 3, 4), Configuration.from_word("|123|4|")).word()
-'|124|3|'
 """
 
 import itertools
 import operator
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -76,47 +78,6 @@ class Params:
         return self.n**self.d
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {1, ..., d}, stored as its image tuple (w(1), ..., w(d))."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images!r}")
-
-    @classmethod
-    def identity(cls, d: int) -> "Permutation":
-        return cls(tuple(range(1, d + 1)))
-
-    @classmethod
-    def transposition(cls, d: int, s: int, t: int) -> "Permutation":
-        """The permutation of {1, ..., d} that swaps s and t."""
-        images = list(range(1, d + 1))
-        images[s - 1], images[t - 1] = t, s
-        return cls(tuple(images))
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, s: int) -> int:
-        return self.images[s - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # composition convention matching the index action:
-        #   (w1 * w2) . index == w1 . (w2 . index)
-        return Permutation(act_on_index(self, other.images))
-
-    def inverse(self) -> "Permutation":
-        images = [0] * self.degree
-        for s, image in enumerate(self.images, start=1):
-            images[image - 1] = s
-        return Permutation(tuple(images))
-
-
 def enumerate_multi_indices(p: Params) -> list[MultiIndex]:
     """All multi-indices of shape ``p`` in lexicographic order.
 
@@ -129,15 +90,6 @@ def enumerate_multi_indices(p: Params) -> list[MultiIndex]:
 def index_position(index: Sequence[int], n: int) -> int:
     """The position of ``index`` in :func:`enumerate_multi_indices` order: Σ (x_k - 1)·n^(d-k)."""
     return sum((box - 1) * n**k for k, box in enumerate(reversed(index)))
-
-
-def act_on_index(w: Permutation, index: Sequence[int]) -> MultiIndex:
-    """Place permutation: entry s of the result is entry w(s) of ``index``."""
-    if w.degree != len(index):
-        raise ValueError(
-            f"degree mismatch: permutation of 1..{w.degree} cannot act on a length-{len(index)} index"
-        )
-    return tuple(index[w(s) - 1] for s in range(1, w.degree + 1))
 
 
 @dataclass(frozen=True)
@@ -217,11 +169,6 @@ class Configuration:
             raise ConfigurationError(f"expected {d} balls, found {config.d}: {word!r}")
         return config
 
-    @classmethod
-    def from_boxes(cls, boxes) -> "Configuration":
-        """Like the constructor, but sorts each box first."""
-        return cls(tuple(tuple(sorted(box)) for box in boxes))
-
     def __str__(self) -> str:
         return self.word()
 
@@ -243,11 +190,6 @@ def to_multi_index(config: Configuration) -> MultiIndex:
         for ball in box:
             index[ball - 1] = box_number
     return tuple(index)
-
-
-def act_on_configuration(w: Permutation, config: Configuration) -> Configuration:
-    """Rename the balls of ``config`` so that box conversion intertwines the actions."""
-    return to_configuration(act_on_index(w, to_multi_index(config)), config.n)
 
 
 def enumerate_configurations(p: Params) -> list[Configuration]:
@@ -272,3 +214,30 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     # a part is the gap between two cuts
     for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
         yield tuple(map(operator.sub, (*cuts, total), (0, *cuts)))
+
+
+def arrangements(multiset: Counter) -> Iterator[tuple]:
+    """Distinct orderings of a multiset, lexicographically.
+
+    Each is the next permutation of the one before, so no depth grows with
+    the multiset's size.
+    """
+    items = sorted(multiset.elements())
+    while True:
+        yield tuple(items)
+        i = len(items) - 2
+        while i >= 0 and items[i] >= items[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(items) - 1
+        while items[j] <= items[i]:
+            j -= 1
+        items[i], items[j] = items[j], items[i]
+        items[i + 1 :] = reversed(items[i + 1 :])
+
+
+@lru_cache(maxsize=4096)
+def column_arrangements(column: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The distinct orderings of one column's boxes, box i taken column[i] times (boxes from 0); memoized."""
+    return tuple(arrangements(Counter({i: k for i, k in enumerate(column) if k})))

@@ -41,7 +41,7 @@ from .graphs import (
 from .algebra import AlgebraElement
 
 _BLOCK_CELLS = 2**18
-"""Ball cells held at once while the grid is built: rows x N x d int32 values."""
+"""Ball cells held at once while the grid is built, rows x N x d int32 values; the commutant check blocks alike."""
 
 
 class NotInSpanError(ValueError):
@@ -215,11 +215,15 @@ def commutes_with_renaming(op: DenseOperator) -> bool:
     basis vectors by an involution sigma, so ``op @ P == P @ op`` exactly
     when reindexing both rows and columns of op by sigma leaves it unchanged;
     no product is formed.  On the label grid itself this checks every basis
-    operator at once, since the operators partition the square.
+    operator at once, since the operators partition the square.  Rows are
+    reindexed and compared a block at a time, so no second N×N array is held.
     """
+    m = op.matrix
+    block = max(1, _BLOCK_CELLS // (len(m) * op.d))
     return all(
-        np.array_equal(op.matrix[np.ix_(sigma, sigma)], op.matrix)
+        np.array_equal(m[sigma[r : r + block]][:, sigma], m[r : r + block])
         for sigma in _transposition_indices(op.n, op.d)
+        for r in range(0, len(m), block)
     )
 
 

@@ -53,7 +53,7 @@ from functools import lru_cache
 from operator import add, itemgetter, le
 
 from .algebra import AlgebraElement, apply_basis
-from .combinatorics import Configuration, to_multi_index
+from .combinatorics import Configuration, arrangements, column_arrangements, to_multi_index
 from .graphs import (
     BipartiteMultigraph,
     EdgeLabel,
@@ -148,36 +148,6 @@ def _label_pairings(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> Iterato
         }
 
 
-def _arrangements(multiset: Counter) -> Iterator[tuple]:
-    """Distinct orderings of a multiset, lexicographically.
-
-    Each is the next permutation of the one before, so no depth grows with
-    the multiset's size.
-    """
-    items = sorted(multiset.elements())
-    while True:
-        yield tuple(items)
-        i = len(items) - 2
-        while i >= 0 and items[i] >= items[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(items) - 1
-        while items[j] <= items[i]:
-            j -= 1
-        items[i], items[j] = items[j], items[i]
-        items[i + 1 :] = reversed(items[i + 1 :])
-
-
-@lru_cache(maxsize=4096)
-def _column_arrangements(column: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The distinct orderings of one column's boxes, box i taken column[i] times (boxes from 0).
-
-    Memoized like :func:`_vertex_moves`, since few columns recur.
-    """
-    return tuple(_arrangements(Counter({i: k for i, k in enumerate(column) if k})))
-
-
 def enumerate_word_matrices(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> Iterator[WordMatrix]:
     """Every word matrix of the pair (g1, g2), each exactly once.
 
@@ -191,7 +161,7 @@ def enumerate_word_matrices(g1: BipartiteMultigraph, g2: BipartiteMultigraph) ->
         entries = [Counter() for _ in range(n * n)]  # entry (s, t) at s * n + t
         for (label2, label1), count in pairing.items():
             entries[(label1[1] - 1) * n + label2[0] - 1][(label2, label1)] = count
-        for choice in itertools.product(*map(_arrangements, entries)):
+        for choice in itertools.product(*map(arrangements, entries)):
             yield WordMatrix(tuple(choice[s * n : (s + 1) * n] for s in range(n)))
 
 
@@ -221,6 +191,8 @@ def euler_fold(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> dict[tuple[i
     states = {(0,) * (n * n): 1}
     for g2_row, g1_column in zip(g2.matrix, zip(*g1.matrix)):
         moves = _vertex_moves(g2_row, g1_column)
+        if moves == ((),):  # no edge meets this vertex: the empty move keeps every state
+            continue
         folded: dict[tuple[int, ...], int] = {}
         for composed, weight in states.items():
             for move in moves:
@@ -308,9 +280,10 @@ def multiply_basis_counting(g1: BipartiteMultigraph, g2: BipartiteMultigraph) ->
     Rows are multi-indices, boxes numbered from 0 here.  The top row c is
     the sorted multi-index of g2's top valencies, since the canonical
     configuration numbers the balls box by box.  The middles b are the
-    arrangements of column j of g2 over the balls of c's box j; the bottoms
-    a are the arrangements of column v of g1 over the balls that b puts in
-    box v.  All pairs (a, b) are visited, and the composed graph counts the
+    :func:`combinatorics.column_arrangements` of column j of g2 over the
+    balls of c's box j, as :func:`algebra.apply_basis` walks them; the
+    bottoms a are those of column v of g1 over the balls that b puts in box
+    v.  All pairs (a, b) are visited, and the composed graph counts the
     cells (a_s, c_s).  A term counts only at its graph's canonical bottom
     row, where a's boxes never decrease within a box of c (the rule of
     :func:`canonical_pair`); the sweep always visits that row.  (The middle
@@ -328,9 +301,9 @@ def multiply_basis_counting(g1: BipartiteMultigraph, g2: BipartiteMultigraph) ->
     keyed = []
     for row, column in zip(g2.matrix, zip(*g1.matrix)):
         offsets = [j * n for j, k in enumerate(row) for _ in range(k)]
-        keyed.append([tuple(map(add, offsets, boxes)) for boxes in _column_arrangements(column)])
+        keyed.append([tuple(map(add, offsets, boxes)) for boxes in column_arrangements(column)])
     counts: dict[tuple[int, ...], int] = {}
-    for middle in itertools.product(*map(_column_arrangements, zip(*g2.matrix))):
+    for middle in itertools.product(*map(column_arrangements, zip(*g2.matrix))):
         b = sum(middle, ())
         # a choice of bottoms lists the keys ball by ball through b's boxes in turn
         order = sorted(range(d), key=b.__getitem__)

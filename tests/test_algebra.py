@@ -182,15 +182,18 @@ def test_apply_basis_diagonal_fixes():
     assert apply_basis(diagonal_graph((2, 2)), b) == {b}
 
 
-def test_apply_basis_matches_oracle_columns():
+@pytest.mark.parametrize("p", [Params(2, 3), Params(3, 2), Params(2, 4)], ids=str)
+def test_apply_basis_matches_oracle_columns(p):
     # the preimage set of b is exactly the 1-entries of b's operator column
-    p = Params(2, 3)
     configs = [to_configuration(index, p.n) for index in enumerate_multi_indices(p)]
     for g in enumerate_graphs(p):
         op = operator_matrix(g)
         for y, b in enumerate(configs):
             expected = {a for x, a in enumerate(configs) if op.matrix[x, y] == 1}
-            assert apply_basis(g, b) == expected
+            images = apply_basis(g, b)
+            assert images == expected
+            # built without the checks, but the checking constructor accepts each one
+            assert all(Configuration(a.boxes) == a for a in images)
 
 
 def test_apply_linear():

@@ -1,7 +1,8 @@
-"""Configurations, permutations, and the index/configuration dictionary."""
+"""Configurations, the index/configuration dictionary, column arrangements, and the renaming action."""
 
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -9,10 +10,9 @@ from schurbox.combinatorics import (
     Configuration,
     ConfigurationError,
     Params,
-    Permutation,
     TooLargeError,
-    act_on_configuration,
-    act_on_index,
+    arrangements,
+    column_arrangements,
     compositions,
     enumerate_configurations,
     enumerate_multi_indices,
@@ -21,7 +21,7 @@ from schurbox.combinatorics import (
     to_multi_index,
 )
 
-from reference import all_permutations
+from reference import act_on_index, all_permutations, transposition
 
 
 def test_params_validation():
@@ -42,52 +42,37 @@ def test_index_count():
     assert Params(3, 4).index_count == 81
 
 
-def test_permutation_validation():
-    with pytest.raises(ValueError):
-        Permutation((1, 1, 2))
-    with pytest.raises(ValueError):
-        Permutation((2, 3))
-    with pytest.raises(ValueError):
-        Permutation((0, 1))
-
-
-def test_permutation_call_and_inverse():
-    w = Permutation((2, 3, 1))
-    assert [w(s) for s in (1, 2, 3)] == [2, 3, 1]
-    assert w.inverse().images == (3, 1, 2)
-    e = Permutation.identity(3)
-    for u in all_permutations(3):
-        assert u * u.inverse() == e
-        assert u.inverse() * u == e
+# the renaming action lives in tests/reference.py; these pin that reference down
 
 
 def test_transposition():
-    t = Permutation.transposition(4, 2, 4)
-    assert t.images == (1, 4, 3, 2)
-    assert t * t == Permutation.identity(4)
+    t = transposition(4, 2, 4)
+    assert t == (1, 4, 3, 2)
+    assert act_on_index(t, t) == (1, 2, 3, 4)
 
 
 def test_composition_matches_action():
-    # (w1 * w2) . index == w1 . (w2 . index), exhaustively at d=3
+    # acting on w2's images composes: (w1 * w2) . index == w1 . (w2 . index), exhaustively at d=3
     indices = enumerate_multi_indices(Params(2, 3))
     for w1, w2 in itertools.product(all_permutations(3), repeat=2):
         for index in indices:
-            assert act_on_index(w1 * w2, index) == act_on_index(w1, act_on_index(w2, index))
+            assert act_on_index(act_on_index(w1, w2), index) == act_on_index(w1, act_on_index(w2, index))
 
 
 def test_action_is_a_right_inverse_scramble():
     # the action permutes positions: entry s of the result is entry w(s)
-    w = Permutation((3, 1, 2))
-    assert act_on_index(w, (10, 20, 30)) == (30, 10, 20)
+    assert act_on_index((3, 1, 2), (10, 20, 30)) == (30, 10, 20)
 
 
 def test_act_on_index_degree_mismatch():
     with pytest.raises(ValueError):
-        act_on_index(Permutation((2, 1)), (1, 1, 1))
+        act_on_index((2, 1), (1, 1, 1))
 
 
 def test_all_permutations_count():
-    assert len(list(all_permutations(4))) == math.factorial(4)
+    perms = list(all_permutations(4))
+    assert len(perms) == len(set(perms)) == math.factorial(4)
+    assert perms == sorted(perms)
 
 
 def test_enumerate_multi_indices_lex():
@@ -177,10 +162,6 @@ def test_from_word_diagnostics():
         Configuration.from_word("")
 
 
-def test_from_boxes_sorts():
-    assert Configuration.from_boxes([[3, 1], [2]]) == Configuration(((1, 3), (2,)))
-
-
 def test_index_configuration_roundtrip():
     for p in (Params(2, 3), Params(3, 2)):
         for index in enumerate_multi_indices(p):
@@ -207,27 +188,49 @@ def test_to_configuration_rejects_bad_entries():
         to_configuration((0, 1), 2)
 
 
+def renamed(w, config):
+    """The configuration of the index w . i, by the action's own definition: ball w(s) is renamed s."""
+    return to_configuration(act_on_index(w, to_multi_index(config)), config.n)
+
+
 def test_configuration_action_example():
     # swapping balls 3 and 4 turns |123|4| into |124|3|
-    w = Permutation.transposition(4, 3, 4)
-    c = Configuration.from_word("|123|4|")
-    assert act_on_configuration(w, c).word() == "|124|3|"
+    assert renamed(transposition(4, 3, 4), Configuration.from_word("|123|4|")).word() == "|124|3|"
 
 
 def test_configuration_action_intertwines():
+    # place permutation on the index is renaming ball w(s) to s in the configuration
     p = Params(2, 3)
     for w in all_permutations(p.d):
-        for index in enumerate_multi_indices(p):
-            lhs = to_configuration(act_on_index(w, index), p.n)
-            rhs = act_on_configuration(w, to_configuration(index, p.n))
-            assert lhs == rhs
+        new_name = {image: s for s, image in enumerate(w, start=1)}
+        for c in enumerate_configurations(p):
+            boxes = tuple(tuple(sorted(new_name[ball] for ball in box)) for box in c.boxes)
+            assert renamed(w, c) == Configuration(boxes)
 
 
 def test_content_is_orbit_invariant():
     p = Params(3, 3)
     for c in enumerate_configurations(p):
         for w in all_permutations(p.d):
-            assert act_on_configuration(w, c).content() == c.content()
+            assert renamed(w, c).content() == c.content()
+
+
+def test_arrangements_in_lexicographic_order():
+    for multiset in (Counter("aab"), Counter({0: 2, 2: 1, 3: 2}), Counter({5: 4}), Counter("abcd")):
+        found = list(arrangements(multiset))
+        assert found == sorted(set(itertools.permutations(multiset.elements())))
+        size = sum(multiset.values())
+        assert len(found) == math.factorial(size) // math.prod(map(math.factorial, multiset.values()))
+    assert list(arrangements(Counter())) == [()]
+
+
+def test_column_arrangements_place_each_box_its_count():
+    assert column_arrangements((2, 0, 1)) == ((0, 0, 2), (0, 2, 0), (2, 0, 0))
+    assert column_arrangements((0, 0)) == ((),)
+    for column in ((1, 1, 1), (2, 2), (0, 3, 1)):
+        found = column_arrangements(column)
+        assert found == tuple(arrangements(Counter(dict(enumerate(column)))))
+        assert all(Counter(row) == Counter({i: k for i, k in enumerate(column) if k}) for row in found)
 
 
 def test_compositions():

@@ -10,7 +10,6 @@ from schurbox.combinatorics import (
     Configuration,
     Params,
     TooLargeError,
-    act_on_index,
     enumerate_configurations,
     enumerate_multi_indices,
     to_configuration,
@@ -32,7 +31,7 @@ from schurbox.graphs import (
     rank_weights,
 )
 
-from reference import all_permutations
+from reference import act_on_index, all_permutations
 
 SHAPES = (Params(2, 2), Params(2, 3), Params(3, 2))
 

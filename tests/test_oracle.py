@@ -15,9 +15,7 @@ from schurbox import oracle, verify
 from schurbox.algebra import AlgebraElement
 from schurbox.combinatorics import (
     Params,
-    Permutation,
     TooLargeError,
-    act_on_index,
     enumerate_multi_indices,
     index_position,
     to_configuration,
@@ -36,7 +34,7 @@ from schurbox.oracle import (
     pair_table,
 )
 
-from reference import all_permutations
+from reference import Permutation, act_on_index, all_permutations, transposition
 
 G1 = BipartiteMultigraph(((2, 1), (0, 1)))
 G2 = BipartiteMultigraph(((2, 0), (1, 1)))
@@ -55,8 +53,8 @@ def _first_cell(table, g):
 
 def permutation_matrix(w: Permutation, p: Params) -> DenseOperator:
     """Matrix of the renaming action: the basis vector of index i goes to that of w . i."""
-    if w.degree != p.d:
-        raise ValueError(f"permutation degree {w.degree} does not match d={p.d}")
+    if len(w) != p.d:
+        raise ValueError(f"permutation degree {len(w)} does not match d={p.d}")
     table = pair_table(p.n, p.d)
     m = np.zeros((table.size, table.size), dtype=object)
     for col, index in enumerate(enumerate_multi_indices(p)):
@@ -215,9 +213,9 @@ def test_permutation_matrix_is_an_action():
     p = Params(2, 3)
     for w1, w2 in itertools.product(all_permutations(p.d), repeat=2):
         lhs = permutation_matrix(w1, p) @ permutation_matrix(w2, p)
-        assert lhs == permutation_matrix(w1 * w2, p)
+        assert lhs == permutation_matrix(act_on_index(w1, w2), p)
     with pytest.raises(ValueError):
-        permutation_matrix(Permutation.identity(2), p)
+        permutation_matrix((1, 2), p)
 
 
 def test_basis_operators_commute_with_renaming():
@@ -380,14 +378,26 @@ def test_transposition_indices_are_the_renaming_action(p):
     maps = oracle._transposition_indices(p.n, p.d)
     assert len(maps) == p.d - 1
     for s, sigma in enumerate(maps, start=1):
-        w = Permutation.transposition(p.d, s, s + 1)
+        w = transposition(p.d, s, s + 1)
         assert not sigma.flags.writeable
         assert sigma.tolist() == [indices.index(act_on_index(w, index)) for index in indices]
 
 
+def test_commutes_with_renaming_compares_every_row_block(monkeypatch):
+    # blocks of 3 rows split the 32 rows of (2,5) into 11, the last one short
+    p = Params(2, 5)
+    labels = pair_table(p.n, p.d).labels
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 3 * len(labels) * p.d)
+    assert commutes_with_renaming(DenseOperator(p.n, p.d, labels))
+    broken = labels.copy()
+    # the last row is (2,2,2,2,2), fixed by every transposition; column 1, (1,1,1,1,2), is not
+    broken[-1, 1] += 1
+    assert not commutes_with_renaming(DenseOperator(p.n, p.d, broken))
+
+
 @pytest.mark.parametrize("p", [Params(2, 3), Params(3, 2)])
 def test_commutes_with_renaming_agrees_with_transposition_products(p):
-    perms = [permutation_matrix(Permutation.transposition(p.d, s, s + 1), p) for s in range(1, p.d)]
+    perms = [permutation_matrix(transposition(p.d, s, s + 1), p) for s in range(1, p.d)]
     table = pair_table(p.n, p.d)
     seen = set()
     for g in enumerate_graphs(p):
