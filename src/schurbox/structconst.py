@@ -6,10 +6,9 @@ counts middle rows of a three-row diagram: fix any pair (a, c) with
 pair_graph(a, c) == g, then count the configurations b with
 pair_graph(a, b) == g1 and pair_graph(b, c) == g2.  The count is the same
 for every choice of (a, c), and :func:`multiply_basis_counting`, the
-referee, performs it literally with the pair from :func:`canonical_pair`.
-It sweeps rows as plain multi-indices, so it builds no configuration and
-no graph per diagram, only one graph per term at the end, without
-re-validation.
+referee, performs it literally with the pair from :func:`canonical_pair`:
+:func:`canonical_diagrams` walks rows as plain multi-indices and visits
+only the diagrams whose bottom row is that canonical a.
 
 Two further routes never touch configurations and work on the edges of g1
 and g2 alone.  An *Euler function* is a bijection from the edges of g2 onto
@@ -50,18 +49,10 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, itemgetter, le
 
-from .algebra import AlgebraElement, apply_basis
-from .combinatorics import Configuration, arrangements, column_arrangements, to_multi_index
-from .graphs import (
-    BipartiteMultigraph,
-    EdgeLabel,
-    basis,
-    canonical_pair,
-    pair_graph,
-    rank,
-)
+from .algebra import AlgebraElement
+from .combinatorics import Configuration, arrangements, column_arrangements, to_configuration
+from .graphs import BipartiteMultigraph, EdgeLabel, basis, canonical_pair, rank
 
 Pair = tuple[EdgeLabel, EdgeLabel]
 """One recorded ball path: (label of its g2 edge, label of its g1 edge)."""
@@ -252,72 +243,74 @@ def product_rows(n: int, d: int) -> Iterator[list[tuple[int, list[tuple[int, int
         yield row
 
 
-def middle_fillings(
-    g1: BipartiteMultigraph, g2: BipartiteMultigraph, g: BipartiteMultigraph
-) -> tuple[Configuration, Configuration, list[Configuration]]:
-    """Canonical witnesses: the pair (a, c) for g and every compatible middle configuration."""
-    _check_same_shape(g1, g2)
-    _check_same_shape(g1, g)
-    a, c = canonical_pair(g)
-    middles = [b for b in sorted(apply_basis(g2, c), key=to_multi_index) if pair_graph(a, b) == g1]
-    return a, c, middles
+def canonical_diagrams(
+    g1: BipartiteMultigraph, g2: BipartiteMultigraph, cap: tuple[int, ...] | None = None
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every canonical three-row diagram of (g1, g2), as (middle row, flattened composed matrix).
 
-
-def coeff_by_counting(g1: BipartiteMultigraph, g2: BipartiteMultigraph, g: BipartiteMultigraph) -> int:
-    """One structure constant by direct middle-configuration counting."""
-    if g2.bottom_valencies() != g1.top_valencies():
-        return 0
-    if g.top_valencies() != g2.top_valencies():
-        return 0
-    if g.bottom_valencies() != g1.bottom_valencies():
-        return 0
-    return len(middle_fillings(g1, g2, g)[2])
-
-
-def multiply_basis_counting(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> AlgebraElement:
-    """Product of basis operators by sweeping three-row diagrams over one canonical top row.
-
-    Rows are multi-indices, boxes numbered from 0 here.  The top row c is
-    the sorted multi-index of g2's top valencies, since the canonical
-    configuration numbers the balls box by box.  The middles b are the
-    :func:`combinatorics.column_arrangements` of column j of g2 over the
-    balls of c's box j, as :func:`algebra.apply_basis` walks them; the
-    bottoms a are those of column v of g1 over the balls that b puts in box
-    v.  All pairs (a, b) are visited, and the composed graph counts the
-    cells (a_s, c_s).  A term counts only at its graph's canonical bottom
-    row, where a's boxes never decrease within a box of c (the rule of
-    :func:`canonical_pair`); the sweep always visits that row.  (The middle
-    count is the same at every bottom row with the right graph, so reading
-    one row is enough; that independence is exercised separately by the
-    tests.)  Ball s is keyed c_s·n + a_s, so a row is canonical exactly when
-    its keys never decrease, and its keys name its graph.
+    Rows are multi-indices with boxes from 0.  The top row c is the sorted
+    multi-index of g2's top valencies, the canonical configuration.  The
+    middles b are the :func:`combinatorics.column_arrangements` of g2's
+    columns, concatenated in multi-index order, as :func:`algebra.apply_basis`
+    walks them.  Below each, a stack places ball s in a bottom box x with an
+    unused edge of column b_s of g1, no lower than ball s − 1's box when
+    both sit in one box of c (:func:`canonical_pair`'s rule), and counts it
+    in cell x·n + c_s.  ``cap`` bounds each cell; a leaf sums to d, so under
+    a graph's ``sort_key`` the leaves are exactly that graph's diagrams.
     """
     _check_same_shape(g1, g2)
     n, d = g1.n, g1.d
     if g2.bottom_valencies() != g1.top_valencies():
-        return AlgebraElement.zero(n, d)
-    # whatever b is, the balls it puts in box v are, in ball order, g2[v][0] balls
-    # of c's box 0, then g2[v][1] of box 1, and so on: column v of g1 is keyed once
-    keyed = []
-    for row, column in zip(g2.matrix, zip(*g1.matrix)):
-        offsets = [j * n for j, k in enumerate(row) for _ in range(k)]
-        keyed.append([tuple(map(add, offsets, boxes)) for boxes in column_arrangements(column)])
-    counts: dict[tuple[int, ...], int] = {}
+        return  # a leaf would leave edges of g1 unused
+    top = [j for j, k in enumerate(g2.top_valencies()) for _ in range(k)]
+    cap = cap or (d,) * (n * n)
+    left = [list(column) for column in zip(*g1.matrix)]  # left[v][x]: unused g1 edges from v to x
+    flat = [0] * (n * n)
+    bottom = [0] * d
     for middle in itertools.product(*map(column_arrangements, zip(*g2.matrix))):
         b = sum(middle, ())
-        # a choice of bottoms lists the keys ball by ball through b's boxes in turn
-        order = sorted(range(d), key=b.__getitem__)
-        # back to ball order; itemgetter of one index returns the item, not a 1-tuple
-        by_ball = itemgetter(*sorted(range(d), key=order.__getitem__)) if d > 1 else tuple
-        for choice in itertools.product(*keyed):
-            keys = by_ball(sum(choice, ()))
-            if all(map(le, keys, keys[1:])):
-                counts[keys] = counts.get(keys, 0) + 1
-    # distinct keys name distinct valid graphs, so neither they nor the element are re-validated
-    terms = {}
-    for keys, count in counts.items():
-        rows = [[0] * n for _ in range(n)]
-        for key in keys:
-            rows[key % n][key // n] += 1
-        terms[BipartiteMultigraph._trusted(tuple(map(tuple, rows)), n, d)] = count
-    return AlgebraElement._from_terms(n, d, terms)
+        s = x = 0  # ball s tries the boxes from x up
+        while s >= 0:
+            if s < d:
+                column, t = left[b[s]], top[s]
+                while x < n and not (column[x] and flat[x * n + t] < cap[x * n + t]):
+                    x += 1
+                if x < n:
+                    column[x] -= 1
+                    flat[x * n + t] += 1
+                    bottom[s] = x
+                    s += 1
+                    if s < d and top[s] != t:
+                        x = 0
+                    continue
+            else:
+                yield b, tuple(flat)
+            s -= 1
+            if s >= 0:
+                x = bottom[s]
+                left[b[s]][x] += 1
+                flat[x * n + top[s]] -= 1
+                x += 1
+
+
+def middle_fillings(
+    g1: BipartiteMultigraph, g2: BipartiteMultigraph, g: BipartiteMultigraph
+) -> tuple[Configuration, Configuration, list[Configuration]]:
+    """Canonical witnesses: the pair (a, c) for g and, in multi-index order, every compatible middle configuration."""
+    _check_same_shape(g1, g)
+    a, c = canonical_pair(g)
+    middles = [to_configuration([v + 1 for v in b], g.n) for b, _ in canonical_diagrams(g1, g2, g.sort_key)]
+    return a, c, middles
+
+
+def coeff_by_counting(g1: BipartiteMultigraph, g2: BipartiteMultigraph, g: BipartiteMultigraph) -> int:
+    """One structure constant by direct middle-configuration counting: the canonical diagrams capped at g."""
+    _check_same_shape(g1, g)
+    return sum(1 for _ in canonical_diagrams(g1, g2, g.sort_key))
+
+
+def multiply_basis_counting(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> AlgebraElement:
+    """Product of basis operators: :func:`canonical_diagrams` counted per composed graph, built unchecked."""
+    n, d = g1.n, g1.d
+    counts = Counter(key for _, key in canonical_diagrams(g1, g2))
+    return AlgebraElement._from_terms(n, d, {composed_graph(key, n, d): count for key, count in counts.items()})

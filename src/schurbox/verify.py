@@ -80,23 +80,32 @@ def check_orbit_bijection(p: Params) -> CheckResult:
 
     A renaming takes any pair (a, b) to one whose first configuration is the
     canonical one of a's content, and leaves its pair graph unchanged, so
-    those rows already give every pair graph.
+    those rows already give every pair graph.  Each marks its basis position;
+    only graphs outside the basis are kept.
     """
     configs = enumerate_configurations(p)
     rows = _canonical_rows(p)
-    distinct = {pair_graph(a, b) for a in rows for b in configs}
     enumerated = basis(p.n, p.d).graphs
+    position = {g: k for k, g in enumerate(enumerated)}
+    seen, extra = bytearray(len(enumerated)), set()
+    for g in (pair_graph(a, b) for a in rows for b in configs):
+        k = position.get(g)
+        if k is None:
+            extra.add(g)
+        else:
+            seen[k] = 1
+    distinct = seen.count(1) + len(extra)
     expected = graph_count(p)
-    ok = len(distinct) == expected == len(enumerated) and distinct == set(enumerated)
+    ok = not extra and distinct == expected == len(enumerated)
     detail = (
-        f"{len(distinct)} distinct pair graphs over {len(rows) * len(configs)} pairs "
+        f"{distinct} distinct pair graphs over {len(rows) * len(configs)} pairs "
         f"({len(rows)} canonical rows), "
         f"{len(enumerated)} enumerated, binomial {expected}"
     )
     counterexample = None
     if not ok:
-        missing = sorted(set(enumerated) - distinct, key=lambda g: g.sort_key)
-        extra = sorted(distinct - set(enumerated), key=lambda g: g.sort_key)
+        missing = sorted((g for g, hit in zip(enumerated, seen) if not hit), key=lambda g: g.sort_key)
+        extra = sorted(extra, key=lambda g: g.sort_key)
         counterexample = serialize.dumps(
             {
                 "missing": [serialize.graph_record(g) for g in missing[:3]],

@@ -30,7 +30,7 @@ from schurbox.structconst import (
     product_rows,
 )
 
-from reference import act_on_index, all_permutations
+from reference import act_on_index, all_permutations, counting_sweep
 
 G1 = BipartiteMultigraph(((2, 1), (0, 1)))
 G2 = BipartiteMultigraph(((2, 0), (1, 1)))
@@ -192,15 +192,16 @@ def test_euler_matches_counting_on_every_compatible_pair():
 
 @pytest.mark.parametrize("n, d", [(2, 4), (3, 3), (4, 2)])
 def test_counting_equals_the_middle_fillings_on_every_compatible_pair(n, d):
+    # the walk against the full sweep, and its witnesses against a filter of every image of c;
     # every term has g2's top and g1's bottom valencies, so no other g can count
     graphs = basis(n, d).graphs
     for g1, g2 in compatible_pairs(Params(n, d)):
-        candidates = (
-            g for g in graphs
-            if g.top_valencies() == g2.top_valencies() and g.bottom_valencies() == g1.bottom_valencies()
-        )
-        fillings = {g: len(middle_fillings(g1, g2, g)[2]) for g in candidates}
-        assert multiply_basis_counting(g1, g2) == AlgebraElement(n, d, fillings), (g1, g2)
+        assert multiply_basis_counting(g1, g2) == counting_sweep(g1, g2), (g1, g2)
+        for g in graphs:
+            if g.top_valencies() == g2.top_valencies() and g.bottom_valencies() == g1.bottom_valencies():
+                a, c = canonical_pair(g)
+                images = sorted(apply_basis(g2, c), key=to_multi_index)
+                assert middle_fillings(g1, g2, g) == (a, c, [b for b in images if pair_graph(a, b) == g1])
 
 
 @pytest.mark.parametrize("n, d", [(2, 4), (3, 3), (4, 2)])
@@ -230,8 +231,10 @@ def test_counting_builds_no_configuration(monkeypatch):
     g = BipartiteMultigraph(((1, 1, 0), (1, 0, 0), (0, 0, 0)))
     product = multiply_basis_counting(g, g)
     assert len(product.items()) > 1
+    coefficients = {term: coeff_by_counting(g, g, term) for term in product.support()}
     assert built == []
     assert product == multiply_basis_euler(g, g)
+    assert coefficients == dict(product.items())
 
 
 def test_counting_takes_a_column_longer_than_the_recursion_limit():

@@ -355,6 +355,21 @@ def test_a_merged_pair_graph_fails_the_smaller_sweeps(monkeypatch, p):
     assert result.detail == f"orbit and configuration matrices differ at {lost}"
 
 
+def test_a_pair_graph_outside_the_basis_is_named_unexpected(monkeypatch):
+    p = Params(2, 3)
+    lost = enumerate_graphs(p)[7]
+    outsider = BipartiteMultigraph(((4, 0), (0, 0)))  # four balls: no graph of (2,3)
+    monkeypatch.setattr(verify, "pair_graph", _merging(lost, outsider))
+    result = check_orbit_bijection(p)
+    assert not result.passed
+    # the outsider takes the lost graph's place in the distinct count
+    assert result.detail.startswith("20 distinct pair graphs over ")
+    assert json.loads(result.counterexample) == {
+        "missing": [graph_record(lost)],
+        "unexpected": [graph_record(outsider)],
+    }
+
+
 def test_a_transposed_pair_graph_fails_the_smaller_grid_sweep(monkeypatch):
     p = Params(2, 3)
     table = oracle.pair_table(p.n, p.d)
