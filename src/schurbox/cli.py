@@ -1,8 +1,7 @@
 """Command-line surface: dim, basis, multiply, apply, table, verify, render.
 
-``table`` writes the rows of :func:`structconst.product_rows` and keeps
-only the JSON of the basis graphs, rendered once per process with each
-graph's term fragment and zero-product tail.  Exit codes: 0 success, 1 input or
+``table`` writes the rows of :func:`structconst.product_rows` through
+:func:`serialize.table_blocks`.  Exit codes: 0 success, 1 input or
 validation error, 2 verification failure or engine disagreement.
 """
 
@@ -97,39 +96,20 @@ def cmd_apply(args) -> int:
     return 0
 
 
-@lru_cache(maxsize=1)
-def _table_context(n: int, d: int):
-    """Per basis graph: its JSON, its term fragment and, as a right factor, the line tail of a zero product."""
-    records = [serialize.dumps(serialize.graph_record(g)) for g in basis(n, d).graphs]
-    fragments = [serialize.term_fragment(record) for record in records]
-    return records, fragments, [serialize.table_line_tail(record, "[]") + "\n" for record in records]
-
-
 def cmd_table(args) -> int:
     """Write every basis product: the nonzero ones from :func:`structconst.product_rows`.
 
-    Each terms array is one join over the precomputed term fragments.
     ``--mod`` reduces each coefficient once, after the walk's relabelling,
-    with which it commutes; every other line is a precomputed zero tail.
-    ``--jobs`` is ignored.
+    with which it commutes.  ``--jobs`` is ignored.
     """
     check_modulus(args.mod)
     p = Params(args.boxes, args.balls)
     _check_cap(graph_count(p) ** 2, None, f"the product table at n={p.n}, d={p.d}")
-    records, fragments, zero_tails = _table_context(p.n, p.d)
-    mod = args.mod
+    rows = structconst.product_rows(p.n, p.d)
     tmp = args.out + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            for record1, row in zip(records, structconst.product_rows(p.n, p.d)):
-                tails = zero_tails.copy()
-                for k, terms in row:
-                    if mod is not None:
-                        terms = [(x, residue) for x, coeff in terms if (residue := coeff % mod)]
-                    terms_json = serialize.join_terms(fragments, terms)
-                    tails[k] = serialize.table_line_tail(records[k], terms_json) + "\n"
-                head = serialize.table_line_head(record1)
-                handle.write(head + head.join(tails))
+            handle.writelines(serialize.table_blocks(basis(p.n, p.d).graphs, rows, args.mod))
         os.replace(tmp, args.out)
     except BaseException:
         if os.path.exists(tmp):

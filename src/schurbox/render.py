@@ -1,6 +1,5 @@
 """Text and DOT drawings of graphs and of three-row product diagrams."""
 
-from .combinatorics import Configuration
 from .graphs import BipartiteMultigraph, edge_labels
 from .structconst import middle_fillings
 
@@ -28,14 +27,21 @@ def render_graph_ascii(g: BipartiteMultigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dot_row(row: str, labels) -> str:
+    """One rank of DOT nodes ``<row>1``, ``<row>2``, ... with the given labels."""
+    return "  { rank=same; " + " ".join(f'{row}{v} [label="{label}"];' for v, label in enumerate(labels, 1)) + " }"
+
+
+def _dot_edges(g: BipartiteMultigraph, upper: str, lower: str) -> list[str]:
+    """One DOT edge per edge of g, parallel edges repeated, from row ``upper`` to row ``lower``."""
+    return [f"  {upper}{t} -- {lower}{b};" for t, b in edge_labels(g) for _ in range(_multiplicity(g, (t, b)))]
+
+
 def render_graph_dot(g: BipartiteMultigraph) -> str:
     """An undirected DOT graph; parallel edges are repeated."""
     lines = ["graph pair {", "  rankdir=TB;", "  node [shape=circle];"]
-    lines.append("  { rank=same; " + " ".join(f't{v} [label="t{v}"];' for v in range(1, g.n + 1)) + " }")
-    lines.append("  { rank=same; " + " ".join(f'b{v} [label="b{v}"];' for v in range(1, g.n + 1)) + " }")
-    for top, bottom in edge_labels(g):
-        for _ in range(_multiplicity(g, (top, bottom))):
-            lines.append(f"  t{top} -- b{bottom};")
+    lines += [_dot_row(row, (f"{row}{v}" for v in range(1, g.n + 1))) for row in "tb"]
+    lines += _dot_edges(g, "t", "b")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -63,8 +69,7 @@ def render_product_ascii(
     return "\n\n".join(blocks) + "\n"
 
 
-def _box_label(config: Configuration, v: int) -> str:
-    box = config.boxes[v - 1]
+def _box_label(box: tuple[int, ...]) -> str:
     return ",".join(str(ball) for ball in box) if box else "-"
 
 
@@ -76,27 +81,8 @@ def render_product_dot(
     graphs = []
     for k, b in enumerate(middles, start=1):
         lines = [f"graph filling_{k} {{", "  rankdir=TB;", "  node [shape=box];"]
-        lines.append(
-            "  { rank=same; "
-            + " ".join(f't{v} [label="{_box_label(c, v)}"];' for v in range(1, g.n + 1))
-            + " }"
-        )
-        lines.append(
-            "  { rank=same; "
-            + " ".join(f'm{v} [label="{_box_label(b, v)}"];' for v in range(1, g.n + 1))
-            + " }"
-        )
-        lines.append(
-            "  { rank=same; "
-            + " ".join(f'b{v} [label="{_box_label(a, v)}"];' for v in range(1, g.n + 1))
-            + " }"
-        )
-        for top, bottom in edge_labels(g2):
-            for _ in range(_multiplicity(g2, (top, bottom))):
-                lines.append(f"  t{top} -- m{bottom};")
-        for top, bottom in edge_labels(g1):
-            for _ in range(_multiplicity(g1, (top, bottom))):
-                lines.append(f"  m{top} -- b{bottom};")
+        lines += [_dot_row(row, map(_box_label, x.boxes)) for row, x in zip("tmb", (c, b, a))]
+        lines += _dot_edges(g2, "t", "m") + _dot_edges(g1, "m", "b")
         lines.append("}")
         graphs.append("\n".join(lines))
     return "\n\n".join(graphs) + "\n"

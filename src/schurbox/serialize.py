@@ -6,7 +6,7 @@ always serialize to identical bytes.
 """
 
 import json
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .algebra import AlgebraElement, VectorElement
 from .combinatorics import Params
@@ -52,34 +52,29 @@ def table_line(g1: BipartiteMultigraph, g2: BipartiteMultigraph, product: Algebr
     return dumps({"g1": graph_record(g1), "g2": graph_record(g2), "terms": element_records(product)})
 
 
-def term_fragment(graph_json: str) -> str:
-    """The end of an element term after its coefficient, ``","graph":<graph JSON>}``; see :func:`join_terms`."""
-    return '","graph":' + graph_json + "}"
+def table_blocks(
+    graphs: Sequence[BipartiteMultigraph], rows: Iterable[list], mod: int | None = None
+) -> Iterator[str]:
+    """Each left factor's block of table lines, from :func:`structconst.product_rows`.
 
-
-def join_terms(fragments: Sequence[str], terms) -> str:
-    """:func:`element_records` serialized, from (index, coefficient) pairs in term order.
-
-    ``fragments[index]`` is the :func:`term_fragment` of the term's graph.
-    The same bytes as ``dumps(element_records(x))`` when the pairs follow
-    ``x.items()``, because :func:`dumps` sorts the keys as coeff, graph.
+    ``graphs`` is the basis in basis order and ``rows`` its product rows.
+    A block is :func:`table_line` per right factor, each followed by
+    ``"\\n"``, spliced from each graph's JSON serialized once: the same
+    bytes, because :func:`dumps` sorts the keys as g1, g2, terms and as
+    coeff, graph.  ``mod`` reduces each coefficient, dropping zero residues.
     """
-    return "[" + ",".join([f'{{"coeff":"{coeff}{fragments[x]}' for x, coeff in terms]) + "]"
-
-
-def table_line_head(g1_json: str) -> str:
-    """The start of a :func:`table_line`, up to the serialized g2; see :func:`table_line_tail`."""
-    return '{"g1":' + g1_json + ',"g2":'
-
-
-def table_line_tail(g2_json: str, terms_json: str) -> str:
-    """The rest of a :func:`table_line` from its serialized values.
-
-    ``table_line_head(g1 JSON) + table_line_tail(g2 JSON, terms JSON)`` is
-    the same bytes as :func:`table_line`, because :func:`dumps` sorts the
-    keys as g1, g2, terms.
-    """
-    return g2_json + ',"terms":' + terms_json + "}"
+    records = [dumps(graph_record(g)) for g in graphs]
+    fragments = ['","graph":' + record + "}" for record in records]
+    zero_tails = [record + ',"terms":[]}\n' for record in records]
+    for record1, row in zip(records, rows):
+        tails = zero_tails.copy()
+        for k, terms in row:
+            if mod is not None:
+                terms = [(x, residue) for x, coeff in terms if (residue := coeff % mod)]
+            terms_json = ",".join([f'{{"coeff":"{coeff}{fragments[x]}' for x, coeff in terms])
+            tails[k] = records[k] + ',"terms":[' + terms_json + "]}\n"
+        head = '{"g1":' + record1 + ',"g2":'
+        yield head + head.join(tails)
 
 
 def load_json_file(path: str):

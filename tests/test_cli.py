@@ -477,7 +477,6 @@ def test_table_3_4_streams_in_small_memory(capsys, tmp_path):
     # rows are written as they are made, from precomputed JSON, so the whole
     # 31.6 MB table is never held; the relabelled terms of orbit pairs whose
     # rows are still to come peak near 5 MiB
-    cli._table_context.cache_clear()
     basis.cache_clear()
     structconst._vertex_moves.cache_clear()
     out_path = tmp_path / "t.jsonl"

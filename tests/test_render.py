@@ -71,3 +71,32 @@ def test_product_dot_one_graph_per_filling():
     assert 'b2 [label="4"];' in first
     assert first.count("t1 -- m1;") == 2
     assert first.count("m1 -- b1;") == 2
+
+
+def _filling_dot(k, middle):
+    m1, m2 = middle
+    return (
+        f"graph filling_{k} {{\n"
+        "  rankdir=TB;\n"
+        "  node [shape=box];\n"
+        '  { rank=same; t1 [label="1,2,3"]; t2 [label="4"]; }\n'
+        f'  {{ rank=same; m1 [label="{m1}"]; m2 [label="{m2}"]; }}\n'
+        '  { rank=same; b1 [label="1,2,3"]; b2 [label="4"]; }\n'
+        "  t1 -- m1;\n  t1 -- m1;\n  t1 -- m2;\n  t2 -- m2;\n"
+        "  m1 -- b1;\n  m1 -- b1;\n  m2 -- b1;\n  m2 -- b2;\n"
+        "}\n"
+    )
+
+
+def test_dot_golden_bytes():
+    assert render_graph_dot(G1) == (
+        "graph pair {\n"
+        "  rankdir=TB;\n"
+        "  node [shape=circle];\n"
+        '  { rank=same; t1 [label="t1"]; t2 [label="t2"]; }\n'
+        '  { rank=same; b1 [label="b1"]; b2 [label="b2"]; }\n'
+        "  t1 -- b1;\n  t1 -- b1;\n  t2 -- b1;\n  t2 -- b2;\n"
+        "}\n"
+    )
+    middles = (("1,2", "3,4"), ("1,3", "2,4"), ("2,3", "1,4"))
+    assert render_product_dot(G1, G2, G3) == "\n".join(_filling_dot(k, m) for k, m in enumerate(middles, 1))

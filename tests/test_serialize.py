@@ -13,13 +13,11 @@ from schurbox.serialize import (
     element_records,
     graph_from_record,
     graph_record,
-    join_terms,
+    table_blocks,
     table_line,
-    table_line_head,
-    table_line_tail,
-    term_fragment,
     vector_records,
 )
+from schurbox.structconst import multiply_basis_euler, product_rows
 
 G1 = BipartiteMultigraph(((2, 1), (0, 1)))
 G2 = BipartiteMultigraph(((2, 0), (1, 1)))
@@ -99,10 +97,19 @@ def test_table_line_parses_back():
     assert "\n" not in line
 
 
-def test_table_line_halves_and_term_joiner_match_dumps():
-    for x in (AlgebraElement(2, 4, [(G1, 2), (G2, 10**30)]), AlgebraElement.zero(2, 4)):
-        fragments = [term_fragment(dumps(graph_record(g))) for g, _ in x.items()]
-        terms_json = join_terms(fragments, [(i, c) for i, (_, c) in enumerate(x.items())])
-        assert terms_json == dumps(element_records(x))
-        head = table_line_head(dumps(graph_record(G1)))
-        assert head + table_line_tail(dumps(graph_record(G2)), terms_json) == table_line(G1, G2, x)
+def test_table_blocks_match_table_line():
+    # every ordered pair at (2,3), in basis order, with coefficients as found and scaled past 64 bits
+    p = Params(2, 3)
+    graphs = enumerate_graphs(p)
+    for mod, scale in itertools.product((None, 2), (1, 10**30)):
+        rows = [
+            [(k, [(x, scale * c) for x, c in terms]) for k, terms in row] for row in product_rows(p.n, p.d)
+        ]
+        expected = "".join(
+            table_line(g1, g2, (scale * multiply_basis_euler(g1, g2)).reduce(mod)) + "\n"
+            for g1 in graphs
+            for g2 in graphs
+        )
+        blocks = list(table_blocks(graphs, rows, mod))
+        assert len(blocks) == len(graphs)
+        assert "".join(blocks) == expected

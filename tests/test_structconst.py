@@ -18,7 +18,6 @@ from schurbox.graphs import (
     rank,
 )
 from schurbox.oracle import multiply_basis_oracle
-from schurbox.serialize import dumps, element_records, graph_record, join_terms, term_fragment
 from schurbox.structconst import (
     coeff_by_counting,
     enumerate_word_matrices,
@@ -243,11 +242,9 @@ def test_counting_takes_a_column_longer_than_the_recursion_limit():
     assert multiply_basis_counting(g, g) == AlgebraElement.basis(g)
 
 
-def test_euler_fold_and_term_joiner_agree_with_the_element_path():
+def test_euler_fold_agrees_with_the_element_path():
     p = Params(3, 3)
     graphs = enumerate_graphs(p)
-    index_of = {g.sort_key: k for k, g in enumerate(graphs)}
-    fragments = [term_fragment(dumps(graph_record(g))) for g in graphs]
     for g1, g2 in compatible_pairs(p):
         fold = euler_fold(g1, g2)
         product = multiply_basis_euler(g1, g2)
@@ -255,8 +252,6 @@ def test_euler_fold_and_term_joiner_agree_with_the_element_path():
         checked = {BipartiteMultigraph((key[0:3], key[3:6], key[6:9])): c for key, c in fold.items()}
         assert product == AlgebraElement(3, 3, checked)
         assert fold == {g.sort_key: c for g, c in product.items()}
-        terms = sorted((index_of[key], c) for key, c in fold.items())
-        assert join_terms(fragments, terms) == dumps(element_records(product))
     assert euler_fold(graphs[0], graphs[-1]) == {}
 
 
