@@ -97,10 +97,11 @@ def cmd_apply(args) -> int:
 
 
 def cmd_table(args) -> int:
-    """Write every basis product: the nonzero ones from :func:`structconst.product_rows`.
+    """Write every basis product, the nonzero ones from :func:`structconst.product_rows`; ``--jobs`` is ignored.
 
-    ``--mod`` reduces each coefficient once, after the walk's relabelling,
-    with which it commutes.  ``--jobs`` is ignored.
+    Each row, {right factor: (term indices, coefficients)}, is written as it
+    is made by :func:`serialize.table_blocks`.  ``--mod`` reduces each
+    coefficient once, after the walk's relabelling, with which it commutes.
     """
     check_modulus(args.mod)
     p = Params(args.boxes, args.balls)

@@ -23,15 +23,12 @@ with total sum d; there are C(n*n + d - 1, d) of them.
 '|124|3|'
 
 :func:`basis` lists one shape's graphs, and :func:`rank` computes a graph's
-index in that list from its flattened matrix.  Graph 0 times graph 1 is
-graph 1, and the symmetry takes that pair and term to three more:
+index in that list from its flattened matrix:
 
 >>> [str(g) for g in basis(2, 1).graphs]
 ['[[0,0],[0,1]]', '[[0,0],[1,0]]', '[[0,1],[0,0]]', '[[1,0],[0,0]]']
 >>> rank((0, 1, 0, 0))
 2
->>> basis(2, 1).orbit(0, 1, (1,))
-{(0, 1): (1,), (3, 2): (2,), (2, 0): (2,), (1, 3): (1,)}
 """
 
 import itertools
@@ -237,6 +234,8 @@ class Basis:
     Relabelling boxes by σ in S_n is an automorphism of the algebra and
     transposing an anti-automorphism, so c(g1, g2; g) = c(σg1σᵀ, σg2σᵀ; σgσᵀ)
     = c(g2ᵀ, g1ᵀ; gᵀ) (Green, *Polynomial Representations of GL_n*, §2.3).
+    :func:`structconst.product_rows` walks the orbit of a pair with
+    :attr:`generators`.
     """
 
     def __init__(self, p: Params):
@@ -259,27 +258,6 @@ class Basis:
         # each generator as the flattened cell that every cell of the image reads
         flats = [[box[i] * n + box[j] for i, j in cells] for box in swaps] + [[j * n + i for i, j in cells]]
         return [[rank(tuple(map(g.sort_key.__getitem__, flat))) for g in self.graphs] for flat in flats]
-
-    def orbit(self, i: int, k: int, indices: tuple[int, ...]) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Every pair in the orbit of (i, k), whose product has terms at ``indices``, with its terms.
-
-        A swap m sends (i, k) to (m[i], m[k]) and the transpose t to (t[k], t[i]);
-        each sends a term x to m[x] or t[x], and coefficients ride along unchanged.
-        """
-        *swaps, t = self.generators
-        orbit = {(i, k): indices}
-        queue = [(i, k, indices)]
-        for i, k, indices in queue:
-            for m in swaps:
-                pair = m[i], m[k]
-                if pair not in orbit:
-                    orbit[pair] = image = tuple(map(m.__getitem__, indices))
-                    queue.append((*pair, image))
-            pair = t[k], t[i]
-            if pair not in orbit:
-                orbit[pair] = image = tuple(map(t.__getitem__, indices))
-                queue.append((*pair, image))
-        return orbit
 
 
 @lru_cache(maxsize=1)

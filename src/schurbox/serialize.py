@@ -53,22 +53,28 @@ def table_line(g1: BipartiteMultigraph, g2: BipartiteMultigraph, product: Algebr
 
 
 def table_blocks(
-    graphs: Sequence[BipartiteMultigraph], rows: Iterable[list], mod: int | None = None
+    graphs: Sequence[BipartiteMultigraph], rows: Iterable[dict], mod: int | None = None
 ) -> Iterator[str]:
     """Each left factor's block of table lines, from :func:`structconst.product_rows`.
 
-    ``graphs`` is the basis in basis order and ``rows`` its product rows.
-    A block is :func:`table_line` per right factor, each followed by
-    ``"\\n"``, spliced from each graph's JSON serialized once: the same
-    bytes, because :func:`dumps` sorts the keys as g1, g2, terms and as
-    coeff, graph.  ``mod`` reduces each coefficient, dropping zero residues.
+    ``graphs`` is the basis in basis order and ``rows`` its product rows,
+    each {right factor: (term indices, coefficients)} in any order.  A block
+    is :func:`table_line` per right factor, each followed by ``"\\n"``,
+    spliced from each graph's JSON serialized once: the same bytes, because
+    :func:`dumps` sorts the keys as g1, g2, terms and as coeff, graph, and
+    terms are sorted by index (one term is written without a sort).
+    ``mod`` reduces each coefficient, dropping zero residues.
     """
     records = [dumps(graph_record(g)) for g in graphs]
     fragments = ['","graph":' + record + "}" for record in records]
     zero_tails = [record + ',"terms":[]}\n' for record in records]
     for record1, row in zip(records, rows):
         tails = zero_tails.copy()
-        for k, terms in row:
+        for k, (indices, coeffs) in row.items():
+            if len(indices) == 1 and mod is None:
+                tails[k] = f'{records[k]},"terms":[{{"coeff":"{coeffs[0]}{fragments[indices[0]]}]}}\n'
+                continue
+            terms = sorted(zip(indices, coeffs))
             if mod is not None:
                 terms = [(x, residue) for x, coeff in terms if (residue := coeff % mod)]
             terms_json = ",".join([f'{{"coeff":"{coeff}{fragments[x]}' for x, coeff in terms])

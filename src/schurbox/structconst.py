@@ -216,31 +216,46 @@ def multiply_basis_euler(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> Al
     return AlgebraElement._from_terms(n, d, terms)
 
 
-def product_rows(n: int, d: int) -> Iterator[list[tuple[int, list[tuple[int, int]]]]]:
-    """Row i of the basis products: (k, sorted (term index, coefficient) pairs) per nonzero product i·k.
+def product_rows(n: int, d: int) -> Iterator[dict[int, tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """Row i of the basis products: {k: (term indices, coefficients)} per nonzero product i·k, unsorted.
 
-    Rows come in basis order and k increases; a product is nonzero exactly
-    when the bottom valencies of k meet the top valencies of i.  The first
-    pair of a ``Basis.orbit`` met in that order is folded, and every pair of
-    the orbit, the folded one included, gets the relabelled terms in its
-    row's bucket, {k: (term indices, coefficients)}.  Row i pops its bucket
-    when it starts; no orbit reaches an earlier row, so the buckets held are
-    those of rows still to come.
+    A product is nonzero exactly when the bottom valencies of k meet the top
+    valencies of i.  The first pair of an orbit met in row order is folded.
+    Renaming commutes with transposing, so the orbit is the renaming orbit,
+    walked breadth-first by the adjacent swaps of ``Basis.generators``, and
+    the transposes of its members: that orbit again if it holds (i, k)'s
+    transpose, else disjoint from it.  Each member is filed into its row's
+    bucket as it is reached, with relabelled term indices and the orbit's
+    one coefficient tuple: the buckets are the visited set.  No orbit reaches
+    an earlier row, so the buckets held are row i's and those still to come.
+
+    >>> list(product_rows(2, 1)) == [{0: ((0,), (1,)), 1: ((1,), (1,))}, {2: ((0,), (1,)), 3: ((1,), (1,))},
+    ...                              {0: ((2,), (1,)), 1: ((3,), (1,))}, {2: ((2,), (1,)), 3: ((3,), (1,))}]
+    True
     """
     layer = basis(n, d)
     graphs, by_bottom = layer.graphs, layer.by_bottom
+    *swaps, t = layer.generators
     pending: dict[int, dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = {}
     for i, g1 in enumerate(graphs):
-        bucket = pending.pop(i, {})
-        row = []
+        bucket = pending.setdefault(i, {})
         for k in by_bottom.get(g1.top_valencies(), ()):
             if k not in bucket:
                 fold = euler_fold(g1, graphs[k])
-                ways = tuple(fold.values())
-                for (a, b), image in layer.orbit(i, k, tuple(map(rank, fold))).items():
-                    (bucket if a == i else pending.setdefault(a, {}))[b] = image, ways
-            row.append((k, sorted(zip(*bucket.pop(k)))))
-        yield row
+                terms, ways = tuple(map(rank, fold)), tuple(fold.values())
+                bucket[k] = terms, ways
+                renamed = [(i, k, terms)]
+                for a, b, terms in renamed:
+                    for m in swaps:
+                        row = pending.setdefault(m[a], {})
+                        if m[b] not in row:
+                            image = tuple(map(m.__getitem__, terms))
+                            row[m[b]] = image, ways
+                            renamed.append((m[a], m[b], image))
+                if t[i] not in pending.get(t[k], ()):
+                    for a, b, terms in renamed:
+                        pending.setdefault(t[b], {})[t[a]] = tuple(map(t.__getitem__, terms)), ways
+        yield pending.pop(i)
 
 
 def canonical_diagrams(

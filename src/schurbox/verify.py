@@ -262,10 +262,10 @@ def check_t_basis(p: Params) -> CheckResult:
     configuration pair.  That is read on the canonical rows of a grid that
     commutes with renaming, and on every row of one that does not.  Then, for
     every (g1, g2), the middle-index counts at the canonical cells must equal
-    the coefficients of :func:`structconst.product_rows`, one fold per orbit:
-    on a valency-compatible pair they give every nonzero coefficient, and on
-    any other pair no count may fall.  The first mismatch in g1, g2, g order
-    is reported.
+    the coefficients in row g1 of :func:`structconst.product_rows`, {g2: (term
+    indices, coefficients)}, one fold per orbit: on a valency-compatible pair
+    they give every nonzero coefficient, and on any other pair no count may
+    fall.  The first mismatch in g1, g2, g order is reported.
     """
     _check_t_basis_size(p)
     from . import oracle
@@ -299,7 +299,7 @@ def check_t_basis(p: Params) -> CheckResult:
         for (i, j), count in oracle.orbit_composition_counts(g).items():
             counted[i].setdefault(positions[j], {})[k] = count
     for i, (g1, row) in enumerate(zip(graphs, structconst.product_rows(p.n, p.d))):
-        products = {k: dict(terms) for k, terms in row}
+        products = {k: dict(zip(*entry)) for k, entry in row.items()}
         for j in sorted(products.keys() | counted[i].keys()):
             want, got = products.get(j, {}), counted[i].get(j, {})
             wrong = [k for k in want.keys() | got.keys() if want.get(k, 0) != got.get(k, 0)]

@@ -98,18 +98,22 @@ def test_table_line_parses_back():
 
 
 def test_table_blocks_match_table_line():
-    # every ordered pair at (2,3), in basis order, with coefficients as found and scaled past 64 bits
-    p = Params(2, 3)
-    graphs = enumerate_graphs(p)
-    for mod, scale in itertools.product((None, 2), (1, 10**30)):
-        rows = [
-            [(k, [(x, scale * c) for x, c in terms]) for k, terms in row] for row in product_rows(p.n, p.d)
-        ]
-        expected = "".join(
-            table_line(g1, g2, (scale * multiply_basis_euler(g1, g2)).reduce(mod)) + "\n"
-            for g1 in graphs
-            for g2 in graphs
-        )
-        blocks = list(table_blocks(graphs, rows, mod))
-        assert len(blocks) == len(graphs)
-        assert "".join(blocks) == expected
+    # every ordered pair at (2,3), where renaming has 2 elements, and at (3,3), where it has 6, in basis
+    # order, with coefficients as found and scaled past 64 bits: one-term entries, sorted multi-term
+    # entries and dropped zero residues are all checked byte for byte
+    for p in (Params(2, 3), Params(3, 3)):
+        graphs = enumerate_graphs(p)
+        products = [[multiply_basis_euler(g1, g2) for g2 in graphs] for g1 in graphs]
+        for mod, scale in itertools.product((None, 2), (1, 10**30)):
+            rows = [
+                {k: (indices, tuple(scale * c for c in coeffs)) for k, (indices, coeffs) in row.items()}
+                for row in product_rows(p.n, p.d)
+            ]
+            expected = "".join(
+                table_line(g1, g2, (scale * product).reduce(mod)) + "\n"
+                for g1, row in zip(graphs, products)
+                for g2, product in zip(graphs, row)
+            )
+            blocks = list(table_blocks(graphs, rows, mod))
+            assert len(blocks) == len(graphs)
+            assert "".join(blocks) == expected, (p, mod, scale)

@@ -295,6 +295,12 @@ def relabelled(g, sigma):
     return BipartiteMultigraph(tuple(map(tuple, rows)))
 
 
+def orbit(g1, g2):
+    """The pairs (σg1σᵀ, σg2σᵀ) for every σ in S_n, and their transposes (σg2ᵀσᵀ, σg1ᵀσᵀ)."""
+    pairs = {(relabelled(g1, sigma), relabelled(g2, sigma)) for sigma in itertools.permutations(range(g1.n))}
+    return pairs | {(transposed(b), transposed(a)) for a, b in pairs}
+
+
 @pytest.mark.parametrize("n, d", [(2, 4), (3, 3)])
 def test_counting_is_symmetric_under_transpose_and_box_relabelling(n, d):
     # c(g1, g2; g) = c(g2ᵀ, g1ᵀ; gᵀ) = c(σg1σᵀ, σg2σᵀ; σgσᵀ) for every σ in S_n:
@@ -315,28 +321,29 @@ def test_counting_is_symmetric_under_transpose_and_box_relabelling(n, d):
     assert len(layer.generators) == len(images) == n
     for generator, image in zip(layer.generators, images):
         assert generator == [rank(image(g).sort_key) for g in layer.graphs]
-    # and every orbit it walks carries each pair's terms to those of its images
-    for (g1, g2), product in products.items():
-        terms, coeffs = zip(*((rank(g.sort_key), c) for g, c in product.items()))
-        i, k = rank(g1.sort_key), rank(g2.sort_key)
-        for (a, b), image in layer.orbit(i, k, terms).items():
-            expected = products[layer.graphs[a], layer.graphs[b]]
-            assert AlgebraElement(n, d, zip(map(layer.graphs.__getitem__, image), coeffs)) == expected
+    # and the rows that walk them carry each folded pair's terms to every pair of its orbit
+    graphs = layer.graphs
+    rows = list(product_rows(n, d))
+    assert sum(map(len, rows)) == len(products)
+    for g1, row in zip(graphs, rows):
+        for k, (terms, coeffs) in row.items():
+            assert len(set(terms)) == len(terms) == len(coeffs)
+            assert AlgebraElement(n, d, zip(map(graphs.__getitem__, terms), coeffs)) == products[g1, graphs[k]]
 
 
 @pytest.mark.parametrize("n, d", [(2, 4), (3, 3), (4, 2), (5, 2)])
 def test_product_rows_match_one_fold_per_pair_where_orbits_reach_back_into_the_row(n, d):
-    layer = basis(n, d)
-    graphs = layer.graphs
+    graphs = basis(n, d).graphs
     rows = list(product_rows(n, d))
     assert len(rows) == len(graphs)
     for g1, row in zip(graphs, rows):
         folds = ((k, euler_fold(g1, g2)) for k, g2 in enumerate(graphs))
-        assert row == [(k, sorted((rank(key), c) for key, c in fold.items())) for k, fold in folds if fold]
+        expected = {k: sorted((rank(key), c) for key, c in fold.items()) for k, fold in folds if fold}
+        assert {k: sorted(zip(*entry)) for k, entry in row.items()} == expected
     # some orbit holds two pairs of one row, so the walk puts a relabelled
     # pair into the bucket of the row it is walking
-    orbits = (layer.orbit(i, k, ()) for i, row in enumerate(rows) for k, _ in row)
-    assert any(len({a for a, _ in orbit}) < len(orbit) for orbit in orbits)
+    orbits = (orbit(graphs[i], graphs[k]) for i, row in enumerate(rows) for k in row)
+    assert any(len({a for a, _ in pairs}) < len(pairs) for pairs in orbits)
 
 
 def test_product_rows_hold_pending_terms_in_small_memory():
