@@ -110,7 +110,7 @@ def cmd_table(args) -> int:
     tmp = args.out + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.writelines(serialize.table_blocks(basis(p.n, p.d).graphs, rows, args.mod))
+            handle.writelines(serialize.table_blocks(basis(p.n, p.d), rows, args.mod))
         os.replace(tmp, args.out)
     except BaseException:
         if os.path.exists(tmp):

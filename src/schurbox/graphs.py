@@ -22,10 +22,11 @@ with total sum d; there are C(n*n + d - 1, d) of them.
 >>> canonical_pair(BipartiteMultigraph(((2, 1), (1, 0))))[0].word()
 '|124|3|'
 
-:func:`basis` lists one shape's graphs, and :func:`rank` computes a graph's
-index in that list from its flattened matrix:
+:func:`basis` lists one shape's graphs as a tuple, cached for the last shape
+asked, and :func:`rank` computes a graph's index in that list from its
+flattened matrix:
 
->>> [str(g) for g in basis(2, 1).graphs]
+>>> [str(g) for g in basis(2, 1)]
 ['[[0,0],[0,1]]', '[[0,0],[1,0]]', '[[0,1],[0,0]]', '[[1,0],[0,0]]']
 >>> rank((0, 1, 0, 0))
 2
@@ -35,7 +36,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import getitem
 
 from .combinatorics import (
@@ -228,52 +229,10 @@ def enumerate_graphs(p: Params) -> list[BipartiteMultigraph]:
     return graphs
 
 
-class Basis:
-    """One shape's graphs in enumeration order, shared read-only; each grouping and map is built on first use.
-
-    Relabelling boxes by σ in S_n is an automorphism of the algebra and
-    transposing an anti-automorphism, so c(g1, g2; g) = c(σg1σᵀ, σg2σᵀ; σgσᵀ)
-    = c(g2ᵀ, g1ᵀ; gᵀ) (Green, *Polynomial Representations of GL_n*, §2.3).
-    :func:`structconst.product_rows` walks the orbit of a pair with
-    :attr:`generators`.
-    """
-
-    def __init__(self, p: Params):
-        self.graphs = tuple(enumerate_graphs(p))
-
-    @cached_property
-    def by_bottom(self) -> dict[tuple[int, ...], list[int]]:
-        """The basis indices, in increasing order, grouped by bottom valencies."""
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for k, g in enumerate(self.graphs):
-            groups.setdefault(g.bottom_valencies(), []).append(k)
-        return groups
-
-    @cached_property
-    def generators(self) -> list[list[int]]:
-        """The symmetry's generators as basis-index maps: each adjacent box swap, then the transpose."""
-        n = self.graphs[0].n
-        cells = [divmod(cell, n) for cell in range(n * n)]
-        swaps = [[*range(s), s + 1, s, *range(s + 2, n)] for s in range(n - 1)]
-        # each generator as the flattened cell that every cell of the image reads
-        flats = [[box[i] * n + box[j] for i, j in cells] for box in swaps] + [[j * n + i for i, j in cells]]
-        return [[rank(tuple(map(g.sort_key.__getitem__, flat))) for g in self.graphs] for flat in flats]
-
-
 @lru_cache(maxsize=1)
-def basis(n: int, d: int) -> Basis:
-    """The :class:`Basis` of shape (n, d), kept for the most recently asked shape."""
-    return Basis(Params(n, d))
-
-
-def edge_labels(g: BipartiteMultigraph) -> list[EdgeLabel]:
-    """The occupied parallel classes of ``g``, sorted by (top, bottom)."""
-    return [
-        (top, bottom)
-        for top in range(1, g.n + 1)
-        for bottom in range(1, g.n + 1)
-        if g.matrix[bottom - 1][top - 1] > 0
-    ]
+def basis(n: int, d: int) -> tuple[BipartiteMultigraph, ...]:
+    """The graphs of shape (n, d) in enumeration order, kept for the most recently asked shape."""
+    return tuple(enumerate_graphs(Params(n, d)))
 
 
 def canonical_indices(g: BipartiteMultigraph) -> tuple[tuple[int, ...], tuple[int, ...]]:

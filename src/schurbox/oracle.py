@@ -34,7 +34,6 @@ from .graphs import (
     check_reach,
     diagonal_graph,
     graph_count,
-    in_reach,
     rank,
     rank_weights,
 )

@@ -1,19 +1,17 @@
 """Text and DOT drawings of graphs and of three-row product diagrams."""
 
-from .graphs import BipartiteMultigraph, edge_labels
+from .graphs import BipartiteMultigraph
 from .structconst import middle_fillings
 
 
-def _multiplicity(g: BipartiteMultigraph, label) -> int:
-    top, bottom = label
-    return g.matrix[bottom - 1][top - 1]
+def _edges(g: BipartiteMultigraph) -> list[tuple[int, int, int]]:
+    """The occupied parallel classes of g as (top, bottom, multiplicity), sorted by (top, bottom)."""
+    return [(t, b, k) for t, column in enumerate(zip(*g.matrix), 1) for b, k in enumerate(column, 1) if k]
 
 
 def _edge_lines(g: BipartiteMultigraph, upper: str, lower: str, indent: str = "  ") -> list[str]:
     lines = []
-    for label in edge_labels(g):
-        top, bottom = label
-        mult = _multiplicity(g, label)
+    for top, bottom, mult in _edges(g):
         suffix = f"   x{mult}" if mult > 1 else ""
         lines.append(f"{indent}{upper} {top} -- {lower} {bottom}{suffix}")
     return lines
@@ -34,7 +32,7 @@ def _dot_row(row: str, labels) -> str:
 
 def _dot_edges(g: BipartiteMultigraph, upper: str, lower: str) -> list[str]:
     """One DOT edge per edge of g, parallel edges repeated, from row ``upper`` to row ``lower``."""
-    return [f"  {upper}{t} -- {lower}{b};" for t, b in edge_labels(g) for _ in range(_multiplicity(g, (t, b)))]
+    return [f"  {upper}{t} -- {lower}{b};" for t, b, mult in _edges(g) for _ in range(mult)]
 
 
 def render_graph_dot(g: BipartiteMultigraph) -> str:

@@ -216,26 +216,42 @@ def multiply_basis_euler(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> Al
     return AlgebraElement._from_terms(n, d, terms)
 
 
+def _symmetry_maps(graphs: tuple[BipartiteMultigraph, ...]) -> list[list[int]]:
+    """The symmetry's generators as basis-index maps: each adjacent box swap, then the transpose."""
+    n = graphs[0].n
+    cells = [divmod(cell, n) for cell in range(n * n)]
+    swaps = [[*range(s), s + 1, s, *range(s + 2, n)] for s in range(n - 1)]
+    # each generator as the flattened cell that every cell of the image reads
+    flats = [[box[i] * n + box[j] for i, j in cells] for box in swaps] + [[j * n + i for i, j in cells]]
+    return [[rank(tuple(map(g.sort_key.__getitem__, flat))) for g in graphs] for flat in flats]
+
+
 def product_rows(n: int, d: int) -> Iterator[dict[int, tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Row i of the basis products: {k: (term indices, coefficients)} per nonzero product i·k, unsorted.
 
     A product is nonzero exactly when the bottom valencies of k meet the top
-    valencies of i.  The first pair of an orbit met in row order is folded.
-    Renaming commutes with transposing, so the orbit is the renaming orbit,
-    walked breadth-first by the adjacent swaps of ``Basis.generators``, and
-    the transposes of its members: that orbit again if it holds (i, k)'s
-    transpose, else disjoint from it.  Each member is filed into its row's
-    bucket as it is reached, with relabelled term indices and the orbit's
-    one coefficient tuple: the buckets are the visited set.  No orbit reaches
-    an earlier row, so the buckets held are row i's and those still to come.
+    valencies of i.  Relabelling boxes by σ in S_n is an automorphism of the
+    algebra and transposing an anti-automorphism, so c(g1, g2; g) =
+    c(σg1σᵀ, σg2σᵀ; σgσᵀ) = c(g2ᵀ, g1ᵀ; gᵀ) (Green, *Polynomial
+    Representations of GL_n*, §2.3).  The first pair of an orbit met in row
+    order is folded.  Renaming commutes with transposing, so the orbit is the
+    renaming orbit, walked breadth-first by the adjacent swaps of
+    :func:`_symmetry_maps`, and the transposes of its members: that orbit
+    again if it holds (i, k)'s transpose, else disjoint from it.  Each member
+    is filed into its row's bucket as it is reached, with relabelled term
+    indices and the orbit's one coefficient tuple: the buckets are the
+    visited set.  No orbit reaches an earlier row, so the buckets held are
+    row i's and those still to come.
 
     >>> list(product_rows(2, 1)) == [{0: ((0,), (1,)), 1: ((1,), (1,))}, {2: ((0,), (1,)), 3: ((1,), (1,))},
     ...                              {0: ((2,), (1,)), 1: ((3,), (1,))}, {2: ((2,), (1,)), 3: ((3,), (1,))}]
     True
     """
-    layer = basis(n, d)
-    graphs, by_bottom = layer.graphs, layer.by_bottom
-    *swaps, t = layer.generators
+    graphs = basis(n, d)
+    by_bottom: dict[tuple[int, ...], list[int]] = {}
+    for k, g in enumerate(graphs):
+        by_bottom.setdefault(g.bottom_valencies(), []).append(k)
+    *swaps, t = _symmetry_maps(graphs)
     pending: dict[int, dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = {}
     for i, g1 in enumerate(graphs):
         bucket = pending.setdefault(i, {})

@@ -85,7 +85,7 @@ def check_orbit_bijection(p: Params) -> CheckResult:
     """
     configs = enumerate_configurations(p)
     rows = _canonical_rows(p)
-    enumerated = basis(p.n, p.d).graphs
+    enumerated = basis(p.n, p.d)
     position = {g: k for k, g in enumerate(enumerated)}
     seen, extra = bytearray(len(enumerated)), set()
     for g in (pair_graph(a, b) for a in rows for b in configs):
@@ -142,7 +142,7 @@ def check_commutant(p: Params, corrupt: bool = False) -> CheckResult:
     if not oracle.commutes_with_renaming(oracle.DenseOperator(p.n, p.d, labels)):
         maps = oracle._transposition_indices(p.n, p.d)
         label = min(labels[moved].min() for moved in (labels[s][:, s] != labels for s in maps) if moved.any())
-        g = basis(p.n, p.d).graphs[label]
+        g = basis(p.n, p.d)[label]
         detail = f"operator of {g} does not commute with renaming"
         return CheckResult("commutant", False, detail, serialize.dumps(serialize.graph_record(g)))
     return CheckResult("commutant", True, f"{graph_count(p)} operators x {max(p.d - 1, 0)} generators", None)
@@ -150,7 +150,7 @@ def check_commutant(p: Params, corrupt: bool = False) -> CheckResult:
 
 def _sample(p: Params, k: int, limit: int, size: int, seed: int) -> tuple[list[tuple], str]:
     """Every k-tuple of basis graphs if at most ``limit``, else ``size`` seeded draws; and a note."""
-    graphs = basis(p.n, p.d).graphs
+    graphs = basis(p.n, p.d)
     if len(graphs) ** k <= limit:
         return list(itertools.product(graphs, repeat=k)), ""
     rng = random.Random(seed)
@@ -228,7 +228,7 @@ def check_identity(p: Params) -> CheckResult:
         diagonal[h.top_valencies()] = h
     fold = structconst.euler_fold
     seen_bottom, seen_top = set(), set()
-    for g in basis(p.n, p.d).graphs:
+    for g in basis(p.n, p.d):
         bottom, top = g.bottom_valencies(), g.top_valencies()
         ok = bottom in diagonal and top in diagonal
         ok = ok and fold(diagonal[bottom], g) == {g.sort_key: 1} == fold(g, diagonal[top])
@@ -270,7 +270,7 @@ def check_t_basis(p: Params) -> CheckResult:
     _check_t_basis_size(p)
     from . import oracle
 
-    graphs = basis(p.n, p.d).graphs
+    graphs = basis(p.n, p.d)
     table = oracle.pair_table(p.n, p.d)
     configs = enumerate_configurations(p)  # in multi-index order, the grid's
     # pair_graph is renaming-invariant, so on a grid that commutes with renaming

@@ -22,7 +22,6 @@ from schurbox.graphs import (
     canonical_indices,
     canonical_pair,
     diagonal_graph,
-    edge_labels,
     enumerate_graphs,
     graph_count,
     in_reach,
@@ -199,11 +198,6 @@ def test_diagonal_graph():
     g = diagonal_graph((2, 0, 1))
     assert g.matrix == ((2, 0, 0), (0, 0, 0), (0, 0, 1))
     assert g.top_valencies() == g.bottom_valencies() == (2, 0, 1)
-
-
-def test_edge_labels_and_slots():
-    g = BipartiteMultigraph(((2, 1), (0, 1)))
-    assert edge_labels(g) == [(1, 1), (2, 1), (2, 2)]
 
 
 def test_canonical_configuration():

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from schurbox import structconst
 from schurbox.algebra import AlgebraElement, apply_basis, basis_product
 from schurbox.combinatorics import Configuration, Params, enumerate_configurations, to_configuration, to_multi_index
 from schurbox.graphs import (
@@ -193,7 +194,7 @@ def test_euler_matches_counting_on_every_compatible_pair():
 def test_counting_equals_the_middle_fillings_on_every_compatible_pair(n, d):
     # the walk against the full sweep, and its witnesses against a filter of every image of c;
     # every term has g2's top and g1's bottom valencies, so no other g can count
-    graphs = basis(n, d).graphs
+    graphs = basis(n, d)
     for g1, g2 in compatible_pairs(Params(n, d)):
         assert multiply_basis_counting(g1, g2) == counting_sweep(g1, g2), (g1, g2)
         for g in graphs:
@@ -207,7 +208,7 @@ def test_counting_equals_the_middle_fillings_on_every_compatible_pair(n, d):
 def test_rising_within_each_top_box_picks_the_canonical_bottom_row(n, d):
     # counting's rule: among the a with pair_graph(a, c) == g, the one whose
     # boxes never decrease along the balls of each box of c is canonical_pair's
-    for g in basis(n, d).graphs:
+    for g in basis(n, d):
         a0, c = canonical_pair(g)
         top = to_multi_index(c)
         rising = []
@@ -313,16 +314,16 @@ def test_counting_is_symmetric_under_transpose_and_box_relabelling(n, d):
             image = products[relabelled(g1, sigma), relabelled(g2, sigma)]
             expected = AlgebraElement(n, d, [(relabelled(g, sigma), c) for g, c in product.items()])
             assert image == expected, (g1, g2, sigma)
-    # the basis layer's generators are those maps on basis indices: the
-    # adjacent box swaps, then the transpose
-    layer = basis(n, d)
+    # the symmetry maps are those maps on basis indices: the adjacent box
+    # swaps, then the transpose
+    graphs = basis(n, d)
     swaps = [[*range(s), s + 1, s, *range(s + 2, n)] for s in range(n - 1)]
     images = [lambda g, sigma=sigma: relabelled(g, sigma) for sigma in swaps] + [transposed]
-    assert len(layer.generators) == len(images) == n
-    for generator, image in zip(layer.generators, images):
-        assert generator == [rank(image(g).sort_key) for g in layer.graphs]
+    maps = structconst._symmetry_maps(graphs)
+    assert len(maps) == len(images) == n
+    for generator, image in zip(maps, images):
+        assert generator == [rank(image(g).sort_key) for g in graphs]
     # and the rows that walk them carry each folded pair's terms to every pair of its orbit
-    graphs = layer.graphs
     rows = list(product_rows(n, d))
     assert sum(map(len, rows)) == len(products)
     for g1, row in zip(graphs, rows):
@@ -333,7 +334,7 @@ def test_counting_is_symmetric_under_transpose_and_box_relabelling(n, d):
 
 @pytest.mark.parametrize("n, d", [(2, 4), (3, 3), (4, 2), (5, 2)])
 def test_product_rows_match_one_fold_per_pair_where_orbits_reach_back_into_the_row(n, d):
-    graphs = basis(n, d).graphs
+    graphs = basis(n, d)
     rows = list(product_rows(n, d))
     assert len(rows) == len(graphs)
     for g1, row in zip(graphs, rows):

@@ -215,14 +215,17 @@ def test_t_basis_checks_the_relabelling(monkeypatch, damage):
     # t-basis reads the walk that table writes: a wrong symmetry generator
     # shows at a pair whose terms were relabelled, not folded
     p = Params(3, 3)
-    layer = basis(p.n, p.d)
-    first, *swaps, transpose = layer.generators
-    if damage == "transpose-fixes-every-graph":
-        transpose = list(range(len(layer.graphs)))
-    else:
-        first = first.copy()
-        first[0], first[1] = first[1], first[0]
-    monkeypatch.setattr(layer, "generators", [first, *swaps, transpose])
+    right = structconst._symmetry_maps
+
+    def damaged(graphs):
+        first, *swaps, transpose = right(graphs)
+        if damage == "transpose-fixes-every-graph":
+            transpose = list(range(len(graphs)))
+        else:
+            first[0], first[1] = first[1], first[0]
+        return [first, *swaps, transpose]
+
+    monkeypatch.setattr(structconst, "_symmetry_maps", damaged)
     folded = _recording_folds(monkeypatch)
     result = check_t_basis(p)
     assert not result.passed
@@ -373,7 +376,7 @@ def test_a_pair_graph_outside_the_basis_is_named_unexpected(monkeypatch):
 def test_a_transposed_pair_graph_fails_the_smaller_grid_sweep(monkeypatch):
     p = Params(2, 3)
     table = oracle.pair_table(p.n, p.d)
-    graphs = basis(p.n, p.d).graphs
+    graphs = basis(p.n, p.d)
     configs = [to_configuration(index, p.n) for index in enumerate_multi_indices(p)]
     # the full sweep caught it on some cell
     assert any(
@@ -433,7 +436,7 @@ def test_commutant_names_the_least_moved_label_of_a_grid_that_does_not_commute(m
     broken.labels[r, c1], broken.labels[r, c2] = table.labels[r, c2], table.labels[r, c1]
     monkeypatch.setattr(oracle, "pair_table", lambda n, d: broken)
     monkeypatch.setattr(oracle, "operator_matrix", _refused)
-    g = basis(p.n, p.d).graphs[min(table.labels[r, c1], table.labels[r, c2])]
+    g = basis(p.n, p.d)[min(table.labels[r, c1], table.labels[r, c2])]
     result = check_commutant(p)
     assert not result.passed
     assert result.detail == f"operator of {g} does not commute with renaming"
@@ -605,7 +608,7 @@ def test_assoc_catches_a_seeded_wrong_fold(monkeypatch, p):
     # every product with the drawn graph on the left gains 1 on its first term;
     # such a fold can still associate (at (2,3) the default sample misses 3 of
     # the 20 left factors), so one seeded draw is pinned per shape
-    g = random.Random(0).choice(basis(p.n, p.d).graphs)
+    g = random.Random(0).choice(basis(p.n, p.d))
     real = structconst.euler_fold
 
     def mutant(g1, g2):
@@ -646,8 +649,8 @@ def test_t_basis_refuses_more_than_a_million_compatible_pairs(monkeypatch):
 
 @pytest.mark.parametrize("p", [Params(2, 5), Params(3, 3), Params(3, 4), Params(4, 3), Params(2, 12)])
 def test_compatible_pairs_formula_matches_the_valency_classes(p):
-    classes = basis(p.n, p.d).by_bottom.values()
-    assert verify._compatible_pairs(p) == sum(len(members) ** 2 for members in classes)
+    classes = Counter(g.bottom_valencies() for g in basis(p.n, p.d))
+    assert verify._compatible_pairs(p) == sum(size**2 for size in classes.values())
 
 
 def test_t_basis_refusal_builds_no_basis(monkeypatch):
