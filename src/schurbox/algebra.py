@@ -37,11 +37,11 @@ from functools import lru_cache
 from .combinatorics import Configuration, Params, _check_cap, column_arrangements, compositions, to_multi_index
 from .graphs import BipartiteMultigraph, diagonal_graph
 
-# the engine roster: name -> (module, product function of two basis graphs)
+# the engine roster: name -> (module, basis product as raw counts, {flattened composed matrix: coefficient})
 _ENGINES = {
-    "counting": (f"{__package__}.structconst", "multiply_basis_counting"),
-    "euler": (f"{__package__}.structconst", "multiply_basis_euler"),
-    "oracle": (f"{__package__}.oracle", "multiply_basis_oracle"),
+    "counting": (f"{__package__}.structconst", "counting_fold"),
+    "euler": (f"{__package__}.structconst", "euler_fold"),
+    "oracle": (f"{__package__}.oracle", "oracle_fold"),
 }
 ENGINE_NAMES = tuple(_ENGINES)
 
@@ -219,6 +219,13 @@ class AlgebraElement(_Combination):
     _order = staticmethod(lambda g: g.matrix)
     _label = staticmethod(BipartiteMultigraph.__str__)
 
+    @classmethod
+    def _from_counts(cls, n: int, d: int, counts: Mapping[tuple[int, ...], int]) -> "AlgebraElement":
+        """An engine's raw counts, {flattened composed matrix: coefficient}, as an element built unchecked."""
+        rows = [slice(s * n, (s + 1) * n) for s in range(n)]
+        graph = BipartiteMultigraph._trusted
+        return cls._from_terms(n, d, {graph(tuple(key[r] for r in rows), n, d): c for key, c in counts.items()})
+
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return multiply(self, other)
@@ -291,8 +298,8 @@ def identity_element(p: Params) -> AlgebraElement:
     return AlgebraElement(p.n, p.d, [(diagonal_graph(c), 1) for c in compositions(p.d, p.n)])
 
 
-def engine_function(name: str) -> Callable[[BipartiteMultigraph, BipartiteMultigraph], AlgebraElement]:
-    """The named engine's basis-product function.
+def engine_function(name: str) -> Callable[[BipartiteMultigraph, BipartiteMultigraph], dict[tuple[int, ...], int]]:
+    """The named engine's basis product as raw counts, {flattened composed matrix: coefficient}.
 
     Only the engine's own module is imported, on first use: ``oracle`` loads
     numpy, which the other engines never need.  Once loaded, the module is
@@ -313,7 +320,7 @@ def engine_function(name: str) -> Callable[[BipartiteMultigraph, BipartiteMultig
 @lru_cache(maxsize=2**16)
 def basis_product(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> AlgebraElement:
     """Product of two basis operators by the production engine, memoized (the 2**16 most recent)."""
-    return engine_function("euler")(g1, g2)
+    return AlgebraElement._from_counts(g1.n, g1.d, engine_function("euler")(g1, g2))
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement, mod: int | None = None) -> AlgebraElement:

@@ -1,8 +1,12 @@
 """Command-line surface: dim, basis, multiply, apply, table, verify, render.
 
 ``table`` writes the rows of :func:`structconst.product_rows` through
-:func:`serialize.table_blocks`.  Exit codes: 0 success, 1 input or
-validation error, 2 verification failure or engine disagreement.
+:func:`serialize.table_blocks`, and ``multiply`` an engine's raw counts
+through :func:`serialize.counts_json`.  :func:`main` parses with a parser
+that holds only the command it names, built once per command from
+:data:`COMMANDS`; ``-h``, no arguments and an unknown command get the full
+one.  Exit codes: 0 success, 1 input or validation error, 2 verification
+failure or engine disagreement.
 """
 
 import argparse
@@ -65,25 +69,18 @@ def cmd_multiply(args) -> int:
     g1 = _load_graph(args.lhs)
     g2 = _load_graph(args.rhs)
     if (g1.n, g1.d) != (g2.n, g2.d):
-        raise ValueError(
-            f"factors live in different algebras: (n,d)=({g1.n},{g1.d}) vs ({g2.n},{g2.d})"
-        )
+        raise ValueError(f"factors live in different algebras: (n,d)=({g1.n},{g1.d}) vs ({g2.n},{g2.d})")
     if args.engine == "all":
         outputs = engine_outputs(g1, g2, in_reach(Params(g1.n, g1.d)))
-        product = outputs["counting"]
-        if any(result != product for result in outputs.values()):
+        counts = outputs["counting"]
+        if any(result != counts for result in outputs.values()):
             print(f"error: engines disagree at {g1} * {g2}", file=sys.stderr)
             for name, result in outputs.items():
-                print(
-                    f"  {name}: {serialize.dumps(serialize.element_records(result))}",
-                    file=sys.stderr,
-                )
+                print(f"  {name}: {serialize.counts_json(result, g1.n, g1.d)}", file=sys.stderr)
             return 2
     else:
-        product = engine_function(args.engine)(g1, g2)
-    if args.mod is not None:
-        product = product.reduce(args.mod)
-    _write_output(serialize.dumps(serialize.element_records(product)) + "\n", args.out)
+        counts = engine_function(args.engine)(g1, g2)
+    _write_output(serialize.counts_json(counts, g1.n, g1.d, args.mod) + "\n", args.out)
     return 0
 
 
@@ -159,15 +156,52 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _add_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-n", "--boxes", type=int, required=True, help="number of boxes")
-    parser.add_argument("-d", "--balls", type=int, required=True, help="number of balls")
+# add_argument's (flags, options) for the arguments that several subcommands take
+_PARAMS = (
+    (("-n", "--boxes"), dict(type=int, required=True, help="number of boxes")),
+    (("-d", "--balls"), dict(type=int, required=True, help="number of balls")),
+)
+_MOD = (("--mod",), dict(type=int, help="reduce coefficients modulo this prime"))
+_OUT = (("--out",), dict(help="output path (stdout when omitted)"))
 
-
-def _add_out(parser: argparse.ArgumentParser, required: bool = False) -> None:
-    parser.add_argument(
-        "--out", required=required, help="output path (stdout when omitted)" if not required else "output path"
-    )
+# the subcommands in help order: name -> (help, arguments as add_argument's (flags, options), handler)
+COMMANDS = {
+    "dim": ("basis size by enumeration and by the binomial formula", _PARAMS, cmd_dim),
+    "basis": ("list the basis graphs, one JSON record per line", (*_PARAMS, _OUT), cmd_basis),
+    "multiply": ("product of two basis operators from graph files", (
+        (("lhs",), dict(help="left factor (graph JSON file)")),
+        (("rhs",), dict(help="right factor (graph JSON file)")),
+        (("--engine",), dict(choices=ENGINE_NAMES + ("all",), default="euler",
+                             help="structure-constant engine, or 'all' to cross-check")),
+        _MOD,
+        _OUT,
+    ), cmd_multiply),
+    "apply": ("act on a configuration basis vector", (
+        (("graph",), dict(help="operator (graph JSON file)")),
+        (("config",), dict(help="configuration word, e.g. '|12|34|'")),
+        _MOD,
+        _OUT,
+    ), cmd_apply),
+    "table": ("tabulate every basis product to a file", (
+        *_PARAMS,
+        _MOD,
+        (("--jobs",), dict(type=int, default=1, help="accepted and ignored: table runs in one process")),
+        (("--out",), dict(required=True, help="output path")),
+    ), cmd_table),
+    "verify": ("run the consistency suites", (
+        *_PARAMS,
+        (("--checks",), dict(default="all", help="comma-separated subset of: " + ", ".join(CHECK_NAMES))),
+        (("--seed",), dict(type=int, default=0, help="seed for sampled suites")),
+        (("--corrupt",), dict(action="store_true",
+                              help="self-test: corrupt one operator and require the commutant check to fail")),
+    ), cmd_verify),
+    "render": ("draw graphs or product fillings", (
+        (("files",), dict(nargs="+", help="graph JSON file(s); product mode takes lhs rhs target")),
+        (("--format",), dict(choices=("ascii", "dot"), default="ascii")),
+        (("--mode",), dict(choices=("graph", "product"), default="graph")),
+        _OUT,
+    ), cmd_render),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,82 +212,33 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone, whose usage line still names all seven."""
     parser = _Parser(
         prog="schurbox",
         description="Exact products of ball-configuration operators via bipartite multigraphs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    dim = sub.add_parser("dim", help="basis size by enumeration and by the binomial formula")
-    _add_params(dim)
-    dim.set_defaults(func=cmd_dim)
-
-    basis = sub.add_parser("basis", help="list the basis graphs, one JSON record per line")
-    _add_params(basis)
-    _add_out(basis)
-    basis.set_defaults(func=cmd_basis)
-
-    mul = sub.add_parser("multiply", help="product of two basis operators from graph files")
-    mul.add_argument("lhs", help="left factor (graph JSON file)")
-    mul.add_argument("rhs", help="right factor (graph JSON file)")
-    mul.add_argument(
-        "--engine", choices=ENGINE_NAMES + ("all",), default="euler",
-        help="structure-constant engine, or 'all' to cross-check",
-    )
-    mul.add_argument("--mod", type=int, help="reduce coefficients modulo this prime")
-    _add_out(mul)
-    mul.set_defaults(func=cmd_multiply)
-
-    app = sub.add_parser("apply", help="act on a configuration basis vector")
-    app.add_argument("graph", help="operator (graph JSON file)")
-    app.add_argument("config", help="configuration word, e.g. '|12|34|'")
-    app.add_argument("--mod", type=int, help="reduce coefficients modulo this prime")
-    _add_out(app)
-    app.set_defaults(func=cmd_apply)
-
-    table = sub.add_parser("table", help="tabulate every basis product to a file")
-    _add_params(table)
-    table.add_argument("--mod", type=int, help="reduce coefficients modulo this prime")
-    table.add_argument(
-        "--jobs", type=int, default=1,
-        help="accepted and ignored: table runs in one process",
-    )
-    _add_out(table, required=True)
-    table.set_defaults(func=cmd_table)
-
-    ver = sub.add_parser("verify", help="run the consistency suites")
-    _add_params(ver)
-    ver.add_argument(
-        "--checks", default="all",
-        help="comma-separated subset of: " + ", ".join(CHECK_NAMES),
-    )
-    ver.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
-    ver.add_argument(
-        "--corrupt", action="store_true",
-        help="self-test: corrupt one operator and require the commutant check to fail",
-    )
-    ver.set_defaults(func=cmd_verify)
-
-    render = sub.add_parser("render", help="draw graphs or product fillings")
-    render.add_argument("files", nargs="+", help="graph JSON file(s); product mode takes lhs rhs target")
-    render.add_argument("--format", choices=("ascii", "dot"), default="ascii")
-    render.add_argument("--mode", choices=("graph", "product"), default="graph")
-    _add_out(render)
-    render.set_defaults(func=cmd_render)
-
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, arguments, handler) in COMMANDS.items():
+        if command in (None, name):
+            subparser = sub.add_parser(name, help=help_text)
+            for flags, options in arguments:
+                subparser.add_argument(*flags, **options)
+            subparser.set_defaults(func=handler)
     return parser
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser :func:`main` reuses: building one costs about a millisecond."""
-    return build_parser()
+@lru_cache(maxsize=None)
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses for ``command``: a one-command parser skips building the other six."""
+    return build_parser(command)
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -121,12 +121,15 @@ class PairTable:
         """The number of cells carrying each label, in label order."""
         return np.bincount(self.labels.ravel(), minlength=graph_count(self.p)).tolist()
 
-    def graph(self, r: int, c: int) -> BipartiteMultigraph:
-        """The graph of cell (r, c), its balls counted by cell; counting always gives a valid matrix."""
+    def counts(self, r: int, c: int) -> tuple[int, ...]:
+        """The flattened matrix of cell (r, c)'s graph: its balls counted by cell."""
         n = self.p.n
-        flat = np.bincount(self.digits[r] * n + self.digits[c], minlength=n * n).tolist()
-        matrix = tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
-        return BipartiteMultigraph._trusted(matrix, n, self.p.d)
+        return tuple(np.bincount(self.digits[r] * n + self.digits[c], minlength=n * n).tolist())
+
+    def graph(self, r: int, c: int) -> BipartiteMultigraph:
+        """The graph of cell (r, c); counting always gives a valid matrix."""
+        n, flat = self.p.n, self.counts(r, c)
+        return BipartiteMultigraph._trusted(tuple(flat[i : i + n] for i in range(0, n * n, n)), n, self.p.d)
 
     def column(self, content: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Column y of the canonical configuration of ``content``, read once per content.
@@ -255,8 +258,8 @@ def decompose(op: DenseOperator) -> AlgebraElement:
     return AlgebraElement(op.n, op.d, [(table.graph(*cell), value) for cell, value in terms])
 
 
-def multiply_basis_oracle(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> AlgebraElement:
-    """Ground-truth product, read off one column of the dense product.
+def oracle_fold(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> dict[tuple[int, ...], int]:
+    """Ground-truth product as raw counts, {flattened composed matrix: coefficient}, read off one dense column.
 
     Every term of the product has g2's top valencies, so every term's orbit
     meets column y, the index of the canonical configuration of those
@@ -268,8 +271,7 @@ def multiply_basis_oracle(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> A
     the middle rows of the grid, not its columns.  The product lies in the
     span of the basis operators, so the column must be constant on each
     orbit it meets; that value is the orbit's coefficient, and the orbit's
-    graph is that of its first cell.  The terms are graphs counted from
-    cells, with nonzero int coefficients, so the element is not re-validated.
+    matrix is counted from its first cell.
     """
     if (g1.n, g1.d) != (g2.n, g2.d):
         raise ValueError(f"graph shapes differ: ({g1.n},{g1.d}) vs ({g2.n},{g2.d})")
@@ -288,5 +290,9 @@ def multiply_basis_oracle(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> A
             f"product is not constant on the orbit of {table.graph(z, y)}: "
             f"entry {(z0, y)} is {column[z0]} but {(z, y)} is {column[z]}"
         )
-    terms = {table.graph(z, y): value for z, value in zip(first.tolist(), values.tolist()) if value}
-    return AlgebraElement._from_terms(g1.n, g1.d, terms)
+    return {table.counts(z, y): value for z, value in zip(first.tolist(), values.tolist()) if value}
+
+
+def multiply_basis_oracle(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> AlgebraElement:
+    """Ground-truth product of basis operators: :func:`oracle_fold` as an element."""
+    return AlgebraElement._from_counts(g1.n, g1.d, oracle_fold(g1, g2))

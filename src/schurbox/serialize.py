@@ -6,7 +6,7 @@ always serialize to identical bytes.
 """
 
 import json
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import AlgebraElement, VectorElement
 from .combinatorics import Params
@@ -41,6 +41,17 @@ def graph_from_record(record) -> BipartiteMultigraph:
 
 def element_records(x: AlgebraElement) -> list:
     return [{"coeff": str(coeff), "graph": graph_record(g)} for g, coeff in x.items()]
+
+
+def counts_json(counts: Mapping[tuple[int, ...], int], n: int, d: int, mod: int | None = None) -> str:
+    """:func:`dumps` of :func:`element_records`, from an engine's {flattened composed matrix: coefficient}.
+
+    A flattened matrix is its graph's ``sort_key``, so the sorted counts are the terms in order, each written
+    with one f-string.  ``mod`` reduces each coefficient, dropping zero residues.
+    """
+    graph = '","graph":{"d":%d,"matrix":[[%s]],"n":%d}}' % (d, "],[".join([",".join(["%d"] * n)] * n), n)
+    terms = ((key, coeff if mod is None else coeff % mod) for key, coeff in sorted(counts.items()))
+    return "[" + ",".join([f'{{"coeff":"{coeff}{graph % key}' for key, coeff in terms if coeff]) + "]"
 
 
 def vector_records(v: VectorElement) -> list:

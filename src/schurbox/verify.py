@@ -17,6 +17,7 @@ arithmetic they check rather than for re-validation.
 """
 
 import itertools
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from . import serialize, structconst
 from .algebra import (
     ENGINE_NAMES,
-    AlgebraElement,
     apply_basis,
     engine_function,
     identity_element,
@@ -43,6 +43,7 @@ from .graphs import (
     graph_count,
     in_reach,
     pair_graph,
+    rank,
 )
 
 CHECK_NAMES = ("orbit-bijection", "commutant", "engines", "assoc", "identity", "t-basis")
@@ -61,13 +62,9 @@ class CheckResult:
     counterexample: str | None = None
 
 
-def engine_outputs(g1, g2, with_oracle: bool) -> dict[str, AlgebraElement]:
-    """One basis product from every engine, keyed by engine name in roster order (counting first)."""
-    return {
-        name: engine_function(name)(g1, g2)
-        for name in ENGINE_NAMES
-        if with_oracle or name != "oracle"
-    }
+def engine_outputs(g1, g2, with_oracle: bool) -> dict[str, dict[tuple[int, ...], int]]:
+    """One basis product's raw counts from every engine, keyed by engine name in roster order (counting first)."""
+    return {name: engine_function(name)(g1, g2) for name in ENGINE_NAMES if with_oracle or name != "oracle"}
 
 
 def _canonical_rows(p: Params) -> list:
@@ -169,7 +166,7 @@ def check_engines(p: Params, seed: int = 0) -> CheckResult:
                 {
                     "g1": serialize.graph_record(g1),
                     "g2": serialize.graph_record(g2),
-                    **{name: serialize.element_records(result) for name, result in outputs.items()},
+                    **{name: json.loads(serialize.counts_json(result, p.n, p.d)) for name, result in outputs.items()},
                 }
             )
             return CheckResult("engines", False, f"engines disagree at {g1} * {g2}", counterexample)
@@ -181,18 +178,19 @@ def check_assoc(p: Params, seed: int = 0) -> CheckResult:
     """(g1·g2)·g3 = g1·(g2·g3) on every sampled triple, folded with :func:`structconst.euler_fold`.
 
     Each side is summed as raw fold counts, each intermediate term folded as
-    its composed graph, so the suite builds no element and no basis product.
+    the basis graph that :func:`graphs.rank` finds for its key, so the suite
+    builds no graph, no element and no basis product.
     """
     triples, sampled = _sample(p, 3, ASSOC_TRIPLE_LIMIT, ASSOC_SAMPLE, seed)
-    fold, graph = structconst.euler_fold, structconst.composed_graph
+    fold, graphs = structconst.euler_fold, basis(p.n, p.d)
     for g1, g2, g3 in triples:
         left: dict[tuple[int, ...], int] = {}
         for key, c in fold(g1, g2).items():
-            for term, c3 in fold(graph(key, p.n, p.d), g3).items():
+            for term, c3 in fold(graphs[rank(key)], g3).items():
                 left[term] = left.get(term, 0) + c * c3
         right: dict[tuple[int, ...], int] = {}
         for key, c in fold(g2, g3).items():
-            for term, c1 in fold(g1, graph(key, p.n, p.d)).items():
+            for term, c1 in fold(g1, graphs[rank(key)]).items():
                 right[term] = right.get(term, 0) + c1 * c
         if left != right:
             counterexample = serialize.dumps(

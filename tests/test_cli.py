@@ -117,11 +117,11 @@ def test_multiply_shape_mismatch(capsys, graph_files, tmp_path):
 
 
 def test_multiply_engine_disagreement_exits_2(capsys, graph_files, monkeypatch):
-    # sabotage one engine; the cross-check must notice and report
+    # sabotage one engine's raw counts; the cross-check must notice and report
     def wrong(g1, g2):
-        return AlgebraElement.zero(g1.n, g1.d)
+        return {}
 
-    monkeypatch.setattr(structconst, "multiply_basis_counting", wrong)
+    monkeypatch.setattr(structconst, "counting_fold", wrong)
     basis_product.cache_clear()
     try:
         code, out, err = run(
@@ -145,10 +145,72 @@ def test_multiply_engine_mendez_is_a_usage_error(capsys, graph_files):
 @pytest.mark.parametrize("reached, code", [(True, 2), (False, 0)])
 def test_multiply_all_asks_the_oracle_only_in_reach(capsys, graph_files, monkeypatch, reached, code):
     # a sabotaged oracle is noticed only when in_reach admits the shape
-    monkeypatch.setattr(oracle, "multiply_basis_oracle", lambda g1, g2: AlgebraElement.zero(g1.n, g1.d))
+    monkeypatch.setattr(oracle, "oracle_fold", lambda g1, g2: {})
     monkeypatch.setattr(cli, "in_reach", lambda p: reached)
     argv = ("multiply", graph_files["g1"], graph_files["g2"], "--engine", "all")
     assert run(capsys, *argv)[0] == code
+
+
+# the benchmark's dense self-products and the sha256 of multiply's stdout per --mod; every engine that
+# reaches a factor prints these bytes, and the oracle refuses the two factors past its 4096 vectors
+GOLDEN_MULTIPLY = {
+    ((3, 3), (3, 3)): {
+        None: "324bdc3de9110c7fc77f4432a2b88829c98045bbe27e10289b098e43fc537e65",
+        2: "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        7: "3632f8d6385c7648588e87e94abb72834dfb78dbe906d53cc9c2f742a252f9b9",
+    },
+    ((4, 2), (2, 4)): {
+        None: "0a2a12871f2e7907b3cb6ed3e13c9289d73154416be2f27f137314971d7964ab",
+        2: "090b9ab4bcac07796c5f99ed1487fcf37ac9be3b7f5b58548fd98475c7003f36",
+        7: "9923516c14195dd676696a65b66d578f29df40cf71d54a4daa95a162bde5d105",
+    },
+    ((1, 1, 1), (1, 1, 1), (1, 1, 1)): {
+        None: "3ba1ad2040f41968e29751c11c5657d9316e0dfbce38d108512c95aaa505d7c6",
+        2: "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        7: "c25cdbcf6813be6a2426daf271c4ab67cc9e9757628e8a81590942652a68ab52",
+    },
+    ((2, 1, 0, 0), (0, 2, 1, 0), (0, 0, 2, 1), (1, 0, 0, 2)): {
+        None: "a356cbf9b16711fbc72ecf771579ad88931e452c97333b60c1e7e8f4507cfae1",
+        2: "42a13b23c4224399db2e9d4b02f539ca54e231b5ed96d63b7587f48897423a01",
+        7: "a7baadfb1ec6b7be8dbb8fbb6654a904c15d7b53dadf56d239a23cf7ed8ace38",
+    },
+}
+ORACLE_REFUSALS = {
+    3: "error: instance too large for the dense oracle: 19683 basis vectors (cap 4096), 24310 orbits (cap 131072)\n",
+    4: "error: instance too large for the dense oracle: 16777216 basis vectors (cap 4096), 17383860 orbits "
+    "(cap 131072)\n",
+}
+
+
+@pytest.mark.parametrize("mod", [None, 2, 7])
+@pytest.mark.parametrize("engine", ["euler", "counting", "oracle", "all"])
+@pytest.mark.parametrize("matrix", list(GOLDEN_MULTIPLY), ids=lambda m: json.dumps(m).replace(" ", ""))
+def test_multiply_golden_bytes(capsys, tmp_path, matrix, engine, mod):
+    path = tmp_path / "g.json"
+    path.write_text(dumps(graph_record(BipartiteMultigraph(matrix))))
+    argv = ["multiply", str(path), str(path), "--engine", engine] + ([] if mod is None else ["--mod", str(mod)])
+    code, out, err = run(capsys, *argv)
+    if engine == "oracle" and len(matrix) > 2:
+        assert (code, out, err) == (1, "", ORACLE_REFUSALS[len(matrix)])
+    else:
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_MULTIPLY[matrix][mod]
+
+
+@pytest.mark.parametrize("mod, message", [
+    (None, "factors live in different algebras: (n,d)=(2,12) vs (2,2)"),
+    (2, "factors live in different algebras: (n,d)=(2,12) vs (2,2)"),
+    (7, "factors live in different algebras: (n,d)=(2,12) vs (2,2)"),
+    (4, "modulus must be prime, got 4"),
+])
+@pytest.mark.parametrize("engine", ["euler", "counting", "oracle", "all"])
+def test_multiply_golden_errors(capsys, tmp_path, engine, mod, message):
+    paths = []
+    for name, matrix in (("lhs", ((3, 3), (3, 3))), ("rhs", ((1, 0), (0, 1)))):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(dumps(graph_record(BipartiteMultigraph(matrix))))
+    argv = ["multiply", *map(str, paths), "--engine", engine] + ([] if mod is None else ["--mod", str(mod)])
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_multiply_out_file(capsys, graph_files, tmp_path):
@@ -571,18 +633,66 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):
+    # once per command: the named command's parser alone, and the full one for anything else
     built = []
 
-    def counted():
-        built.append(None)
-        return build_parser()
+    def counted(command=None):
+        built.append(command)
+        return build_parser(command)
 
     build_parser = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", counted)
     cli._parser.cache_clear()
-    assert run(capsys, "dim", "-n", "2", "-d", "2")[0] == 0
-    assert run(capsys, "dim", "-n", "2", "-d", "3")[0] == 0
-    assert len(built) == 1
+    try:
+        assert run(capsys, "dim", "-n", "2", "-d", "2")[0] == 0
+        assert run(capsys, "dim", "-n", "2", "-d", "3")[0] == 0
+        assert built == ["dim"]
+        assert run(capsys, "basis", "-n", "1", "-d", "1")[0] == 0
+        assert run(capsys, "dim", "-n", "2")[0] == 1
+        assert run(capsys)[0] == 1
+        assert run(capsys, "bogus")[0] == 1
+        assert built == ["dim", "basis", None]
+    finally:
+        cli._parser.cache_clear()
+
+
+def _parsed(capsys, parser, argv):
+    """Exit code, stdout and stderr of one parse; None for a parse that does not exit."""
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([command, "-h"] for command in cli.COMMANDS),
+        ["dim", "-n", "2", "-d", "2", "--extra"],
+        ["dim", "-n", "2"],
+        ["dim", "-n", "x", "-d", "2"],
+        ["basis", "-d", "2"],
+        ["multiply", "a.json"],
+        ["multiply", "a.json", "b.json", "--engine", "mendez"],
+        ["apply", "g.json", "|1|", "--mod"],
+        ["table", "-n", "2", "-d", "2"],
+        ["table", "-n", "2", "-d", "2", "--out", "t", "--jobs", "x"],
+        ["verify", "-n", "2", "-d", "2", "--checks"],
+        ["render", "g.json", "--format", "svg"],
+        ["render"],
+        ["dim", "-n", "2", "-d", "2"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_one_command_parser_prints_the_full_parsers_bytes(capsys, argv):
+    # help, usage errors and the parsed arguments are the same whichever parser main dispatches to
+    full = _parsed(capsys, cli.build_parser(), argv)
+    assert _parsed(capsys, cli.build_parser(argv[0]), argv) == full
+    if full[0] is None:
+        assert vars(cli.build_parser(argv[0]).parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
 
 
 def test_usage_error_after_a_successful_call_prints_usage_and_exits_1(capsys):

@@ -9,6 +9,7 @@ from schurbox.algebra import AlgebraElement, VectorElement
 from schurbox.combinatorics import Configuration, Params, enumerate_configurations
 from schurbox.graphs import BipartiteMultigraph, enumerate_graphs
 from schurbox.serialize import (
+    counts_json,
     dumps,
     element_records,
     graph_from_record,
@@ -17,7 +18,7 @@ from schurbox.serialize import (
     table_line,
     vector_records,
 )
-from schurbox.structconst import multiply_basis_euler, product_rows
+from schurbox.structconst import euler_fold, multiply_basis_euler, product_rows
 
 G1 = BipartiteMultigraph(((2, 1), (0, 1)))
 G2 = BipartiteMultigraph(((2, 0), (1, 1)))
@@ -117,3 +118,16 @@ def test_table_blocks_match_table_line():
             blocks = list(table_blocks(graphs, rows, mod))
             assert len(blocks) == len(graphs)
             assert "".join(blocks) == expected, (p, mod, scale)
+
+
+def test_counts_json_writes_element_records():
+    # every ordered pair at (2,3), (3,2) and (1,4) plus an empty product, the counts in reverse fold order
+    # and scaled past 64 bits: sorting, residues and the matrix template are all checked byte for byte
+    for p in (Params(2, 3), Params(3, 2), Params(1, 4)):
+        graphs = enumerate_graphs(p)
+        for g1, g2 in itertools.product(graphs, repeat=2):
+            for mod, scale in itertools.product((None, 2, 7), (1, 10**30)):
+                counts = {key: scale * c for key, c in reversed(euler_fold(g1, g2).items())}
+                expected = dumps(element_records((scale * multiply_basis_euler(g1, g2)).reduce(mod)))
+                assert counts_json(counts, p.n, p.d, mod) == expected, (g1, g2, mod, scale)
+    assert counts_json({}, 2, 3) == "[]"

@@ -109,6 +109,30 @@ def test_engines_check_leaves_out_the_oracle_beyond_its_reach(monkeypatch):
     assert result.detail == "100 pairs agree across counting/euler"
 
 
+def test_engines_counterexample_writes_every_engines_terms(monkeypatch):
+    # the counterexample names the first pair that disagrees and each engine's terms in basis order;
+    # the sabotaged fold doubles every product of two or more terms and lists them backwards
+    fold = structconst.euler_fold
+
+    def doubled(g1, g2):
+        counts = fold(g1, g2)
+        return {key: 2 * c for key, c in reversed(counts.items())} if len(counts) > 1 else counts
+
+    monkeypatch.setattr(structconst, "euler_fold", doubled)
+    result = check_engines(Params(2, 3))
+    assert not result.passed
+    assert result.detail == "engines disagree at [[0,1],[0,2]] * [[0,0],[1,2]]"
+    terms = (
+        '{"coeff":"%s","graph":{"d":3,"matrix":[[0,1],[1,1]],"n":2}},'
+        '{"coeff":"%s","graph":{"d":3,"matrix":[[1,0],[0,2]],"n":2}}'
+    )
+    assert result.counterexample == (
+        '{"counting":[' + terms % (1, 1) + '],"euler":[' + terms % (2, 2) + "],"
+        '"g1":{"d":3,"matrix":[[0,1],[0,2]],"n":2},"g2":{"d":3,"matrix":[[0,0],[1,2]],"n":2},'
+        '"oracle":[' + terms % (1, 1) + "]}"
+    )
+
+
 def test_assoc_check_samples_without_listing_every_triple():
     # 165^3 triples at (3,3); only the 200 sampled ones may be built
     tracemalloc.start()
