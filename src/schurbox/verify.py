@@ -1,16 +1,18 @@
 """Cross-check suites: every consistency property the tool promises, at one shape.
 
-Each suite returns a :class:`CheckResult`; a failure carries the first
-counterexample fully serialized so it can be replayed by hand.  Every suite
-but a passing ``commutant`` reads the graphs of :func:`graphs.basis`,
-enumerated once, and :func:`run_checks` raises any size refusal of a
-selected suite before the first suite starts.  The suites that read the
-dense oracle (``commutant``, ``t-basis``, and ``engines`` at a shape in its
-reach) import it, and numpy with it, when they run.  ``assoc`` and
-``identity`` work on the graphs and configurations themselves, through
-:func:`structconst.euler_fold` (and :func:`apply_basis` for ``identity``'s
-basis vectors); ``assoc`` builds no element, and ``identity`` none but the
-identity it checks.  What the suites
+:data:`SUITES` names each suite in canonical order, with the options of
+:func:`run_checks` it takes and the caps it needs beyond the graph caps;
+the suite itself is this module's ``check_<name>`` function.  Each returns a
+:class:`CheckResult`; a failure carries the first counterexample fully
+serialized so it can be replayed by hand.  :func:`run_checks` raises any
+size refusal of a selected suite before the first suite starts.  Every
+suite but a passing ``commutant`` reads the graphs of :func:`graphs.basis`,
+enumerated once.  The suites that read the dense oracle (``commutant``,
+``t-basis``, and ``engines`` at a shape in its reach) import it, and numpy
+with it, when they run.  ``assoc`` and ``identity`` work on the graphs and
+configurations themselves, through :func:`structconst.euler_fold` (and
+:func:`apply_basis` for ``identity``'s basis vectors); ``assoc`` builds no
+element, and ``identity`` none but the identity it checks.  What the suites
 build from valid inputs (pair graphs, enumerated configurations, the
 referees' products) skips the constructors' checks, so they pay for the
 arithmetic they check rather than for re-validation.
@@ -46,7 +48,17 @@ from .graphs import (
     rank,
 )
 
-CHECK_NAMES = ("orbit-bijection", "commutant", "engines", "assoc", "identity", "t-basis")
+# suite -> (the options of run_checks it takes, the caps of _CAPS it needs beyond the graph caps), in
+# canonical order; a new suite is one entry here and its check_<name> function
+SUITES = {
+    "orbit-bijection": ((), ("configurations",)),
+    "commutant": (("corrupt",), ("reach",)),
+    "engines": (("seed",), ()),
+    "assoc": (("seed",), ()),
+    "identity": ((), ("configurations",)),
+    "t-basis": ((), ("reach", "pairs")),
+}
+CHECK_NAMES = tuple(SUITES)
 
 ENGINE_PAIR_LIMIT = 2500
 ENGINE_SAMPLE = 200
@@ -65,6 +77,11 @@ class CheckResult:
 def engine_outputs(g1, g2, with_oracle: bool) -> dict[str, dict[tuple[int, ...], int]]:
     """One basis product's raw counts from every engine, keyed by engine name in roster order (counting first)."""
     return {name: engine_function(name)(g1, g2) for name in ENGINE_NAMES if with_oracle or name != "oracle"}
+
+
+def _counterexample(extra: dict | None = None, **graphs) -> str:
+    """The named graphs' records, with any ``extra`` entries, as one serialized counterexample."""
+    return serialize.dumps({**{key: serialize.graph_record(g) for key, g in graphs.items()}, **(extra or {})})
 
 
 def _canonical_rows(p: Params) -> list:
@@ -128,9 +145,8 @@ def check_commutant(p: Params, corrupt: bool = False) -> CheckResult:
         broken = table.labels.copy()
         broken[r, c] = -1
         if not oracle.commutes_with_renaming(oracle.DenseOperator(p.n, p.d, broken)):
-            counterexample = serialize.dumps({"corrupted": serialize.graph_record(g), "cleared-entry": [r, c]})
             detail = f"self-test: corrupted operator for {g} no longer commutes"
-            return CheckResult("commutant", False, detail, counterexample)
+            return CheckResult("commutant", False, detail, _counterexample({"cleared-entry": [r, c]}, corrupted=g))
         return CheckResult("commutant", False, "self-test failed to detect the corruption", None)
     # one check on the label grid covers every basis operator: they partition the square.  An operator
     # fails when a transposition moves one of its cells to another label, so the first to fail in
@@ -162,14 +178,9 @@ def check_engines(p: Params, seed: int = 0) -> CheckResult:
         outputs = engine_outputs(g1, g2, with_oracle)
         reference = outputs["counting"]
         if any(result != reference for result in outputs.values()):
-            counterexample = serialize.dumps(
-                {
-                    "g1": serialize.graph_record(g1),
-                    "g2": serialize.graph_record(g2),
-                    **{name: json.loads(serialize.counts_json(result, p.n, p.d)) for name, result in outputs.items()},
-                }
-            )
-            return CheckResult("engines", False, f"engines disagree at {g1} * {g2}", counterexample)
+            counts = {name: json.loads(serialize.counts_json(result, p.n, p.d)) for name, result in outputs.items()}
+            detail = f"engines disagree at {g1} * {g2}"
+            return CheckResult("engines", False, detail, _counterexample(counts, g1=g1, g2=g2))
     # every pair ran the same engines, in roster order
     return CheckResult("engines", True, f"{len(pairs)} pairs{sampled} agree across {'/'.join(outputs)}", None)
 
@@ -193,14 +204,8 @@ def check_assoc(p: Params, seed: int = 0) -> CheckResult:
             for term, c1 in fold(g1, graphs[rank(key)]).items():
                 right[term] = right.get(term, 0) + c1 * c
         if left != right:
-            counterexample = serialize.dumps(
-                {
-                    "g1": serialize.graph_record(g1),
-                    "g2": serialize.graph_record(g2),
-                    "g3": serialize.graph_record(g3),
-                }
-            )
-            return CheckResult("assoc", False, f"associativity fails at {g1}, {g2}, {g3}", counterexample)
+            detail = f"associativity fails at {g1}, {g2}, {g3}"
+            return CheckResult("assoc", False, detail, _counterexample(g1=g1, g2=g2, g3=g3))
     return CheckResult("assoc", True, f"{len(triples)} triples{sampled} associate", None)
 
 
@@ -303,9 +308,8 @@ def check_t_basis(p: Params) -> CheckResult:
             wrong = [k for k in want.keys() | got.keys() if want.get(k, 0) != got.get(k, 0)]
             if wrong:
                 g2, g = graphs[j], graphs[min(wrong)]
-                records = {key: serialize.graph_record(h) for key, h in (("g1", g1), ("g2", g2), ("g", g))}
                 detail = f"composition count mismatch at {g1} * {g2} -> {g}"
-                return CheckResult("t-basis", False, detail, serialize.dumps(records))
+                return CheckResult("t-basis", False, detail, _counterexample(g1=g1, g2=g2, g=g))
     return CheckResult(
         "t-basis",
         True,
@@ -334,41 +338,33 @@ def _check_t_basis_size(p: Params) -> None:
     _check_cap(_compatible_pairs(p), None, f"the valency-compatible pairs of t-basis at n={p.n}, d={p.d}")
 
 
-def _refuse_oversize(p: Params, selected: set[str]) -> None:
-    """Raise the TooLargeError a selected suite would meet midway, before the first suite starts.
-
-    Every suite reads the basis, whose graph and cell caps are checked here
-    without enumerating it.  Within those caps the identity element has at
-    most 2^18 matrix entries, so its own cap of 10^6 never binds.
-    """
-    check_graph_caps(p)
-    if {"orbit-bijection", "identity"} & selected:
-        _check_cap(p.index_count, None, f"the configuration set at n={p.n}, d={p.d}")
-    if {"commutant", "t-basis"} & selected:
-        check_reach(p)
-    if "t-basis" in selected:
-        _check_t_basis_size(p)
+# the caps a suite may need beyond the graph caps, in the order they are checked.  Within the graph caps
+# the identity element has at most 2^18 matrix entries, so its own cap of 10^6 never binds
+_CAPS = {
+    "configurations": lambda p: _check_cap(p.index_count, None, f"the configuration set at n={p.n}, d={p.d}"),
+    "reach": check_reach,
+    "pairs": _check_t_basis_size,
+}
 
 
-def run_checks(
-    p: Params, names=None, seed: int = 0, corrupt: bool = False
-) -> list[CheckResult]:
-    """Run the named suites (all of them by default), in canonical order."""
+def run_checks(p: Params, names=None, seed: int = 0, corrupt: bool = False) -> list[CheckResult]:
+    """Run the named suites (all of them by default) in canonical order, once every cap they need holds."""
     selected = CHECK_NAMES if names is None else tuple(names)
     if not selected:
         raise ValueError(f"no checks named; choose from {CHECK_NAMES}")
     unknown = [name for name in selected if name not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; choose from {CHECK_NAMES}")
-    if corrupt and "commutant" not in selected:
+    if corrupt and not any("corrupt" in SUITES[name][0] for name in selected):
         raise ValueError("corrupting an operator needs the commutant check, which is not selected")
-    _refuse_oversize(p, set(selected))
-    suites = {
-        "orbit-bijection": lambda: check_orbit_bijection(p),
-        "commutant": lambda: check_commutant(p, corrupt=corrupt),
-        "engines": lambda: check_engines(p, seed=seed),
-        "assoc": lambda: check_assoc(p, seed=seed),
-        "identity": lambda: check_identity(p),
-        "t-basis": lambda: check_t_basis(p),
-    }
-    return [suites[name]() for name in CHECK_NAMES if name in selected]
+    check_graph_caps(p)
+    needed = {cap for name in selected for cap in SUITES[name][1]}
+    for cap, check in _CAPS.items():
+        if cap in needed:
+            check(p)
+    options = {"seed": seed, "corrupt": corrupt}
+    # each check_<name> is read from the module when it runs, so a patched one is the one called
+    return [
+        globals()["check_" + name.replace("-", "_")](p, **{key: options[key] for key in SUITES[name][0]})
+        for name in CHECK_NAMES if name in selected
+    ]

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from schurbox import cli
+from schurbox.verify import CHECK_NAMES
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,6 +81,15 @@ def test_traced_worker_runs_every_operation(workload, tmp_path):
     assert report["ops"]
     assert [op["error"] for op in report["ops"] if not op["ok"]] == []
     assert "layers" in report
+
+
+def test_traced_verify_times_every_suite(tmp_path):
+    # a suite that run_checks calls through a reference the tracer cannot patch would read 0 s
+    report = _run_bench_script(
+        "worker", "--workload", "verify-oracle", "--scale", "tiny", "--seed", "1", "--jobs", "1",
+        "--trace", "--workdir", str(tmp_path),
+    )
+    assert [name for name in CHECK_NAMES if not report["layers"][f"verify.{name}.s"] > 0] == []
 
 
 @pytest.mark.parametrize("engine", workloads.ENGINES)

@@ -387,6 +387,33 @@ def test_verify_checks_naming_no_suite_is_an_input_error(capsys, checks):
     assert err.startswith("error: no checks named; choose from")
 
 
+# verify's exit code, stdout sha256 and stderr: two passing runs, a refusal from each cap that run_checks checks
+# (when two caps would refuse, the first in its order names itself), and --corrupt with no suite to corrupt
+NO_OUTPUT = hashlib.sha256(b"").hexdigest()
+GOLDEN_VERIFY = {
+    "-n 2 -d 5": (0, "0eec1ee5df8aafb33dacc306a7b8a4ae4fb9c4b5ed6588a857c482f104a927a1", ""),
+    "-n 3 -d 3 --seed 1": (0, "77803b7e46c4fc5c39503457fbddfe0e2cdfc70964aa0b03df82fd74aaaec982", ""),
+    "-n 4 -d 6": (1, NO_OUTPUT, "error: instance too large: the valency-compatible pairs of t-basis at n=4, d=6 "
+                  "has 48097136 elements (cap 1000000)\n"),
+    "-n 2 -d 20 --checks commutant,identity": (1, NO_OUTPUT, "error: instance too large: the configuration set "
+                                               "at n=2, d=20 has 1048576 elements (cap 1000000)\n"),
+    "-n 2 -d 13 --checks commutant": (1, NO_OUTPUT, "error: instance too large for the dense oracle: 8192 basis "
+                                      "vectors (cap 4096), 560 orbits (cap 131072)\n"),
+    "-n 2 -d 20 --checks engines,t-basis": (1, NO_OUTPUT, "error: instance too large for the dense oracle: "
+                                            "1048576 basis vectors (cap 4096), 1771 orbits (cap 131072)\n"),
+    "-n 100 -d 1 --checks identity": (1, NO_OUTPUT, "error: instance too large: the graph set's matrix cells "
+                                      "at n=100, d=1 has 100000000 elements (cap 16777216)\n"),
+    "-n 2 -d 2 --checks identity --corrupt": (1, NO_OUTPUT, "error: corrupting an operator needs the commutant "
+                                              "check, which is not selected\n"),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_VERIFY))
+def test_verify_golden_bytes(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == GOLDEN_VERIFY[argv]
+
+
 def test_render_graph_ascii(capsys, graph_files):
     code, out, err = run(capsys, "render", graph_files["g1"])
     assert code == 0

@@ -693,17 +693,77 @@ def test_t_basis_refusal_builds_no_basis(monkeypatch):
     assert basis.cache_info().currsize == 0
 
 
-def test_a_refused_suite_stops_the_run_before_the_first_suite(monkeypatch):
+@pytest.fixture
+def started(monkeypatch):
+    """Every suite replaced by a stub that records its name when it starts."""
+    names = []
+    for name in CHECK_NAMES:
+        monkeypatch.setattr(
+            verify, "check_" + name.replace("-", "_"), lambda *args, name=name, **kwargs: names.append(name)
+        )
+    return names
+
+
+def test_a_refused_suite_stops_the_run_before_the_first_suite(started):
     # (4,6) has 48,097,136 compatible pairs; the suites before t-basis would take minutes
-    started = []
-    for name in ("check_orbit_bijection", "check_commutant", "check_engines", "check_assoc", "check_identity"):
-        monkeypatch.setattr(verify, name, lambda *args, name=name, **kwargs: started.append(name))
     with pytest.raises(TooLargeError, match=r"t-basis at n=4, d=6 has 48097136 elements \(cap 1000000\)"):
         run_checks(Params(4, 6))
     assert started == []
     # only t-basis is refused there
     assert run_checks(Params(4, 6), names=("orbit-bijection", "identity")) == [None, None]
-    assert started == ["check_orbit_bijection", "check_identity"]
+    assert started == ["orbit-bijection", "identity"]
+
+
+# (shape, suites, refusal): one per cap that run_checks checks, in its order (graph caps, configuration set,
+# oracle reach, t-basis pairs); where two caps would refuse, the first names itself
+REFUSALS = [
+    (Params(100, 1), ("identity",),
+     "instance too large: the graph set's matrix cells at n=100, d=1 has 100000000 elements (cap 16777216)"),
+    (Params(2, 20), ("commutant", "identity"),
+     "instance too large: the configuration set at n=2, d=20 has 1048576 elements (cap 1000000)"),
+    (Params(2, 13), ("commutant",),
+     "instance too large for the dense oracle: 8192 basis vectors (cap 4096), 560 orbits (cap 131072)"),
+    (Params(2, 20), ("engines", "t-basis"),
+     "instance too large for the dense oracle: 1048576 basis vectors (cap 4096), 1771 orbits (cap 131072)"),
+    (Params(4, 6), None,
+     "instance too large: the valency-compatible pairs of t-basis at n=4, d=6 has 48097136 elements (cap 1000000)"),
+]
+
+
+@pytest.mark.parametrize(
+    "p, names, message", REFUSALS, ids=["matrix-cells", "configurations", "reach", "reach-before-pairs", "pairs"]
+)
+def test_each_refusal_comes_before_any_suite_starts(started, p, names, message):
+    with pytest.raises(TooLargeError) as refusal:
+        run_checks(p, names)
+    assert str(refusal.value) == message
+    assert started == []
+
+
+def test_corrupt_without_a_suite_that_takes_it_starts_no_suite(started):
+    with pytest.raises(ValueError) as refusal:
+        run_checks(Params(2, 2), names=("identity",), corrupt=True)
+    assert str(refusal.value) == "corrupting an operator needs the commutant check, which is not selected"
+    assert started == []
+
+
+def test_the_sampling_suites_need_no_cap_beyond_the_graph_caps(started):
+    # (2,20) is past the configuration cap and the oracle's reach
+    assert run_checks(Params(2, 20), names=("engines", "assoc")) == [None, None]
+    assert started == ["engines", "assoc"]
+
+
+def test_each_suite_gets_the_options_it_takes(monkeypatch):
+    options = {}
+    for name in CHECK_NAMES:
+        monkeypatch.setattr(
+            verify, "check_" + name.replace("-", "_"), lambda p, name=name, **kwargs: options.setdefault(name, kwargs)
+        )
+    run_checks(Params(2, 2), seed=7, corrupt=True)
+    assert options == {
+        "orbit-bijection": {}, "commutant": {"corrupt": True}, "engines": {"seed": 7}, "assoc": {"seed": 7},
+        "identity": {}, "t-basis": {},
+    }
 
 
 def test_the_graph_caps_bound_the_identity_below_its_own_cap():
