@@ -280,6 +280,8 @@ def oracle_fold(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> dict[tuple[
     middle = orbits == rank(g2.sort_key)
     transposed = rank(tuple(itertools.chain.from_iterable(zip(*g1.matrix))))
     column = (table.labels[middle] == transposed).sum(axis=0)
+    if not column.any():  # a zero product is constant on every orbit
+        return {}
     values = column[first]
     y = canonical_index(g2.top_valencies())
     differ = (values[inverse] != column).nonzero()[0]

@@ -43,13 +43,19 @@ def element_records(x: AlgebraElement) -> list:
     return [{"coeff": str(coeff), "graph": graph_record(g)} for g, coeff in x.items()]
 
 
+def _graph_template(n: int, d: int) -> str:
+    """:func:`dumps` of :func:`graph_record` at shape (n, d) as a %-template: ``template % g.sort_key``."""
+    return '{"d":%d,"matrix":[[%s]],"n":%d}' % (d, "],[".join([",".join(["%d"] * n)] * n), n)
+
+
 def counts_json(counts: Mapping[tuple[int, ...], int], n: int, d: int, mod: int | None = None) -> str:
     """:func:`dumps` of :func:`element_records`, from an engine's {flattened composed matrix: coefficient}.
 
     A flattened matrix is its graph's ``sort_key``, so the sorted counts are the terms in order, each written
-    with one f-string.  ``mod`` reduces each coefficient, dropping zero residues.
+    with one f-string and the graph record's :func:`_graph_template`.  ``mod`` reduces each coefficient,
+    dropping zero residues.
     """
-    graph = '","graph":{"d":%d,"matrix":[[%s]],"n":%d}}' % (d, "],[".join([",".join(["%d"] * n)] * n), n)
+    graph = '","graph":' + _graph_template(n, d) + "}"
     terms = ((key, coeff if mod is None else coeff % mod) for key, coeff in sorted(counts.items()))
     return "[" + ",".join([f'{{"coeff":"{coeff}{graph % key}' for key, coeff in terms if coeff]) + "]"
 
@@ -71,12 +77,14 @@ def table_blocks(
     ``graphs`` is the basis in basis order and ``rows`` its product rows,
     each {right factor: (term indices, coefficients)} in any order.  A block
     is :func:`table_line` per right factor, each followed by ``"\\n"``,
-    spliced from each graph's JSON serialized once: the same bytes, because
-    :func:`dumps` sorts the keys as g1, g2, terms and as coeff, graph, and
-    terms are sorted by index (one term is written without a sort).
-    ``mod`` reduces each coefficient, dropping zero residues.
+    spliced from each graph's JSON, written once from its ``sort_key`` by the
+    shape's :func:`_graph_template`: the same bytes, because :func:`dumps`
+    sorts the keys as g1, g2, terms and as coeff, graph, and terms are sorted
+    by index (one or two terms are ordered without a sort).  ``mod`` reduces
+    each coefficient, dropping zero residues.
     """
-    records = [dumps(graph_record(g)) for g in graphs]
+    template = _graph_template(graphs[0].n, graphs[0].d)
+    records = [template % g.sort_key for g in graphs]
     fragments = ['","graph":' + record + "}" for record in records]
     zero_tails = [record + ',"terms":[]}\n' for record in records]
     for record1, row in zip(records, rows):
@@ -84,6 +92,12 @@ def table_blocks(
         for k, (indices, coeffs) in row.items():
             if len(indices) == 1 and mod is None:
                 tails[k] = f'{records[k]},"terms":[{{"coeff":"{coeffs[0]}{fragments[indices[0]]}]}}\n'
+                continue
+            if len(indices) == 2 and mod is None:
+                (x, y), (a, b) = indices, coeffs
+                if x > y:
+                    x, y, a, b = y, x, b, a
+                tails[k] = f'{records[k]},"terms":[{{"coeff":"{a}{fragments[x]},{{"coeff":"{b}{fragments[y]}]}}\n'
                 continue
             terms = sorted(zip(indices, coeffs))
             if mod is not None:

@@ -46,17 +46,19 @@ xi[[2,1],[1,0]] + 3*xi[[3,0],[0,1]]
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import AlgebraElement
 from .combinatorics import Configuration, arrangements, column_arrangements, to_configuration
-from .graphs import BipartiteMultigraph, EdgeLabel, basis, canonical_pair, rank
+from .graphs import BipartiteMultigraph, EdgeLabel, basis, canonical_pair
 
 Pair = tuple[EdgeLabel, EdgeLabel]
 """One recorded ball path: (label of its g2 edge, label of its g1 edge)."""
+Entry = tuple[tuple[int, ...], tuple[int, ...]]
+"""One nonzero product of a table row: (term indices, coefficients)."""
 
 
 def _check_same_shape(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> None:
@@ -207,16 +209,23 @@ def multiply_basis_euler(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> Al
 
 
 def _symmetry_maps(graphs: tuple[BipartiteMultigraph, ...]) -> list[list[int]]:
-    """The symmetry's generators as basis-index maps: each adjacent box swap, then the transpose."""
+    """The symmetry's generators as basis-index maps: each adjacent box swap, then the transpose.
+
+    ``graphs`` is the basis in basis order.  Each image's flattened matrix is
+    looked up in a {flattened matrix: basis index} dict of that basis, built
+    here and dropped on return.
+    """
     n = graphs[0].n
+    keys = [g.sort_key for g in graphs]
+    position = {key: k for k, key in enumerate(keys)}
     cells = [divmod(cell, n) for cell in range(n * n)]
     swaps = [[*range(s), s + 1, s, *range(s + 2, n)] for s in range(n - 1)]
     # each generator as the flattened cell that every cell of the image reads
     flats = [[box[i] * n + box[j] for i, j in cells] for box in swaps] + [[j * n + i for i, j in cells]]
-    return [[rank(tuple(map(g.sort_key.__getitem__, flat))) for g in graphs] for flat in flats]
+    return [[position[tuple(map(key.__getitem__, flat))] for key in keys] for flat in flats]
 
 
-def product_rows(n: int, d: int) -> Iterator[dict[int, tuple[tuple[int, ...], tuple[int, ...]]]]:
+def product_rows(n: int, d: int) -> Iterator[dict[int, Entry]]:
     """Row i of the basis products: {k: (term indices, coefficients)} per nonzero product i·k, unsorted.
 
     A product is nonzero exactly when the bottom valencies of k meet the top
@@ -224,43 +233,52 @@ def product_rows(n: int, d: int) -> Iterator[dict[int, tuple[tuple[int, ...], tu
     algebra and transposing an anti-automorphism, so c(g1, g2; g) =
     c(σg1σᵀ, σg2σᵀ; σgσᵀ) = c(g2ᵀ, g1ᵀ; gᵀ) (Green, *Polynomial
     Representations of GL_n*, §2.3).  The first pair of an orbit met in row
-    order is folded.  Renaming commutes with transposing, so the orbit is the
-    renaming orbit, walked breadth-first by the adjacent swaps of
-    :func:`_symmetry_maps`, and the transposes of its members: that orbit
-    again if it holds (i, k)'s transpose, else disjoint from it.  Each member
-    is filed into its row's bucket as it is reached, with relabelled term
-    indices and the orbit's one coefficient tuple: the buckets are the
-    visited set.  No orbit reaches an earlier row, so the buckets held are
-    row i's and those still to come.
+    order is folded, and its terms are ranked through a {flattened matrix:
+    basis index} dict of the basis, local to the walk.  Renaming commutes
+    with transposing, so the orbit is the renaming orbit, walked
+    breadth-first by the adjacent swaps of :func:`_symmetry_maps`, and the
+    transposes of its members: that orbit again if it holds (i, k)'s
+    transpose, else disjoint from it.  Each member is filed into its row's
+    bucket as it is reached, with relabelled term indices and the orbit's one
+    coefficient tuple: the buckets are the visited set.  No orbit reaches an
+    earlier row, so the buckets held are row i's and those still to come.
+    Equal entries are one tuple: the walk shares them through a table of the
+    last 4,096 entries filed (at (3,4), 18,711 entries have 2,721 values).
 
     >>> list(product_rows(2, 1)) == [{0: ((0,), (1,)), 1: ((1,), (1,))}, {2: ((0,), (1,)), 3: ((1,), (1,))},
     ...                              {0: ((2,), (1,)), 1: ((3,), (1,))}, {2: ((2,), (1,)), 3: ((3,), (1,))}]
     True
     """
     graphs = basis(n, d)
+    position = {g.sort_key: k for k, g in enumerate(graphs)}
     by_bottom: dict[tuple[int, ...], list[int]] = {}
     for k, g in enumerate(graphs):
         by_bottom.setdefault(g.bottom_valencies(), []).append(k)
     *swaps, t = _symmetry_maps(graphs)
-    pending: dict[int, dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+
+    @lru_cache(maxsize=4096)
+    def shared(entry: Entry) -> Entry:
+        return entry
+
+    pending: defaultdict[int, dict[int, Entry]] = defaultdict(dict)
     for i, g1 in enumerate(graphs):
-        bucket = pending.setdefault(i, {})
+        bucket = pending[i]
         for k in by_bottom.get(g1.top_valencies(), ()):
             if k not in bucket:
                 fold = euler_fold(g1, graphs[k])
-                terms, ways = tuple(map(rank, fold)), tuple(fold.values())
-                bucket[k] = terms, ways
+                terms, ways = tuple(map(position.__getitem__, fold)), tuple(fold.values())
+                bucket[k] = shared((terms, ways))
                 renamed = [(i, k, terms)]
                 for a, b, terms in renamed:
                     for m in swaps:
-                        row = pending.setdefault(m[a], {})
+                        row = pending[m[a]]
                         if m[b] not in row:
                             image = tuple(map(m.__getitem__, terms))
-                            row[m[b]] = image, ways
+                            row[m[b]] = shared((image, ways))
                             renamed.append((m[a], m[b], image))
                 if t[i] not in pending.get(t[k], ()):
                     for a, b, terms in renamed:
-                        pending.setdefault(t[b], {})[t[a]] = tuple(map(t.__getitem__, terms)), ways
+                        pending[t[b]][t[a]] = shared((tuple(map(t.__getitem__, terms)), ways))
         yield pending.pop(i)
 
 
