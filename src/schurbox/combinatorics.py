@@ -25,6 +25,11 @@ equivalently on configurations by renaming the balls; the identification
 above intertwines the two actions.  ``oracle._transposition_indices``
 implements the action for the package, one adjacent transposition at a time.
 
+:func:`canonical_index` is the paper's canonical c: the multi-index of a
+content with its balls numbered box by box, from the first box.  Each
+renaming orbit of configurations, one per content, holds exactly one (Green,
+*Polynomial Representations of GL_n*, §2.3), and every module takes c from it.
+
 :func:`column_arrangements` lists the ways a basis operator sends the balls
 of box j down column j of its graph; ``algebra.apply_basis`` and the
 ``structconst`` engines walk their product over the columns.
@@ -90,6 +95,11 @@ def enumerate_multi_indices(p: Params) -> list[MultiIndex]:
 def index_position(index: Sequence[int], n: int) -> int:
     """The position of ``index`` in :func:`enumerate_multi_indices` order: Σ (x_k - 1)·n^(d-k)."""
     return sum((box - 1) * n**k for k, box in enumerate(reversed(index)))
+
+
+def canonical_index(content: Sequence[int]) -> MultiIndex:
+    """The multi-index of ``content`` with balls numbered box by box: box j holds the next content[j-1]."""
+    return tuple(box for box, k in enumerate(content, start=1) for _ in range(k))
 
 
 @dataclass(frozen=True)

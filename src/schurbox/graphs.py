@@ -44,6 +44,7 @@ from .combinatorics import (
     Params,
     TooLargeError,
     _check_cap,
+    canonical_index,
     compositions,
     to_configuration,
     to_multi_index,
@@ -242,15 +243,13 @@ def canonical_indices(g: BipartiteMultigraph) -> tuple[tuple[int, ...], tuple[in
     g[i][j] balls, from top box j + 1 down to bottom box i + 1.  Any other
     pair with graph g is a simultaneous renaming of this one.
     """
-    columns = list(zip(*g.matrix))
-    a = tuple(bottom for column in columns for bottom, k in enumerate(column, start=1) for _ in range(k))
-    c = tuple(top for top, column in enumerate(columns, start=1) for _ in range(sum(column)))
-    return a, c
+    a = tuple(bottom for column in zip(*g.matrix) for bottom, k in enumerate(column, start=1) for _ in range(k))
+    return a, canonical_index(g.top_valencies())
 
 
 def canonical_configuration(content: Sequence[int]) -> Configuration:
-    """The configuration of given content whose balls are numbered box by box: c of its diagonal graph."""
-    return to_configuration(canonical_indices(diagonal_graph(content))[1], len(content))
+    """The configuration of :func:`combinatorics.canonical_index`: balls numbered box by box."""
+    return to_configuration(canonical_index(content), len(content))
 
 
 def canonical_pair(g: BipartiteMultigraph) -> tuple[Configuration, Configuration]:

@@ -27,12 +27,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import Params, index_position
+from .combinatorics import Params, canonical_index, index_position
 from .graphs import (
     BipartiteMultigraph,
     canonical_indices,
     check_reach,
-    diagonal_graph,
     graph_count,
     rank,
     rank_weights,
@@ -105,7 +104,7 @@ class PairTable:
             labels[r : r + block] = sum(w.take(cells[:, :, j]) for j, w in enumerate(weights))
         labels.flags.writeable = False
         self.labels = labels
-        self._columns: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._columns: dict[tuple[int, ...], tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def __copy__(self) -> "PairTable":
         """A table sharing this one's arrays but not its column memo, so relabelling one leaves the other's."""
@@ -131,19 +130,20 @@ class PairTable:
         n, flat = self.p.n, self.counts(r, c)
         return BipartiteMultigraph._trusted(tuple(flat[i : i + n] for i in range(0, n * n, n)), n, self.p.d)
 
-    def column(self, content: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Column y of the canonical configuration of ``content``, read once per content.
+    def column(self, content: tuple[int, ...]) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Column y of :func:`combinatorics.canonical_index` of ``content``, read once per content.
 
-        Returns the column's labels, and the labels it holds with the row of
-        each one's first cell and each row's position among them
+        Returns y, the column's labels, and the labels it holds with the row
+        of each one's first cell and each row's position among them
         (``np.unique(..., return_index=True, return_inverse=True)``).  The
         memo lives on the table, so it goes with it.
         """
         memo = self._columns.get(content)
         if memo is None:
-            orbits = np.ascontiguousarray(self.labels[:, canonical_index(content)])
-            memo = self._columns[content] = orbits, *np.unique(orbits, return_index=True, return_inverse=True)
-            for array in memo:
+            y = index_position(canonical_index(content), self.p.n)
+            orbits = np.ascontiguousarray(self.labels[:, y])
+            memo = self._columns[content] = y, orbits, *np.unique(orbits, return_index=True, return_inverse=True)
+            for array in memo[1:]:
                 array.flags.writeable = False
         return memo
 
@@ -155,12 +155,6 @@ class PairTable:
 @lru_cache(maxsize=1)
 def pair_table(n: int, d: int) -> PairTable:
     return PairTable(Params(n, d))
-
-
-@lru_cache(maxsize=4096)
-def canonical_index(content: tuple[int, ...]) -> int:
-    """The position of the canonical configuration of ``content`` among the multi-indices, memoized per content."""
-    return index_position(canonical_indices(diagonal_graph(content))[1], len(content))
 
 
 def operator_matrix(g: BipartiteMultigraph) -> DenseOperator:
@@ -263,7 +257,7 @@ def oracle_fold(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> dict[tuple[
 
     Every term of the product has g2's top valencies, so every term's orbit
     meets column y, the index of the canonical configuration of those
-    valencies; the table reads that column once per content
+    valencies; the table finds y and reads that column once per content
     (:meth:`PairTable.column`).  Entry z of the product's column counts the
     middle indices w with (z, w) in the orbit of g1 and (w, y) in that of
     g2, a sum of at most N zeros and ones.  (z, w) lies in the orbit of g1
@@ -276,14 +270,13 @@ def oracle_fold(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> dict[tuple[
     if (g1.n, g1.d) != (g2.n, g2.d):
         raise ValueError(f"graph shapes differ: ({g1.n},{g1.d}) vs ({g2.n},{g2.d})")
     table = pair_table(g1.n, g1.d)
-    orbits, _, first, inverse = table.column(g2.top_valencies())
+    y, orbits, _, first, inverse = table.column(g2.top_valencies())
     middle = orbits == rank(g2.sort_key)
     transposed = rank(tuple(itertools.chain.from_iterable(zip(*g1.matrix))))
     column = (table.labels[middle] == transposed).sum(axis=0)
     if not column.any():  # a zero product is constant on every orbit
         return {}
     values = column[first]
-    y = canonical_index(g2.top_valencies())
     differ = (values[inverse] != column).nonzero()[0]
     if len(differ):
         z = int(differ[0])

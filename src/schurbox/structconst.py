@@ -51,14 +51,24 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import AlgebraElement
-from .combinatorics import Configuration, arrangements, column_arrangements, to_configuration
+from .algebra import AlgebraElement, _image_size
+from .combinatorics import (
+    Configuration,
+    _check_cap,
+    arrangements,
+    canonical_index,
+    column_arrangements,
+    to_configuration,
+)
 from .graphs import BipartiteMultigraph, EdgeLabel, basis, canonical_pair
 
 Pair = tuple[EdgeLabel, EdgeLabel]
 """One recorded ball path: (label of its g2 edge, label of its g1 edge)."""
 Entry = tuple[tuple[int, ...], tuple[int, ...]]
 """One nonzero product of a table row: (term indices, coefficients)."""
+
+FILLING_ROW_CAP = 10**5
+"""Middle rows :func:`middle_fillings` walks at most: [[2,2,2],[2,2,2],[2,2,2]] has 729,000."""
 
 
 def _check_same_shape(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> None:
@@ -287,8 +297,8 @@ def canonical_diagrams(
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every canonical three-row diagram of (g1, g2), as (middle row, flattened composed matrix).
 
-    Rows are multi-indices with boxes from 0.  The top row c is the sorted
-    multi-index of g2's top valencies, the canonical configuration.  The
+    Rows are multi-indices with boxes from 0.  The top row c is
+    :func:`combinatorics.canonical_index` of g2's top valencies.  The
     middles b are the :func:`combinatorics.column_arrangements` of g2's
     columns, concatenated in multi-index order, as :func:`algebra.apply_basis`
     walks them.  Below each, a stack places ball s in a bottom box x with an
@@ -301,7 +311,7 @@ def canonical_diagrams(
     n, d = g1.n, g1.d
     if g2.bottom_valencies() != g1.top_valencies():
         return  # a leaf would leave edges of g1 unused
-    top = [j for j, k in enumerate(g2.top_valencies()) for _ in range(k)]
+    top = [j - 1 for j in canonical_index(g2.top_valencies())]
     cap = cap or (d,) * (n * n)
     left = [list(column) for column in zip(*g1.matrix)]  # left[v][x]: unused g1 edges from v to x
     flat = [0] * (n * n)
@@ -335,8 +345,15 @@ def canonical_diagrams(
 def middle_fillings(
     g1: BipartiteMultigraph, g2: BipartiteMultigraph, g: BipartiteMultigraph
 ) -> tuple[Configuration, Configuration, list[Configuration]]:
-    """Canonical witnesses: the pair (a, c) for g and, in multi-index order, every compatible middle configuration."""
+    """Canonical witnesses: the pair (a, c) for g and, in multi-index order, every compatible middle configuration.
+
+    Refuses, before it walks, when g2 has more than :data:`FILLING_ROW_CAP`
+    middle rows, its :func:`algebra.apply_basis` images: the walk visits
+    each, and under g's bottom row each gives at most one filling.
+    """
     _check_same_shape(g1, g)
+    if g2.bottom_valencies() == g1.top_valencies():  # otherwise the walk visits no row
+        _check_cap(_image_size(g2), FILLING_ROW_CAP, f"the middle rows of the fillings of {g1} * {g2}")
     a, c = canonical_pair(g)
     middles = [to_configuration([v + 1 for v in b], g.n) for b, _ in canonical_diagrams(g1, g2, g.sort_key)]
     return a, c, middles

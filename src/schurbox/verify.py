@@ -34,8 +34,10 @@ from .algebra import (
 from .combinatorics import (
     Params,
     _check_cap,
+    canonical_index,
     compositions,
     enumerate_configurations,
+    index_position,
 )
 from .graphs import (
     basis,
@@ -84,11 +86,6 @@ def _counterexample(extra: dict | None = None, **graphs) -> str:
     return serialize.dumps({**{key: serialize.graph_record(g) for key, g in graphs.items()}, **(extra or {})})
 
 
-def _canonical_rows(p: Params) -> list:
-    """The canonical configuration of each content, one per renaming orbit of configurations."""
-    return [canonical_configuration(content) for content in compositions(p.d, p.n)]
-
-
 def check_orbit_bijection(p: Params) -> CheckResult:
     """The pair graphs of the canonical rows against the enumerated basis and the binomial count.
 
@@ -98,7 +95,7 @@ def check_orbit_bijection(p: Params) -> CheckResult:
     only graphs outside the basis are kept.
     """
     configs = enumerate_configurations(p)
-    rows = _canonical_rows(p)
+    rows = [canonical_configuration(content) for content in compositions(p.d, p.n)]
     enumerated = basis(p.n, p.d)
     position = {g: k for k, g in enumerate(enumerated)}
     seen, extra = bytearray(len(enumerated)), set()
@@ -280,7 +277,7 @@ def check_t_basis(p: Params) -> CheckResult:
     # the canonical rows stand for every cell; any other grid is read in full
     rows = range(table.size)
     if oracle.commutes_with_renaming(oracle.DenseOperator(p.n, p.d, table.labels)):
-        rows = [oracle.canonical_index(content) for content in compositions(p.d, p.n)]
+        rows = [index_position(canonical_index(content), p.n) for content in compositions(p.d, p.n)]
     differ = set()
     for r in rows:
         a = configs[r]

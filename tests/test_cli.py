@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -433,6 +434,28 @@ def test_render_product(capsys, graph_files):
     )
     assert code == 0
     assert out.startswith("3 filling(s)")
+
+
+def test_render_product_refuses_before_it_walks(capsys, tmp_path):
+    # [[2,2,2],[2,2,2],[2,2,2]] has 729,000 middle rows; each gives this target one filling, and rendering
+    # them all took 45 s and 1.85 GiB before the cap
+    square, target = tmp_path / "square.json", tmp_path / "target.json"
+    square.write_text('{"n":3,"d":18,"matrix":[[2,2,2],[2,2,2],[2,2,2]]}')
+    target.write_text('{"n":3,"d":18,"matrix":[[0,0,6],[0,6,0],[6,0,0]]}')
+    start = time.perf_counter()
+    code, out, err = run(capsys, "render", str(square), str(square), str(target), "--mode", "product")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: instance too large: the middle rows of the fillings of [[2,2,2],[2,2,2],[2,2,2]] * "
+        "[[2,2,2],[2,2,2],[2,2,2]] has 729000 elements (cap 100000)\n"
+    )
+    # a left factor whose top valencies miss the square's bottom ones leaves the walk no row to visit
+    left = tmp_path / "left.json"
+    left.write_text('{"n":3,"d":18,"matrix":[[18,0,0],[0,0,0],[0,0,0]]}')
+    code, out, err = run(capsys, "render", str(left), str(square), str(target), "--mode", "product")
+    assert (code, err) == (0, "")
+    assert out.startswith("0 filling(s)")
 
 
 def test_render_wrong_file_count(capsys, graph_files):

@@ -10,6 +10,8 @@ from schurbox.combinatorics import (
     Configuration,
     Params,
     TooLargeError,
+    canonical_index,
+    compositions,
     enumerate_configurations,
     enumerate_multi_indices,
     to_configuration,
@@ -203,6 +205,15 @@ def test_diagonal_graph():
 def test_canonical_configuration():
     assert canonical_configuration((2, 2)).word() == "|12|34|"
     assert canonical_configuration((0, 3, 1)).word() == "||123|4|"
+
+
+@pytest.mark.parametrize("p", [Params(2, 5), Params(3, 3), Params(4, 4)], ids=str)
+def test_canonical_index_is_c_of_the_diagonal_graph(p):
+    # c is the top row of the diagonal graph's canonical pair, and the one sorted multi-index of its content
+    for content in compositions(p.d, p.n):
+        c = canonical_index(content)
+        assert c == canonical_indices(diagonal_graph(content))[1]
+        assert list(c) == sorted(c) and to_configuration(c, p.n).content() == content
 
 
 def test_canonical_pair_example():

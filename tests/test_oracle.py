@@ -16,6 +16,8 @@ from schurbox.algebra import AlgebraElement
 from schurbox.combinatorics import (
     Params,
     TooLargeError,
+    canonical_index,
+    compositions,
     enumerate_multi_indices,
     index_position,
     to_configuration,
@@ -111,7 +113,7 @@ def test_pair_table_keeps_one_shape():
     # a tuple takes no weak reference, so the basis is watched through its first graph
     g = basis(2, 3)[0]
     multiply_basis_oracle(g, g)
-    (orbits, found, first, inverse), = pair_table(2, 3)._columns.values()
+    (_, orbits, found, first, inverse), = pair_table(2, 3)._columns.values()
     kept = [weakref.ref(x) for x in (g, pair_table(2, 3), orbits, found, first, inverse)]
     del g, orbits, found, first, inverse
     basis(3, 2)
@@ -128,6 +130,15 @@ def test_oracle_column_memo_agrees_with_a_fresh_table():
     for (g1, g2), product in memoized.items():
         pair_table.cache_clear()
         assert multiply_basis_oracle(g1, g2) == product, (g1, g2)
+
+
+@pytest.mark.parametrize("p", [Params(2, 5), Params(3, 3)], ids=str)
+def test_pair_table_column_starts_at_the_canonical_index(p):
+    table = pair_table(p.n, p.d)
+    for content in compositions(p.d, p.n):
+        y = table.column(content)[0]
+        assert y == index_position(canonical_index(content), p.n)
+        assert np.array_equal(table.column(content)[1], table.labels[:, y])
 
 
 def test_pair_table_cap():
