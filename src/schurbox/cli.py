@@ -38,12 +38,22 @@ def _load_graph(path: str):
     return serialize.graph_from_record(serialize.load_json_file(path))
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(chunks, out: str | None) -> None:
+    """Write the strings ``chunks`` to stdout, or to ``<out>.tmp`` renamed over ``out`` once all are written.
+
+    On any exception the ``.tmp`` is removed, so ``out`` is whole or untouched."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        sys.stdout.writelines(chunks)
+        return
+    tmp = out + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+        os.replace(tmp, out)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def cmd_dim(args) -> int:
@@ -59,8 +69,8 @@ def cmd_dim(args) -> int:
 
 def cmd_basis(args) -> int:
     p = Params(args.boxes, args.balls)
-    lines = [serialize.dumps(serialize.graph_record(g)) for g in enumerate_graphs(p)]
-    _write_output("\n".join(lines) + "\n", args.out)
+    line = serialize._graph_template(p.n, p.d) + "\n"
+    _write_output((line % g.sort_key for g in enumerate_graphs(p)), args.out)
     return 0
 
 
@@ -80,7 +90,7 @@ def cmd_multiply(args) -> int:
             return 2
     else:
         counts = engine_function(args.engine)(g1, g2)
-    _write_output(serialize.counts_json(counts, g1.n, g1.d, args.mod) + "\n", args.out)
+    _write_output([serialize.counts_json(counts, g1.n, g1.d, args.mod), "\n"], args.out)
     return 0
 
 
@@ -89,7 +99,7 @@ def cmd_apply(args) -> int:
     g = _load_graph(args.graph)
     b = Configuration.from_word(args.config, n=g.n, d=g.d)
     result = apply(AlgebraElement.basis(g), VectorElement.basis(b), mod=args.mod)
-    _write_output(serialize.dumps(serialize.vector_records(result)) + "\n", args.out)
+    _write_output([serialize.dumps(serialize.vector_records(result)), "\n"], args.out)
     return 0
 
 
@@ -104,15 +114,7 @@ def cmd_table(args) -> int:
     p = Params(args.boxes, args.balls)
     _check_cap(graph_count(p) ** 2, None, f"the product table at n={p.n}, d={p.d}")
     rows = structconst.product_rows(p.n, p.d)
-    tmp = args.out + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.writelines(serialize.table_blocks(basis(p.n, p.d), rows, args.mod))
-        os.replace(tmp, args.out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    _write_output(serialize.table_blocks(basis(p.n, p.d), rows, args.mod), args.out)
     return 0
 
 
@@ -152,7 +154,7 @@ def cmd_render(args) -> int:
             raise ValueError("product mode takes three graph files: lhs rhs target")
         renderer = render_product_ascii if args.format == "ascii" else render_product_dot
         text = renderer(*graphs)
-    _write_output(text, args.out)
+    _write_output([text], args.out)
     return 0
 
 

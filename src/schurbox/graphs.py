@@ -64,7 +64,8 @@ CELL_CAP = 2**24
 _VALENCIES: dict[tuple, tuple] = {}
 """Each valency vector and (top, bottom) pair met, shared by every graph that has it.
 
-It grows with the pairs met, at most the square of the number of contents per shape."""
+One table for the whole process, which never shrinks: it holds every vector and pair met at every shape,
+27,390 entries after ``verify.check_identity(Params(9, 3))`` and 43,392 after ``Params(5, 5)`` as well."""
 
 
 @dataclass(frozen=True)

@@ -66,9 +66,6 @@ class DenseOperator:
             and bool((self.matrix == other.matrix).all())
         )
 
-    def copy(self) -> "DenseOperator":
-        return DenseOperator(self.n, self.d, self.matrix.copy())
-
 
 class PairTable:
     """The orbit label of every pair of multi-indices of one shape.
@@ -105,12 +102,6 @@ class PairTable:
         labels.flags.writeable = False
         self.labels = labels
         self._columns: dict[tuple[int, ...], tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def __copy__(self) -> "PairTable":
-        """A table sharing this one's arrays but not its column memo, so relabelling one leaves the other's."""
-        twin = object.__new__(PairTable)
-        twin.__dict__.update(self.__dict__, _columns={})
-        return twin
 
     @property
     def size(self) -> int:

@@ -69,6 +69,34 @@ def test_basis_lists_all_graphs(capsys):
     assert listed == expected
 
 
+@pytest.mark.parametrize("p", [Params(1, 5), Params(2, 12), Params(3, 3)], ids=str)
+def test_basis_lines_are_dumps_of_graph_records(capsys, p):
+    # (2,12) has two-digit entries
+    code, out, err = run(capsys, "basis", "-n", str(p.n), "-d", str(p.d))
+    assert (code, err) == (0, "")
+    assert out == "".join(dumps(graph_record(g)) + "\n" for g in enumerate_graphs(p))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "-n", "2", "-d", "3"],
+        ["multiply", "{g1}", "{g2}"],
+        ["apply", "{g1}", "|12|34|"],
+        ["render", "{g1}", "{g2}", "{g3}", "--mode", "product"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_holds_the_bytes_of_stdout(capsys, graph_files, tmp_path, argv):
+    argv = [arg.format(**graph_files) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    out_path = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(out_path)) == (0, "", "")
+    assert out_path.read_text() == out
+    assert not (tmp_path / "out.txt.tmp").exists()
+
+
 def test_multiply_worked_product(capsys, graph_files):
     for engine in ("counting", "euler", "oracle", "all"):
         code, out, err = run(capsys, "multiply", graph_files["g1"], graph_files["g2"], "--engine", engine)
@@ -327,6 +355,37 @@ def test_table_leaves_no_partial_file(capsys, tmp_path):
     assert code == 1
     assert not target.exists()
     assert not (tmp_path / "sub").exists()
+
+
+class _BrokenGraph:
+    @property
+    def sort_key(self):
+        raise ValueError("broken graph")
+
+
+def _failing_rows(n, d):
+    yield {}
+    raise ValueError("broken row")
+
+
+@pytest.mark.parametrize("command", ["basis", "table"])
+def test_a_failed_write_keeps_the_old_target(capsys, tmp_path, monkeypatch, command):
+    # the writer has started: basis fails at its third graph, table after its first row
+    graphs = enumerate_graphs(Params(2, 3))
+    monkeypatch.setattr(cli, "enumerate_graphs", lambda p: [*graphs[:2], _BrokenGraph(), *graphs[3:]])
+    monkeypatch.setattr(structconst, "product_rows", _failing_rows)
+    target = tmp_path / "t.jsonl"
+    for old in (None, "old bytes\n"):
+        if old is not None:
+            target.write_text(old)
+        code, out, err = run(capsys, command, "-n", "2", "-d", "3", "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: broken ")
+        if old is None:
+            assert not target.exists()
+        else:
+            assert target.read_text() == old
+        assert not (tmp_path / "t.jsonl.tmp").exists()
 
 
 def test_verify_passes(capsys):

@@ -1,6 +1,5 @@
 """The dense matrix oracle and its self-checks."""
 
-import copy
 import gc
 import itertools
 import random
@@ -238,7 +237,8 @@ def test_basis_operators_commute_with_renaming():
 def test_corrupted_operator_fails_checks():
     table = pair_table(2, 2)
     g = next(g for g in enumerate_graphs(Params(2, 2)) if operator_matrix(g).matrix.sum() >= 2)
-    broken = operator_matrix(g).copy()
+    op = operator_matrix(g)
+    broken = DenseOperator(op.n, op.d, op.matrix.copy())
     r, c = _first_cell(table, g)
     broken.matrix[r, c] = 0
     assert not commutes_with_renaming(broken)
@@ -293,7 +293,7 @@ def test_oracle_squares_a_dense_factor_at_1024_vectors():
 def test_oracle_product_rejects_a_relabelled_cell(monkeypatch):
     # a product column that is not constant on an orbit is not in the span
     table = pair_table(2, 2)
-    broken = copy.copy(table)
+    broken = oracle.PairTable(table.p)
     broken.labels = table.labels.copy()
     broken.labels[0, 0] = rank((1, 0, 1, 0))
     monkeypatch.setattr(oracle, "pair_table", lambda n, d: broken)
@@ -414,7 +414,7 @@ def test_commutes_with_renaming_agrees_with_transposition_products(p):
     seen = set()
     for g in enumerate_graphs(p):
         op = operator_matrix(g)
-        broken = op.copy()
+        broken = DenseOperator(op.n, op.d, op.matrix.copy())
         r, c = _first_cell(table, g)
         broken.matrix[r, c] += 1
         for m in (op, broken):

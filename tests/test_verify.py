@@ -1,6 +1,5 @@
 """The consistency suites behind the verify command."""
 
-import copy
 import json
 import math
 import random
@@ -274,7 +273,7 @@ def test_t_basis_names_a_relabelled_cell(monkeypatch):
     table = oracle.pair_table(p.n, p.d)
     was = graphs[table.labels[0, 2]]
     now = next(g for g in graphs if g != was)
-    broken = copy.copy(table)
+    broken = oracle.PairTable(table.p)
     broken.labels = table.labels.copy()
     broken.labels[0, 2] = rank(now.sort_key)
     monkeypatch.setattr(oracle, "pair_table", lambda n, d: broken)
@@ -428,7 +427,7 @@ def test_t_basis_reads_every_row_of_a_grid_that_does_not_commute(monkeypatch):
         for c2 in range(table.size)
         if table.labels[r, c1] != table.labels[r, c2]
     )
-    broken = copy.copy(table)
+    broken = oracle.PairTable(table.p)
     broken.labels = table.labels.copy()
     broken.labels[r, c1], broken.labels[r, c2] = table.labels[r, c2], table.labels[r, c1]
     monkeypatch.setattr(oracle, "pair_table", lambda n, d: broken)
@@ -455,7 +454,7 @@ def test_commutant_names_the_least_moved_label_of_a_grid_that_does_not_commute(m
         for c2 in range(table.size)
         if table.labels[r, c1] != table.labels[r, c2]
     )
-    broken = copy.copy(table)
+    broken = oracle.PairTable(table.p)
     broken.labels = table.labels.copy()
     broken.labels[r, c1], broken.labels[r, c2] = table.labels[r, c2], table.labels[r, c1]
     monkeypatch.setattr(oracle, "pair_table", lambda n, d: broken)
@@ -474,7 +473,7 @@ def test_commutant_takes_the_least_moved_label_over_every_transposition(monkeypa
     table = oracle.pair_table(p.n, p.d)
     a = (index_position((1, 1, 2), p.n), index_position((2, 2, 1), p.n))
     b = (index_position((1, 2, 2), p.n), index_position((2, 1, 1), p.n))
-    broken = copy.copy(table)
+    broken = oracle.PairTable(table.p)
     broken.labels = table.labels.copy()
     broken.labels[a] = broken.labels[b] = graph_count(p) - 1
     monkeypatch.setattr(oracle, "pair_table", lambda n, d: broken)
@@ -493,7 +492,7 @@ def test_commutant_names_the_graph_the_basis_order_search_finds(monkeypatch, p):
     rng = random.Random(0)
     for _ in range(8):
         (r1, c1), (r2, c2) = (divmod(rng.randrange(table.size**2), table.size) for _ in range(2))
-        broken = copy.copy(table)
+        broken = oracle.PairTable(table.p)
         broken.labels = table.labels.copy()
         broken.labels[r1, c1], broken.labels[r2, c2] = table.labels[r2, c2], table.labels[r1, c1]
         with monkeypatch.context() as patched:
