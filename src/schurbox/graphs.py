@@ -145,6 +145,11 @@ class BipartiteMultigraph:
         return "[" + ",".join("[" + ",".join(str(e) for e in row) + "]" for row in self.matrix) + "]"
 
 
+def _check_same_shape(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> None:
+    if (g1.n, g1.d) != (g2.n, g2.d):
+        raise ValueError(f"graph shapes differ: ({g1.n},{g1.d}) vs ({g2.n},{g2.d})")
+
+
 def pair_graph(a: Configuration, b: Configuration) -> BipartiteMultigraph:
     """The graph of (a, b): one edge per ball, from its box in b down to its box in a.
 

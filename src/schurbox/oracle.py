@@ -30,6 +30,7 @@ import numpy as np
 from .combinatorics import Params, canonical_index, index_position
 from .graphs import (
     BipartiteMultigraph,
+    _check_same_shape,
     canonical_indices,
     check_reach,
     graph_count,
@@ -39,7 +40,7 @@ from .graphs import (
 from .algebra import AlgebraElement
 
 _BLOCK_CELLS = 2**18
-"""Ball cells held at once while the grid is built, rows x N x d int32 values; the commutant check blocks alike."""
+"""Ball cells held at once by the grid build, rows x N x d int32 values; the commutant check reads as many rows."""
 
 
 class NotInSpanError(ValueError):
@@ -70,10 +71,10 @@ class DenseOperator:
 class PairTable:
     """The orbit label of every pair of multi-indices of one shape.
 
-    ``labels[r, c]`` (a read-only int32 array) is the label of the renaming
-    orbit of the r-th and c-th multi-indices, in multi-index order: the
-    :func:`graphs.rank` of its graph.  ``digits[r]`` (read-only) is the r-th
-    multi-index with boxes counted from 0, r's digits in base n.
+    ``labels[r, c]`` (read-only, uint16 where every label fits, else int32)
+    is the orbit label of the r-th and c-th multi-indices, in multi-index
+    order: the :func:`graphs.rank` of its graph.  ``digits[r]`` (read-only)
+    is the r-th multi-index with boxes counted from 0, r's digits in base n.
 
     A pair (x, y) puts ball k in cell ``(x_k - 1)·n + (y_k - 1)`` of the
     n×n grid, the flattened matrix's entry (x_k, y_k), and its orbit is the
@@ -92,7 +93,7 @@ class PairTable:
         digits = np.ascontiguousarray(np.indices((n,) * d, dtype=np.int32).reshape(d, size).T)
         digits.flags.writeable = False
         self.digits = digits
-        labels = np.empty((size, size), dtype=np.int32)
+        labels = np.empty((size, size), dtype=np.uint16 if graph_count(p) <= 2**16 else np.int32)
         block = max(1, _BLOCK_CELLS // (size * d))
         for r in range(0, size, block):
             cells = digits[r : r + block, None, :] * n + digits[None, :, :]
@@ -258,8 +259,7 @@ def oracle_fold(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> dict[tuple[
     orbit it meets; that value is the orbit's coefficient, and the orbit's
     matrix is counted from its first cell.
     """
-    if (g1.n, g1.d) != (g2.n, g2.d):
-        raise ValueError(f"graph shapes differ: ({g1.n},{g1.d}) vs ({g2.n},{g2.d})")
+    _check_same_shape(g1, g2)
     table = pair_table(g1.n, g1.d)
     y, orbits, _, first, inverse = table.column(g2.top_valencies())
     middle = orbits == rank(g2.sort_key)

@@ -60,7 +60,7 @@ from .combinatorics import (
     column_arrangements,
     to_configuration,
 )
-from .graphs import BipartiteMultigraph, EdgeLabel, basis, canonical_pair
+from .graphs import BipartiteMultigraph, EdgeLabel, _check_same_shape, basis, canonical_pair
 
 Pair = tuple[EdgeLabel, EdgeLabel]
 """One recorded ball path: (label of its g2 edge, label of its g1 edge)."""
@@ -69,11 +69,6 @@ Entry = tuple[tuple[int, ...], tuple[int, ...]]
 
 FILLING_ROW_CAP = 10**5
 """Middle rows :func:`middle_fillings` walks at most: [[2,2,2],[2,2,2],[2,2,2]] has 729,000."""
-
-
-def _check_same_shape(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> None:
-    if (g1.n, g1.d) != (g2.n, g2.d):
-        raise ValueError(f"graph shapes differ: ({g1.n},{g1.d}) vs ({g2.n},{g2.d})")
 
 
 @dataclass(frozen=True)

@@ -139,7 +139,7 @@ def check_commutant(p: Params, corrupt: bool = False) -> CheckResult:
             raise ValueError(f"nothing to corrupt: no orbit at n={p.n}, d={p.d} has two or more cells")
         r, c = table.first_cell(label)
         g = table.graph(r, c)
-        broken = table.labels.copy()
+        broken = table.labels.astype("int32")  # room for the -1 sentinel
         broken[r, c] = -1
         if not oracle.commutes_with_renaming(oracle.DenseOperator(p.n, p.d, broken)):
             detail = f"self-test: corrupted operator for {g} no longer commutes"

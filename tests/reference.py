@@ -17,8 +17,7 @@ from operator import add, itemgetter, le
 
 from schurbox.algebra import AlgebraElement
 from schurbox.combinatorics import column_arrangements
-from schurbox.graphs import BipartiteMultigraph
-from schurbox.structconst import _check_same_shape
+from schurbox.graphs import BipartiteMultigraph, _check_same_shape
 
 Permutation = tuple[int, ...]
 

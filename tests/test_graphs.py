@@ -181,8 +181,8 @@ def test_rank_is_the_enumeration_order(p):
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_rank_weights_keep_oracle_labels_below_the_orbit_cap(d):
-    # the oracle sums one weight per ball into int32 labels; at the widest
-    # shape it reaches for each d, the largest sum is the last graph's rank
+    # the oracle sums one weight per ball into its labels, uint16 up to 2^16 graphs and int32
+    # above; at the widest shape it reaches for each d, the largest sum is the last graph's rank
     n = 1
     while in_reach(Params(n + 1, d)):
         n += 1
