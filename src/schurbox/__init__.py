@@ -8,6 +8,8 @@ independent referees: the defining count of middle configurations
 (``counting``) and a dense matrix oracle.
 """
 
+from types import ModuleType as _ModuleType
+
 from .algebra import (
     ENGINE_NAMES,
     AlgebraElement,
@@ -60,41 +62,8 @@ def __getattr__(name):
         return getattr(oracle, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-__all__ = [
-    "ENGINE_NAMES",
-    "AlgebraElement",
-    "VectorElement",
-    "apply",
-    "apply_basis",
-    "basis_product",
-    "identity_element",
-    "multiply",
-    "DEFAULT_ENUMERATION_CAP",
-    "Configuration",
-    "ConfigurationError",
-    "Params",
-    "TooLargeError",
-    "compositions",
-    "enumerate_configurations",
-    "enumerate_multi_indices",
-    "to_configuration",
-    "to_multi_index",
-    "BipartiteMultigraph",
-    "canonical_pair",
-    "diagonal_graph",
-    "enumerate_graphs",
-    "graph_count",
-    "pair_graph",
-    "ORACLE_CAP",
-    "NotInSpanError",
-    "multiply_basis_oracle",
-    "operator_matrix",
-    "coeff_by_counting",
-    "middle_fillings",
-    "multiply_basis_counting",
-    "multiply_basis_euler",
-    "CHECK_NAMES",
-    "CheckResult",
-    "run_checks",
-    "__version__",
-]
+
+# the import block's public names (not the submodules it binds here), the lazy oracle names and the version
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__ += [*_ORACLE_EXPORTS, "__version__"]

@@ -2,11 +2,12 @@
 
 ``table`` writes the rows of :func:`structconst.product_rows` through
 :func:`serialize.table_blocks`, and ``multiply`` an engine's raw counts
-through :func:`serialize.counts_json`.  :func:`main` parses with a parser
-that holds only the command it names, built once per command from
-:data:`COMMANDS`; ``-h``, no arguments and an unknown command get the full
-one.  Exit codes: 0 success, 1 input or validation error, 2 verification
-failure or engine disagreement.
+through :func:`serialize.counts_json`.  :func:`main` reads a well-formed
+command line straight off :data:`COMMANDS` (:func:`_quick_args`) and builds
+no parser; anything else goes to argparse, with a parser that holds only the
+command it names, built once per command, and ``-h``, no arguments and an
+unknown command get the full one.  Exit codes: 0 success, 1 input or
+validation error, 2 verification failure or engine disagreement.
 """
 
 import argparse
@@ -237,10 +238,63 @@ def _parser(command: str | None) -> argparse.ArgumentParser:
     return build_parser(command)
 
 
+def _converted(options: dict, token: str):
+    """``token`` as the argument of ``options`` holds it; ValueError where argparse would not take it as is."""
+    value = options.get("type", str)(token)
+    if token.startswith("-") or value not in options.get("choices", (value,)):
+        raise ValueError(token)
+    return value
+
+
+def _quick_args(argv: list[str]) -> argparse.Namespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, read off :data:`COMMANDS` without building a parser.
+
+    Only for a command followed by exact flags, the value after each flag
+    that takes one, and one contiguous run of positionals.  Anything else
+    (help, usage errors, abbreviations, ``--x=v``, ``-n3``, ``--``, a value
+    starting with ``-``) gets None and goes to argparse, so argparse alone
+    writes help and error bytes.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, arguments, handler = COMMANDS[argv[0]]
+    values, flags, positionals, run, start = {"command": argv[0], "func": handler}, {}, [], [], 0
+    for names, options in arguments:
+        if not names[0].startswith("-"):
+            positionals.append((names[0], options))
+            continue
+        dest = next((name for name in names if name.startswith("--")), names[0]).lstrip("-").replace("-", "_")
+        flags.update(dict.fromkeys(names, (dest, options)))
+        values[dest] = options.get("default", False if options.get("action") == "store_true" else None)
+    required = {dest for dest, options in flags.values() if options.get("required")}
+    tokens = iter(enumerate(argv[1:]))
+    try:
+        for i, token in tokens:
+            if token in flags:
+                dest, options = flags[token]
+                required.discard(dest)
+                flag = options.get("action") == "store_true"
+                values[dest] = True if flag else _converted(options, next(tokens)[1])
+            elif token.startswith("-") or (run and start + len(run) != i):
+                return None
+            else:
+                start = i - len(run)
+                run.append(token)
+        extra, wide = len(run) - len(positionals), [options.get("nargs") == "+" for _, options in positionals]
+        if required or extra < 0 or (extra and not any(wide)) or sum(wide) > 1:
+            return None
+        for (name, options), many in zip(positionals, wide):
+            taken, run = run[: 1 + extra * many], run[1 + extra * many :]
+            values[name] = [_converted(options, token) for token in taken] if many else _converted(options, *taken)
+    except (StopIteration, TypeError, ValueError):
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+        args = _quick_args(argv) or _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

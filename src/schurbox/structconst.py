@@ -96,18 +96,6 @@ def _bounded_compositions(total: int, bounds: tuple[int, ...]) -> Iterator[tuple
             yield (head,) + tail
 
 
-def _tables(row_sums: tuple[int, ...], col_sums: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Nonnegative integer matrices with the given row and column sums."""
-    if not row_sums:
-        if all(c == 0 for c in col_sums):
-            yield ()
-        return
-    for first in _bounded_compositions(row_sums[0], col_sums):
-        reduced = tuple(c - f for c, f in zip(col_sums, first))
-        for rest in _tables(row_sums[1:], reduced):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=4096)
 def _vertex_moves(
     g2_row: tuple[int, ...], g1_column: tuple[int, ...]
@@ -117,16 +105,27 @@ def _vertex_moves(
     One move per contingency table between the g2 edges arriving at v (by top
     box t) and the g1 edges leaving v (by bottom box s): the nonzero entries
     k of the table as (s * n + t, k) pairs, the cell of the flattened
-    composed matrix that they add to.  Memoized, since few margins recur.
+    composed matrix that they add to.  The tables are built one top box at a
+    time, in lexicographic order, each top box but the last taking every
+    split of its edges over what the bottom boxes still lack, the last top
+    box the remainder; none when the two sums differ.  Memoized, since few
+    margins recur.
     """
+    if sum(g2_row) != sum(g1_column):
+        return ()
     n = len(g2_row)
     tops = [t for t in range(n) if g2_row[t]]
     bottoms = [s for s in range(n) if g1_column[s]]
-    cells = [s * n + t for t in tops for s in bottoms]
-    tables = _tables(tuple(g2_row[t] for t in tops), tuple(g1_column[s] for s in bottoms))
-    return tuple(
-        tuple((cell, k) for cell, k in zip(cells, sum(table, ())) if k) for table in tables
-    )
+    partial = [((), tuple(g1_column[s] for s in bottoms))]  # (move so far, what each bottom box still lacks)
+    for t in tops[:-1]:
+        partial = [
+            (move + tuple((s * n + t, k) for s, k in zip(bottoms, split) if k),
+             tuple(left - k for left, k in zip(lacking, split)))
+            for move, lacking in partial
+            for split in _bounded_compositions(g2_row[t], lacking)
+        ]
+    last = tops[-1] if tops else 0
+    return tuple(move + tuple((s * n + last, k) for s, k in zip(bottoms, lacking) if k) for move, lacking in partial)
 
 
 def _label_pairings(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> Iterator[dict[Pair, int]]:

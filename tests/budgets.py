@@ -84,6 +84,11 @@ ROWS = (
     # 91,881 lines; 79 MiB while it held the lines as a list and as their join
     Row("basis-9-3", cli("basis -n 9 -d 3 --out {w}/b.jsonl"), 60, 48,
         "e1cdea3d6d639886cf0e0862eab4ba3216710a81d0de1ec5dd1899b6f780b665"),
+    # cli's quick path leaves a usage error and an abbreviation to argparse, which must still answer both
+    Row("fallback-usage-error", cli("dim -n 2"), 10, exit=1,
+        stderr="error: the following arguments are required: -d/--balls"),
+    Row("fallback-abbreviation", cli("dim --box 2 --bal 2"), 10, None,
+        "d56ff1383482a369674da27db8a4441f9676913edc2c3db17ee84490d601258c"),
 )
 
 

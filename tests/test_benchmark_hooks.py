@@ -55,10 +55,13 @@ def test_cleared_cache_resolves(module, attr):
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_workload_command_lines_parse(workload, tmp_path):
+    # at both scales, and on cli's quick path, which builds no parser and must read them as argparse does
     parser = cli.build_parser()
-    for op in workloads.ops(workload, "tiny", 1, tmp_path):
-        args = parser.parse_args(list(op.argv))
-        assert callable(args.func), op.argv
+    for scale in workloads.SCALES:
+        for op in workloads.ops(workload, scale, 1, tmp_path):
+            args = parser.parse_args(list(op.argv))
+            assert callable(args.func), op.argv
+            assert vars(cli._quick_args(list(op.argv))) == vars(args), op.argv
 
 
 def _run_bench_script(name, *args):

@@ -1,4 +1,7 @@
-"""The budgets manifest: its rows are well formed, its runner passes and names failures, README quotes its bounds."""
+"""The budgets manifest: its rows are well formed, its runner passes and names failures, README quotes its bounds.
+
+README's Caps section also quotes the package's caps; they are checked here against the constants.
+"""
 
 import hashlib
 import json
@@ -6,6 +9,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from schurbox import cli, combinatorics, graphs, structconst
 
 import budgets
 
@@ -52,3 +57,25 @@ def test_readme_ci_bounds_are_row_bounds():
     assert held
     for n, d, mib in held:
         assert any(f"-{n}-{d}" in row.name and row.peak == int(mib) for row in budgets.ROWS), (n, d, mib)
+
+
+def test_cli_rows_take_the_quick_path_but_the_fallback_rows():
+    for row in budgets.ROWS:
+        if row.argv[:2] == ("-m", "schurbox"):
+            quick = cli._quick_args([arg.replace("{w}", "w") for arg in row.argv[2:]])
+            assert (quick is None) == row.name.startswith("fallback-"), row.name
+
+
+def test_readme_caps_are_the_package_constants():
+    readme = " ".join((TESTS.parent / "README.md").read_text().split())
+    caps = readme[readme.index("## Caps") :]
+    quoted = {
+        r"refuse to start above (\S+) items": combinatorics.DEFAULT_ENUMERATION_CAP,
+        r"refuses above (\S+) matrix cells": graphs.CELL_CAP,
+        r"more than (\S+) basis vectors": graphs.ORACLE_CAP,
+        r"more than (\S+) orbits": graphs.ORBIT_CAP,
+        r"more than (\S+) middle rows \(`structconst\.FILLING_ROW_CAP`\)": structconst.FILLING_ROW_CAP,
+    }
+    for pattern, constant in quoted.items():
+        base, _, exponent = re.search(pattern, caps)[1].partition("^")
+        assert int(base) ** int(exponent or 1) == constant, pattern

@@ -742,7 +742,7 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):
-    # once per command: the named command's parser alone, and the full one for anything else
+    # well-formed argv builds no parser, a usage error its command's once, no or an unknown command the full one
     built = []
 
     def counted(command=None):
@@ -754,13 +754,15 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     cli._parser.cache_clear()
     try:
         assert run(capsys, "dim", "-n", "2", "-d", "2")[0] == 0
-        assert run(capsys, "dim", "-n", "2", "-d", "3")[0] == 0
-        assert built == ["dim"]
         assert run(capsys, "basis", "-n", "1", "-d", "1")[0] == 0
+        assert built == []
         assert run(capsys, "dim", "-n", "2")[0] == 1
+        assert run(capsys, "dim", "-n", "2")[0] == 1
+        assert run(capsys, "dim", "--box", "2", "--bal", "2")[0] == 0
+        assert built == ["dim"]
         assert run(capsys)[0] == 1
         assert run(capsys, "bogus")[0] == 1
-        assert built == ["dim", "basis", None]
+        assert built == ["dim", None]
     finally:
         cli._parser.cache_clear()
 
@@ -774,6 +776,41 @@ def _parsed(capsys, parser, argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# forms the quick path leaves to argparse besides help: abbreviations, --x=v, -n3, a value starting with -, --,
+# interleaved positionals, a lone -, and usage errors
+DECLINED = [
+    ["dim", "--box", "2", "--bal", "2"],
+    ["dim", "--boxes=2", "-d", "2"],
+    ["dim", "-n2", "-d", "2"],
+    ["dim", "-n", "-2", "-d", "2"],
+    ["table", "-n", "2", "-d", "2", "--mod", "-3", "--out", "t"],
+    ["multiply", "--", "a.json", "b.json"],
+    ["multiply", "a.json", "--mod", "3", "b.json"],
+    ["render", "a.json", "--format", "dot", "b.json"],
+    ["render", "-", "--mode", "graph"],
+    ["verify", "-n", "2", "-d", "2", "--checks", "-assoc"],
+    ["dim", "-n", "2", "-d"],
+    ["multiply", "a.json", "b.json", "c.json"],
+    ["multiply", "a.json", "b.json", "--engine", "euler", "--engine", "fast"],
+    ["verify", "-n", "2", "-d", "2", "--corrupt", "x"],
+    ["basis", "-n", "2", "-d", "2", "extra"],
+]
+# forms the quick path reads: flags in any order, repeated, long and short, flags before positionals
+READ = [
+    ["dim", "-n", "2", "-d", "2"],
+    ["dim", "-n", "2", "-n", "3", "--balls", "2"],
+    ["dim", "-n", "1_0", "-d", " 2"],
+    ["basis", "--balls", "1", "--boxes", "3", "--out", ""],
+    ["multiply", "a.json", "b.json", "--engine", "all", "--mod", "7", "--out", "p.json"],
+    ["multiply", "--engine", "counting", "a.json", "b.json"],
+    ["apply", "g.json", "|12|3|", "--mod", "5"],
+    ["table", "--out", "t", "-d", "3", "-n", "2", "--jobs", "4"],
+    ["verify", "-n", "2", "-d", "2", "--corrupt", "--seed", "3", "--checks", "assoc,identity"],
+    ["render", "a.json", "b.json", "c.json", "--mode", "product", "--format", "dot"],
+    ["render", "--mode", "product", "a.json", "b.json", "c.json"],
+]
 
 
 @pytest.mark.parametrize(
@@ -792,16 +829,22 @@ def _parsed(capsys, parser, argv):
         ["verify", "-n", "2", "-d", "2", "--checks"],
         ["render", "g.json", "--format", "svg"],
         ["render"],
-        ["dim", "-n", "2", "-d", "2"],
+        *DECLINED,
+        *READ,
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_one_command_parser_prints_the_full_parsers_bytes(capsys, argv):
-    # help, usage errors and the parsed arguments are the same whichever parser main dispatches to
+    # help, usage errors and the parsed arguments are the same whichever parser main dispatches to, and the quick
+    # path returns exactly what argparse does for the forms it reads and declines every other
     full = _parsed(capsys, cli.build_parser(), argv)
     assert _parsed(capsys, cli.build_parser(argv[0]), argv) == full
+    quick = cli._quick_args(argv)
+    assert (quick is None) == (argv not in READ)
     if full[0] is None:
-        assert vars(cli.build_parser(argv[0]).parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+        expected = vars(cli.build_parser().parse_args(argv))
+        assert vars(cli.build_parser(argv[0]).parse_args(argv)) == expected
+        assert quick is None or vars(quick) == expected
 
 
 def test_usage_error_after_a_successful_call_prints_usage_and_exits_1(capsys):

@@ -83,6 +83,15 @@ def test_every_public_name_resolves(tmp_path):
     assert _python(code, cwd=tmp_path).stdout == "[]\n"
 
 
+def test_public_names_are_distinct_and_name_no_module(tmp_path):
+    # __all__ is derived from the import block, which also binds the submodules it imports from
+    code = (
+        "import types, schurbox; names = schurbox.__all__; print(len(names) == len(set(names)), "
+        "[name for name in names if isinstance(getattr(schurbox, name), types.ModuleType)])"
+    )
+    assert _python(code, cwd=tmp_path).stdout == "True []\n"
+
+
 @pytest.mark.parametrize(
     "argv, out",
     [

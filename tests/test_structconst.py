@@ -190,6 +190,29 @@ def test_euler_matches_counting_on_every_compatible_pair():
             assert multiply_basis_euler(g1, g2) == multiply_basis_counting(g1, g2), (g1, g2)
 
 
+def brute_vertex_moves(g2_row, g1_column):
+    """Every table with these margins, entry (t, s) over all n × n cells in lexicographic order, as moves."""
+    n = len(g2_row)
+    cells = [(t, s) for t in range(n) for s in range(n)]
+    return tuple(
+        tuple((s * n + t, k) for (t, s), k in zip(cells, table) if k)
+        for table in itertools.product(*(range(min(g2_row[t], g1_column[s]) + 1) for t, s in cells))
+        if all(sum(table[t * n : t * n + n]) == g2_row[t] for t in range(n))
+        and all(sum(table[s::n]) == g1_column[s] for s in range(n))
+    )
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (2, 5), (3, 3), (3, 4), (4, 3), (2, 8)])
+def test_vertex_moves_are_every_table_in_lexicographic_order(n, d):
+    # a margin is a row of g2 and a column of g1 with at most d edges; those whose sums differ have no table
+    margins = [m for m in itertools.product(range(d + 1), repeat=n) if sum(m) <= d]
+    for g2_row, g1_column in itertools.product(margins, repeat=2):
+        if sum(g2_row) == sum(g1_column):
+            assert structconst._vertex_moves(g2_row, g1_column) == brute_vertex_moves(g2_row, g1_column)
+        else:
+            assert structconst._vertex_moves(g2_row, g1_column) == ()
+
+
 @pytest.mark.parametrize("n, d", [(2, 4), (3, 3), (4, 2)])
 def test_counting_equals_the_middle_fillings_on_every_compatible_pair(n, d):
     # the walk against the full sweep, and its witnesses against a filter of every image of c;
