@@ -4,16 +4,15 @@
 :func:`serialize.table_blocks`, and ``multiply`` an engine's raw counts
 through :func:`serialize.counts_json`.  :func:`main` reads a well-formed
 command line straight off :data:`COMMANDS` (:func:`_quick_args`) and builds
-no parser; anything else goes to argparse, with a parser that holds only the
-command it names, built once per command, and ``-h``, no arguments and an
-unknown command get the full one.  Exit codes: 0 success, 1 input or
-validation error, 2 verification failure or engine disagreement.
+no parser; anything else (help, usage errors and the forms the quick path
+declines) goes to the full parser of :func:`build_parser`.  Exit codes: 0
+success, 1 input or validation error, 2 verification failure or engine
+disagreement.
 """
 
 import argparse
 import os
 import sys
-from functools import lru_cache
 
 from . import serialize, structconst
 from .algebra import (
@@ -215,27 +214,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of ``command`` alone, whose usage line still names all seven."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
     parser = _Parser(
         prog="schurbox",
         description="Exact products of ball-configuration operators via bipartite multigraphs.",
     )
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, arguments, handler) in COMMANDS.items():
-        if command in (None, name):
-            subparser = sub.add_parser(name, help=help_text)
-            for flags, options in arguments:
-                subparser.add_argument(*flags, **options)
-            subparser.set_defaults(func=handler)
+        subparser = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            subparser.add_argument(*flags, **options)
+        subparser.set_defaults(func=handler)
     return parser
-
-
-@lru_cache(maxsize=None)
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser :func:`main` reuses for ``command``: a one-command parser skips building the other six."""
-    return build_parser(command)
 
 
 def _converted(options: dict, token: str):
@@ -294,7 +285,7 @@ def _quick_args(argv: list[str]) -> argparse.Namespace | None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _quick_args(argv) or _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+        args = _quick_args(argv) or build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

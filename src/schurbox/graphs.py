@@ -12,6 +12,8 @@ sums are the content of a, column sums the content of b.  Renaming the balls
 never changes the graph, and two pairs give the same graph exactly when one
 is a renaming of the other, so the matrix is a complete invariant of the
 diagonal renaming orbit of (a, b) and serves as the orbit's canonical key.
+A graph holds only that matrix and the n and d read off it; its valencies,
+the row and column sums, are summed afresh on each call.
 The graphs of shape (n, d) are the n-by-n matrices of nonnegative integers
 with total sum d; there are C(n*n + d - 1, d) of them.
 
@@ -61,13 +63,6 @@ CELL_CAP = 2**24
 """Matrix cells (graphs times n**2 each) the graph set holds at most: (32,1)'s 1,048,576 fit."""
 
 
-_VALENCIES: dict[tuple, tuple] = {}
-"""Each valency vector and (top, bottom) pair met, shared by every graph that has it.
-
-One table for the whole process, which never shrinks: it holds every vector and pair met at every shape,
-27,390 entries after ``verify.check_identity(Params(9, 3))`` and 43,392 after ``Params(5, 5)`` as well."""
-
-
 @dataclass(frozen=True)
 class BipartiteMultigraph:
     """Two rows of n vertices joined by d edges, as a multiplicity matrix."""
@@ -109,32 +104,11 @@ class BipartiteMultigraph:
 
     def top_valencies(self) -> tuple[int, ...]:
         """Edges at each top vertex (column sums); the content of the top configuration."""
-        try:
-            return self._valencies[0]
-        except AttributeError:
-            return self._share_valencies()[0]
+        return tuple(map(sum, zip(*self.matrix)))
 
     def bottom_valencies(self) -> tuple[int, ...]:
         """Edges at each bottom vertex (row sums); the content of the bottom configuration."""
-        try:
-            return self._valencies[1]
-        except AttributeError:
-            return self._share_valencies()[1]
-
-    def _share_valencies(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Compute the (top, bottom) valencies once, as a pair shared by every graph that has it.
-
-        One attribute, not two: a CPython instance keeps room for one
-        attribute beyond those its class's instances already share, so a
-        second one would give every graph a dict of its own (24 MiB more at
-        (9,3)).
-        """
-        top = tuple(map(sum, zip(*self.matrix)))
-        bottom = tuple(map(sum, self.matrix))
-        pair = _VALENCIES.setdefault(top, top), _VALENCIES.setdefault(bottom, bottom)
-        pair = _VALENCIES.setdefault(pair, pair)
-        object.__setattr__(self, "_valencies", pair)
-        return pair
+        return tuple(map(sum, self.matrix))
 
     @property
     def sort_key(self) -> tuple[int, ...]:

@@ -180,12 +180,11 @@ def euler_fold(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> dict[tuple[i
     partial word matrices; an entry k adds k balls to composed entry (s, t)
     and interleaves them with the ``prefix`` already there in
     C(prefix + k, k) ways.  Every coefficient is positive; the map is empty
-    when the valencies do not meet in the middle row.
+    when the valencies do not meet in the middle row, since a vertex whose
+    two sums differ has no moves.
     """
     _check_same_shape(g1, g2)
     n = g1.n
-    if g2.bottom_valencies() != g1.top_valencies():
-        return {}
     states = {(0,) * (n * n): 1}
     for g2_row, g1_column in zip(g2.matrix, zip(*g1.matrix)):
         moves = _vertex_moves(g2_row, g1_column)

@@ -89,6 +89,9 @@ ROWS = (
         stderr="error: the following arguments are required: -d/--balls"),
     Row("fallback-abbreviation", cli("dim --box 2 --bal 2"), 10, None,
         "d56ff1383482a369674da27db8a4441f9676913edc2c3db17ee84490d601258c"),
+    # help comes from the full parser alone; the digest is multiply -h as the one-command parser printed it
+    Row("fallback-multiply-help", cli("multiply -h"), 10, None,
+        "538fb89f3f9363ab44ee64e9c937971eb88187960414d18e589ae3350130be6b"),
 )
 
 

@@ -742,29 +742,23 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):
-    # well-formed argv builds no parser, a usage error its command's once, no or an unknown command the full one
+    # well-formed argv builds no parser; every other argv builds the full one, once per call
     built = []
 
-    def counted(command=None):
-        built.append(command)
-        return build_parser(command)
+    def counted():
+        built.append(True)
+        return build_parser()
 
     build_parser = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", counted)
-    cli._parser.cache_clear()
-    try:
-        assert run(capsys, "dim", "-n", "2", "-d", "2")[0] == 0
-        assert run(capsys, "basis", "-n", "1", "-d", "1")[0] == 0
-        assert built == []
-        assert run(capsys, "dim", "-n", "2")[0] == 1
-        assert run(capsys, "dim", "-n", "2")[0] == 1
-        assert run(capsys, "dim", "--box", "2", "--bal", "2")[0] == 0
-        assert built == ["dim"]
-        assert run(capsys)[0] == 1
-        assert run(capsys, "bogus")[0] == 1
-        assert built == ["dim", None]
-    finally:
-        cli._parser.cache_clear()
+    assert run(capsys, "dim", "-n", "2", "-d", "2")[0] == 0
+    assert run(capsys, "basis", "-n", "1", "-d", "1")[0] == 0
+    assert built == []
+    assert run(capsys, "dim", "-n", "2")[0] == 1
+    assert run(capsys, "dim", "--box", "2", "--bal", "2")[0] == 0
+    assert run(capsys)[0] == 1
+    assert run(capsys, "bogus")[0] == 1
+    assert len(built) == 4
 
 
 def _parsed(capsys, parser, argv):
@@ -835,16 +829,15 @@ READ = [
     ids=lambda argv: " ".join(argv),
 )
 def test_one_command_parser_prints_the_full_parsers_bytes(capsys, argv):
-    # help, usage errors and the parsed arguments are the same whichever parser main dispatches to, and the quick
-    # path returns exactly what argparse does for the forms it reads and declines every other
+    # main prints the full parser's help and usage errors, and the quick path returns exactly what the full parser
+    # does for the forms it reads and declines every other
     full = _parsed(capsys, cli.build_parser(), argv)
-    assert _parsed(capsys, cli.build_parser(argv[0]), argv) == full
     quick = cli._quick_args(argv)
     assert (quick is None) == (argv not in READ)
     if full[0] is None:
-        expected = vars(cli.build_parser().parse_args(argv))
-        assert vars(cli.build_parser(argv[0]).parse_args(argv)) == expected
-        assert quick is None or vars(quick) == expected
+        assert quick is None or vars(quick) == vars(cli.build_parser().parse_args(argv))
+    else:
+        assert run(capsys, *argv) == full
 
 
 def test_usage_error_after_a_successful_call_prints_usage_and_exits_1(capsys):

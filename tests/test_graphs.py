@@ -6,6 +6,8 @@ import pickle
 
 import pytest
 
+from schurbox import graphs as graphs_module
+from schurbox import verify
 from schurbox.combinatorics import (
     Configuration,
     Params,
@@ -146,25 +148,33 @@ def test_enumerate_graphs_counts():
         assert all(g == BipartiteMultigraph(g.matrix) for g in graphs)
 
 
-def test_graphs_share_equal_rows_and_valencies():
+def test_graphs_share_equal_rows_and_hold_only_their_matrix():
+    def sizes():  # of the graphs module's containers
+        return {name: len(value) for name, value in vars(graphs_module).items()
+                if not name.startswith("__") and isinstance(value, (dict, list, set))}
+
+    before = sizes()
     graphs = enumerate_graphs(Params(3, 3))
     rows = {}
     for g in graphs:
         for row in g.matrix:
             assert rows.setdefault(row, row) is row
     assert len(rows) == math.comb(6, 3)  # every row of at most 3 edges over 3 columns
-    by_valencies = {}
     for g in graphs:
-        pair = g.top_valencies(), g.bottom_valencies()
-        assert pair == (tuple(map(sum, zip(*g.matrix))), tuple(map(sum, g.matrix)))
-        # kept from the first call, and shared between graphs
-        assert g.top_valencies() is pair[0] and g.bottom_valencies() is pair[1]
-        first = by_valencies.setdefault(pair, pair)
-        assert first[0] is pair[0] and first[1] is pair[1]
-    # a graph built apart shares them too, and pickling leaves them behind
+        assert g.top_valencies() == tuple(map(sum, zip(*g.matrix)))
+        assert g.bottom_valencies() == tuple(map(sum, g.matrix))
+        assert g.__dict__.keys() == {"matrix", "n", "d"}
+    # a graph built apart keeps nothing of the valencies it was asked for, before or after pickling
     g = BipartiteMultigraph(((2, 0, 0), (0, 0, 1), (0, 0, 0)))
-    assert g.top_valencies() is by_valencies[(2, 0, 1), (2, 1, 0)][0]
-    assert pickle.loads(pickle.dumps(g)).__dict__.keys() == {"matrix", "n", "d"}
+    assert (g.top_valencies(), g.bottom_valencies()) == ((2, 0, 1), (2, 1, 0))
+    assert g.__dict__.keys() == {"matrix", "n", "d"}
+    copy = pickle.loads(pickle.dumps(g))
+    assert (copy.top_valencies(), copy.bottom_valencies()) == ((2, 0, 1), (2, 1, 0))
+    assert copy.__dict__.keys() == {"matrix", "n", "d"}
+    # and no table in the module grows with the shapes met
+    for p in (Params(2, 7), Params(3, 4)):
+        assert verify.check_identity(p).passed
+    assert sizes() == before
 
 
 def test_enumerate_graphs_sorted():
