@@ -26,10 +26,8 @@ canonical residues 0..mod-1; nothing is ever rounded or truncated.
 ['|123|4|', '|124|3|']
 """
 
-import importlib
 import itertools
 import math
-import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 from functools import lru_cache
@@ -37,13 +35,8 @@ from functools import lru_cache
 from .combinatorics import Configuration, Params, _check_cap, column_arrangements, compositions, to_multi_index
 from .graphs import BipartiteMultigraph, diagonal_graph
 
-# the engine roster: name -> (module, basis product as raw counts, {flattened composed matrix: coefficient})
-_ENGINES = {
-    "counting": (f"{__package__}.structconst", "counting_fold"),
-    "euler": (f"{__package__}.structconst", "euler_fold"),
-    "oracle": (f"{__package__}.oracle", "oracle_fold"),
-}
-ENGINE_NAMES = tuple(_ENGINES)
+# the engine roster; engine_function gives each one's basis product
+ENGINE_NAMES = ("counting", "euler", "oracle")
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -301,20 +294,18 @@ def identity_element(p: Params) -> AlgebraElement:
 def engine_function(name: str) -> Callable[[BipartiteMultigraph, BipartiteMultigraph], dict[tuple[int, ...], int]]:
     """The named engine's basis product as raw counts, {flattened composed matrix: coefficient}.
 
-    Only the engine's own module is imported, on first use: ``oracle`` loads
-    numpy, which the other engines never need.  Once loaded, the module is
-    read from ``sys.modules``.  The function is read from it on every call,
-    so that a patched module attribute takes effect.
+    That is ``<name>_fold`` of the engine's module, imported here: both
+    engine modules build on this one, and ``oracle`` loads numpy, which the
+    other engines never need.  The function is read from its module on
+    every call, so that a patched module attribute takes effect.
     """
-    try:
-        module, attr = _ENGINES[name]
-    except KeyError:
-        raise ValueError(f"unknown engine {name!r}; choose one of {ENGINE_NAMES}") from None
-    loaded = sys.modules.get(module)
-    if loaded is None:
-        # deferred: both engine modules build on this one
-        loaded = importlib.import_module(module)
-    return getattr(loaded, attr)
+    if name == "oracle":
+        from . import oracle as module
+    elif name in ENGINE_NAMES:
+        from . import structconst as module
+    else:
+        raise ValueError(f"unknown engine {name!r}; choose one of {ENGINE_NAMES}")
+    return getattr(module, f"{name}_fold")
 
 
 @lru_cache(maxsize=2**16)

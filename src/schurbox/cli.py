@@ -23,8 +23,8 @@ from .algebra import (
     check_modulus,
     engine_function,
 )
-from .combinatorics import Configuration, Params, _check_cap
-from .graphs import basis, enumerate_graphs, graph_count, in_reach
+from .combinatorics import Configuration, Params, _check_cap, compositions
+from .graphs import basis, check_graph_caps, enumerate_graphs, graph_count, in_reach
 from .render import (
     render_graph_ascii,
     render_graph_dot,
@@ -69,8 +69,9 @@ def cmd_dim(args) -> int:
 
 def cmd_basis(args) -> int:
     p = Params(args.boxes, args.balls)
+    check_graph_caps(p)
     line = serialize._graph_template(p.n, p.d) + "\n"
-    _write_output((line % g.sort_key for g in enumerate_graphs(p)), args.out)
+    _write_output((line % flat for flat in compositions(p.d, p.n * p.n)), args.out)
     return 0
 
 
@@ -95,10 +96,9 @@ def cmd_multiply(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    check_modulus(args.mod)
     g = _load_graph(args.graph)
     b = Configuration.from_word(args.config, n=g.n, d=g.d)
-    result = apply(AlgebraElement.basis(g), VectorElement.basis(b), mod=args.mod)
+    result = apply(AlgebraElement.basis(g), VectorElement.basis(b))
     _write_output([serialize.dumps(serialize.vector_records(result)), "\n"], args.out)
     return 0
 
@@ -181,7 +181,6 @@ COMMANDS = {
     "apply": ("act on a configuration basis vector", (
         (("graph",), dict(help="operator (graph JSON file)")),
         (("config",), dict(help="configuration word, e.g. '|12|34|'")),
-        _MOD,
         _OUT,
     ), cmd_apply),
     "table": ("tabulate every basis product to a file", (

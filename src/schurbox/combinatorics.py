@@ -43,7 +43,6 @@ import operator
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -247,7 +246,6 @@ def arrangements(multiset: Counter) -> Iterator[tuple]:
         items[i + 1 :] = reversed(items[i + 1 :])
 
 
-@lru_cache(maxsize=4096)
 def column_arrangements(column: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The distinct orderings of one column's boxes, box i taken column[i] times (boxes from 0); memoized."""
+    """The distinct orderings of one column's boxes, box i taken column[i] times (boxes from 0)."""
     return tuple(arrangements(Counter({i: k for i, k in enumerate(column) if k})))

@@ -178,9 +178,8 @@ def orbit_composition_count(g1: BipartiteMultigraph, g2: BipartiteMultigraph, g:
     return orbit_composition_counts(g)[(rank(g1.sort_key), rank(g2.sort_key))]
 
 
-@lru_cache(maxsize=8)
 def _transposition_indices(n: int, d: int) -> tuple[np.ndarray, ...]:
-    """Read-only index maps of the adjacent transpositions (s, s + 1), s = 1 .. d - 1.
+    """Index maps of the adjacent transpositions (s, s + 1), s = 1 .. d - 1.
 
     Entry i of map s is the position of the multi-index that the
     transposition sends multi-index i to, the row of column i's one in the
@@ -189,10 +188,7 @@ def _transposition_indices(n: int, d: int) -> tuple[np.ndarray, ...]:
     array's positions with axes s - 1 and s swapped.
     """
     grid = np.arange(n**d).reshape((n,) * d)
-    maps = tuple(grid.swapaxes(s - 1, s).ravel() for s in range(1, d))
-    for sigma in maps:
-        sigma.flags.writeable = False
-    return maps
+    return tuple(grid.swapaxes(s - 1, s).ravel() for s in range(1, d))
 
 
 def commutes_with_renaming(op: DenseOperator) -> bool:

@@ -81,9 +81,12 @@ ROWS = (
     # 10,147 terms; 35 MiB while each term was built as a graph, an element term and a dict record
     Row("multiply-ones", cli("multiply {w}/ones.json {w}/ones.json"), 20, 28,
         "d280be9795a91139491b81442c6ea254ae2bfed072990014c3af56bd7357e9d2"),
-    # 91,881 lines; 79 MiB while it held the lines as a list and as their join
-    Row("basis-9-3", cli("basis -n 9 -d 3 --out {w}/b.jsonl"), 60, 48,
+    # 91,881 lines; 79 MiB while it held the lines as a list and as their join, 38 MiB while it built every graph
+    Row("basis-9-3", cli("basis -n 9 -d 3 --out {w}/b.jsonl"), 60, 24,
         "e1cdea3d6d639886cf0e0862eab4ba3216710a81d0de1ec5dd1899b6f780b665"),
+    # one basis operator on one basis vector has coefficients of 1 only, so apply takes no --mod
+    Row("fallback-apply-mod-refused", cli("apply {w}/g.json |1| --mod 5"), 10, exit=1,
+        stderr="error: unrecognized arguments: --mod 5"),
     # cli's quick path leaves a usage error and an abbreviation to argparse, which must still answer both
     Row("fallback-usage-error", cli("dim -n 2"), 10, exit=1,
         stderr="error: the following arguments are required: -d/--balls"),

@@ -1,5 +1,6 @@
 """Elements, the basis action, the identity, and the multiplication wrapper."""
 
+import gc
 import itertools
 import random
 import tracemalloc
@@ -230,6 +231,27 @@ def test_apply_refuses_before_building_past_the_cap(monkeypatch):
     monkeypatch.setattr(algebra, "apply_basis", refused)
     with pytest.raises(TooLargeError, match=r"apply builds at n=2, d=4 has 6 elements \(cap 5\)"):
         apply(x, v)
+
+
+def test_apply_keeps_nothing_once_its_result_is_dropped():
+    # 1,680 images; a memo of the column arrangements kept about 198 KiB of them after apply returned.  A full
+    # collection empties the interpreter's free lists, which tracemalloc counts as held
+    def action(row, word):
+        g, b = BipartiteMultigraph((row,) * 3), Configuration.from_word(word)
+        return AlgebraElement.basis(g), VectorElement.basis(b)
+
+    assert len(apply(*action((1, 0, 0), "|123|||")).support()) == 6  # warm-up, with another first column
+    x, v = action((3, 0, 0), "|123456789|||")
+    tracemalloc.start()
+    try:
+        result = apply(x, v)
+        assert len(result.support()) == 1680
+        del result
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 16 * 2**10
 
 
 def test_identity_element_fixes_vectors():

@@ -14,7 +14,7 @@ import pytest
 from schurbox import cli, oracle, structconst
 from schurbox.algebra import AlgebraElement, basis_product
 from schurbox.cli import main
-from schurbox.combinatorics import Params
+from schurbox.combinatorics import Params, compositions
 from schurbox.graphs import BipartiteMultigraph, basis, enumerate_graphs
 from schurbox.serialize import dumps, graph_record, table_line
 
@@ -357,10 +357,11 @@ def test_table_leaves_no_partial_file(capsys, tmp_path):
     assert not (tmp_path / "sub").exists()
 
 
-class _BrokenGraph:
-    @property
-    def sort_key(self):
-        raise ValueError("broken graph")
+def _failing_compositions(total, parts):
+    items = compositions(total, parts)
+    yield next(items)
+    yield next(items)
+    raise ValueError("broken composition")
 
 
 def _failing_rows(n, d):
@@ -371,8 +372,7 @@ def _failing_rows(n, d):
 @pytest.mark.parametrize("command", ["basis", "table"])
 def test_a_failed_write_keeps_the_old_target(capsys, tmp_path, monkeypatch, command):
     # the writer has started: basis fails at its third graph, table after its first row
-    graphs = enumerate_graphs(Params(2, 3))
-    monkeypatch.setattr(cli, "enumerate_graphs", lambda p: [*graphs[:2], _BrokenGraph(), *graphs[3:]])
+    monkeypatch.setattr(cli, "compositions", _failing_compositions)
     monkeypatch.setattr(structconst, "product_rows", _failing_rows)
     target = tmp_path / "t.jsonl"
     for old in (None, "old bytes\n"):
@@ -790,6 +790,7 @@ DECLINED = [
     ["multiply", "a.json", "b.json", "--engine", "euler", "--engine", "fast"],
     ["verify", "-n", "2", "-d", "2", "--corrupt", "x"],
     ["basis", "-n", "2", "-d", "2", "extra"],
+    ["apply", "g.json", "|12|3|", "--mod", "5"],
 ]
 # forms the quick path reads: flags in any order, repeated, long and short, flags before positionals
 READ = [
@@ -799,7 +800,6 @@ READ = [
     ["basis", "--balls", "1", "--boxes", "3", "--out", ""],
     ["multiply", "a.json", "b.json", "--engine", "all", "--mod", "7", "--out", "p.json"],
     ["multiply", "--engine", "counting", "a.json", "b.json"],
-    ["apply", "g.json", "|12|3|", "--mod", "5"],
     ["table", "--out", "t", "-d", "3", "-n", "2", "--jobs", "4"],
     ["verify", "-n", "2", "-d", "2", "--corrupt", "--seed", "3", "--checks", "assoc,identity"],
     ["render", "a.json", "b.json", "c.json", "--mode", "product", "--format", "dot"],

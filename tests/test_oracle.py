@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from schurbox import oracle, verify
+from schurbox import oracle
 from schurbox.algebra import AlgebraElement
 from schurbox.combinatorics import (
     Params,
@@ -375,14 +375,6 @@ def test_matmul_keeps_entries_int64_would_truncate():
     assert product.tolist() == [[Fraction(5, 6), 1], [Fraction(1, 3), 1]]
 
 
-def test_transposition_indices_built_once_per_shape():
-    # the commutant check reindexes by cached index maps
-    for p in (Params(2, 5), Params(3, 3)):
-        oracle._transposition_indices.cache_clear()
-        assert verify.check_commutant(p).passed
-        assert oracle._transposition_indices.cache_info().misses == 1
-
-
 @pytest.mark.parametrize("p", [Params(2, 3), Params(3, 3), Params(2, 5)], ids=str)
 def test_transposition_indices_are_the_renaming_action(p):
     # the maps are array arithmetic; the reference is the permutation matrix's rows
@@ -391,7 +383,6 @@ def test_transposition_indices_are_the_renaming_action(p):
     assert len(maps) == p.d - 1
     for s, sigma in enumerate(maps, start=1):
         w = transposition(p.d, s, s + 1)
-        assert not sigma.flags.writeable
         assert sigma.tolist() == [indices.index(act_on_index(w, index)) for index in indices]
 
 
