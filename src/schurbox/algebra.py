@@ -297,7 +297,8 @@ def engine_function(name: str) -> Callable[[BipartiteMultigraph, BipartiteMultig
     That is ``<name>_fold`` of the engine's module, imported here: both
     engine modules build on this one, and ``oracle`` loads numpy, which the
     other engines never need.  The function is read from its module on
-    every call, so that a patched module attribute takes effect.
+    every call, so a patched module attribute takes effect from the next
+    call; ``verify.engine_folds`` calls this once per suite or command.
     """
     if name == "oracle":
         from . import oracle as module

@@ -24,14 +24,14 @@ from .algebra import (
     engine_function,
 )
 from .combinatorics import Configuration, Params, _check_cap, compositions
-from .graphs import basis, check_graph_caps, enumerate_graphs, graph_count, in_reach
+from .graphs import basis, check_graph_caps, enumerate_graphs, graph_count
 from .render import (
     render_graph_ascii,
     render_graph_dot,
     render_product_ascii,
     render_product_dot,
 )
-from .verify import CHECK_NAMES, engine_outputs, run_checks
+from .verify import CHECK_NAMES, engine_folds, run_checks
 
 
 def _load_graph(path: str):
@@ -81,16 +81,14 @@ def cmd_multiply(args) -> int:
     g2 = _load_graph(args.rhs)
     if (g1.n, g1.d) != (g2.n, g2.d):
         raise ValueError(f"factors live in different algebras: (n,d)=({g1.n},{g1.d}) vs ({g2.n},{g2.d})")
-    if args.engine == "all":
-        outputs = engine_outputs(g1, g2, in_reach(Params(g1.n, g1.d)))
-        counts = outputs["counting"]
-        if any(result != counts for result in outputs.values()):
-            print(f"error: engines disagree at {g1} * {g2}", file=sys.stderr)
-            for name, result in outputs.items():
-                print(f"  {name}: {serialize.counts_json(result, g1.n, g1.d)}", file=sys.stderr)
-            return 2
-    else:
-        counts = engine_function(args.engine)(g1, g2)
+    folds = engine_folds(Params(g1.n, g1.d)) if args.engine == "all" else {args.engine: engine_function(args.engine)}
+    outputs = {name: fold(g1, g2) for name, fold in folds.items()}
+    counts = next(iter(outputs.values()))
+    if any(result != counts for result in outputs.values()):
+        print(f"error: engines disagree at {g1} * {g2}", file=sys.stderr)
+        for name, result in outputs.items():
+            print(f"  {name}: {serialize.counts_json(result, g1.n, g1.d)}", file=sys.stderr)
+        return 2
     _write_output([serialize.counts_json(counts, g1.n, g1.d, args.mod), "\n"], args.out)
     return 0
 

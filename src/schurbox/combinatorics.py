@@ -40,8 +40,7 @@ of box j down column j of its graph; ``algebra.apply_basis`` and the
 
 import itertools
 import operator
-from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -225,13 +224,13 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(map(operator.sub, (*cuts, total), (0, *cuts)))
 
 
-def arrangements(multiset: Counter) -> Iterator[tuple]:
-    """Distinct orderings of a multiset, lexicographically.
+def arrangements(items: Iterable) -> Iterator[tuple]:
+    """Distinct orderings of the multiset of ``items``, lexicographically.
 
     Each is the next permutation of the one before, so no depth grows with
     the multiset's size.
     """
-    items = sorted(multiset.elements())
+    items = sorted(items)
     while True:
         yield tuple(items)
         i = len(items) - 2
@@ -248,4 +247,4 @@ def arrangements(multiset: Counter) -> Iterator[tuple]:
 
 def column_arrangements(column: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The distinct orderings of one column's boxes, box i taken column[i] times (boxes from 0)."""
-    return tuple(arrangements(Counter({i: k for i, k in enumerate(column) if k})))
+    return tuple(arrangements([i for i, k in enumerate(column) for _ in range(k)]))

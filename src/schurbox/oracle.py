@@ -108,10 +108,6 @@ class PairTable:
     def size(self) -> int:
         return len(self.digits)
 
-    def orbit_sizes(self) -> list[int]:
-        """The number of cells carrying each label, in label order."""
-        return np.bincount(self.labels.ravel(), minlength=graph_count(self.p)).tolist()
-
     def counts(self, r: int, c: int) -> tuple[int, ...]:
         """The flattened matrix of cell (r, c)'s graph: its balls counted by cell."""
         n = self.p.n

@@ -159,7 +159,7 @@ def enumerate_word_matrices(g1: BipartiteMultigraph, g2: BipartiteMultigraph) ->
         entries = [Counter() for _ in range(n * n)]  # entry (s, t) at s * n + t
         for (label2, label1), count in pairing.items():
             entries[(label1[1] - 1) * n + label2[0] - 1][(label2, label1)] = count
-        for choice in itertools.product(*map(arrangements, entries)):
+        for choice in itertools.product(*(arrangements(entry.elements()) for entry in entries)):
             yield WordMatrix(tuple(choice[s * n : (s + 1) * n] for s in range(n)))
 
 

@@ -7,9 +7,11 @@ the suite itself is this module's ``check_<name>`` function.  Each returns a
 serialized so it can be replayed by hand.  :func:`run_checks` raises any
 size refusal of a selected suite before the first suite starts.  Every
 suite but a passing ``commutant`` reads the graphs of :func:`graphs.basis`,
-enumerated once.  The suites that read the dense oracle (``commutant``,
-``t-basis``, and ``engines`` at a shape in its reach) import it, and numpy
-with it, when they run.  ``assoc`` and ``identity`` work on the graphs and
+enumerated once.  ``engines`` folds with the roster of :func:`engine_folds`,
+which ``multiply --engine all`` shares, resolved once as the suite starts.
+The suites that read the dense oracle (``commutant``, ``t-basis``, and
+``engines`` at a shape in its reach) import it, and numpy with it, when
+they run.  ``assoc`` and ``identity`` work on the graphs and
 configurations themselves, through :func:`structconst.euler_fold` (and
 :func:`apply_basis` for ``identity``'s basis vectors); ``assoc`` builds no
 element, and ``identity`` none but the identity it checks.  What the suites
@@ -22,6 +24,7 @@ import itertools
 import json
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import serialize, structconst
@@ -76,9 +79,9 @@ class CheckResult:
     counterexample: str | None = None
 
 
-def engine_outputs(g1, g2, with_oracle: bool) -> dict[str, dict[tuple[int, ...], int]]:
-    """One basis product's raw counts from every engine, keyed by engine name in roster order (counting first)."""
-    return {name: engine_function(name)(g1, g2) for name in ENGINE_NAMES if with_oracle or name != "oracle"}
+def engine_folds(p: Params) -> dict[str, Callable]:
+    """Each engine's fold by name, in roster order (counting first), oracle only in reach; read once, here."""
+    return {name: engine_function(name) for name in ENGINE_NAMES if name != "oracle" or in_reach(p)}
 
 
 def _counterexample(extra: dict | None = None, **graphs) -> str:
@@ -131,13 +134,12 @@ def check_commutant(p: Params, corrupt: bool = False) -> CheckResult:
 
     table = oracle.pair_table(p.n, p.d)
     if corrupt:
-        # deliberately relabel the first cell of the first orbit with two or
-        # more cells, clearing it from that operator, to prove that the
-        # harness notices
-        label = next((k for k, size in enumerate(table.orbit_sizes()) if size >= 2), None)
-        if label is None:
+        # deliberately relabel the first cell of the first orbit with two or more cells, clearing it from that
+        # operator, to prove that the harness notices.  Basis graph 0, (0, ..., 0, d), has one cell and graph 1,
+        # (0, ..., 0, 1, d - 1), has d: that is label 1 when n, d >= 2, and every orbit has one cell otherwise
+        if p.n < 2 or p.d < 2:
             raise ValueError(f"nothing to corrupt: no orbit at n={p.n}, d={p.d} has two or more cells")
-        r, c = table.first_cell(label)
+        r, c = table.first_cell(1)
         g = table.graph(r, c)
         broken = table.labels.astype("int32")  # room for the -1 sentinel
         broken[r, c] = -1
@@ -169,17 +171,17 @@ def _sample(p: Params, k: int, limit: int, size: int, seed: int) -> tuple[list[t
 
 
 def check_engines(p: Params, seed: int = 0) -> CheckResult:
-    with_oracle = in_reach(p)
+    """Every engine folds each sampled pair alike; they are read as the suite starts, so patch one before it."""
+    folds = engine_folds(p)
     pairs, sampled = _sample(p, 2, ENGINE_PAIR_LIMIT, ENGINE_SAMPLE, seed)
     for g1, g2 in pairs:
-        outputs = engine_outputs(g1, g2, with_oracle)
+        outputs = {name: fold(g1, g2) for name, fold in folds.items()}
         reference = outputs["counting"]
         if any(result != reference for result in outputs.values()):
             counts = {name: json.loads(serialize.counts_json(result, p.n, p.d)) for name, result in outputs.items()}
             detail = f"engines disagree at {g1} * {g2}"
             return CheckResult("engines", False, detail, _counterexample(counts, g1=g1, g2=g2))
-    # every pair ran the same engines, in roster order
-    return CheckResult("engines", True, f"{len(pairs)} pairs{sampled} agree across {'/'.join(outputs)}", None)
+    return CheckResult("engines", True, f"{len(pairs)} pairs{sampled} agree across {'/'.join(folds)}", None)
 
 
 def check_assoc(p: Params, seed: int = 0) -> CheckResult:

@@ -71,6 +71,12 @@ ROWS = (
     # 729,000 middle rows: 45 s and 1.85 GiB before the walk was capped at 10^5
     Row("render-refusal", cli("render {w}/square.json {w}/square.json {w}/anti.json --mode product"), 10,
         exit=1, stderr="has 729000 elements (cap 100000)"),
+    # the self-test corrupts label 1, the first orbit of two or more cells, and needs n, d >= 2 for one to exist
+    Row("verify-2-2-corrupt", cli("verify -n 2 -d 2 --checks commutant --corrupt"), 10, None,
+        "9a1d6823b0591983c089950cf3c56d88ab0b861c372b33600c86e83248a72876", exit=2,
+        stderr='{"cleared-entry":[3,1],"corrupted":{"d":2,"matrix":[[0,0],[1,1]],"n":2}}'),
+    Row("verify-1-3-corrupt-refused", cli("verify -n 1 -d 3 --checks commutant --corrupt"), 10, exit=1,
+        stderr="has two or more cells"),
     # suite peaks: 174 MiB while commutant reindexed the whole grid per transposition, 160 MiB while the orbit
     # bijection held every pair graph, 138 MiB while the grid build decoded keys through a stored index
     Row("commutant-2-12", ("-c", SUITE + "commutant(Params(2, 12)).passed"), 120, 75),

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from schurbox import cli, oracle, structconst
+from schurbox import cli, oracle, structconst, verify
 from schurbox.algebra import AlgebraElement, basis_product
 from schurbox.cli import main
 from schurbox.combinatorics import Params, compositions
@@ -173,9 +173,9 @@ def test_multiply_engine_mendez_is_a_usage_error(capsys, graph_files):
 
 @pytest.mark.parametrize("reached, code", [(True, 2), (False, 0)])
 def test_multiply_all_asks_the_oracle_only_in_reach(capsys, graph_files, monkeypatch, reached, code):
-    # a sabotaged oracle is noticed only when in_reach admits the shape
+    # a sabotaged oracle is noticed only when in_reach admits the shape; the roster's reach rule is verify's
     monkeypatch.setattr(oracle, "oracle_fold", lambda g1, g2: {})
-    monkeypatch.setattr(cli, "in_reach", lambda p: reached)
+    monkeypatch.setattr(verify, "in_reach", lambda p: reached)
     argv = ("multiply", graph_files["g1"], graph_files["g2"], "--engine", "all")
     assert run(capsys, *argv)[0] == code
 

@@ -89,6 +89,26 @@ def test_corrupt_self_test_fails_with_counterexample():
     assert len(record["cleared-entry"]) == 2
 
 
+@pytest.mark.parametrize("p", [Params(2, 2), Params(3, 3), Params(2, 5), Params(4, 2)])
+def test_the_corrupted_label_is_the_first_orbit_of_two_or_more_cells(p):
+    # check_commutant corrupts label 1 without counting the grid; the count must agree
+    sizes = np.bincount(oracle.pair_table(p.n, p.d).labels.ravel(), minlength=graph_count(p))
+    assert np.flatnonzero(sizes >= 2)[0] == 1
+
+
+def test_engines_check_resolves_each_engine_once(monkeypatch):
+    # 200 sampled pairs at (2,5) and three engines: one lookup per engine, not one per fold
+    calls = []
+
+    def counted(name):
+        calls.append(name)
+        return algebra.engine_function(name)
+
+    monkeypatch.setattr(verify, "engine_function", counted)
+    assert check_engines(Params(2, 5)).passed
+    assert calls == ["counting", "euler", "oracle"]
+
+
 def test_engines_check_samples_large_shapes():
     result = check_engines(Params(3, 3), seed=1)
     assert result.passed
