@@ -25,12 +25,6 @@ from .algebra import (
 )
 from .combinatorics import Configuration, Params, _check_cap, compositions
 from .graphs import basis, check_graph_caps, enumerate_graphs, graph_count
-from .render import (
-    render_graph_ascii,
-    render_graph_dot,
-    render_product_ascii,
-    render_product_dot,
-)
 from .verify import CHECK_NAMES, engine_folds, run_checks
 
 
@@ -141,16 +135,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from . import render  # the only command that draws loads the drawing code
+
     graphs = [_load_graph(path) for path in args.files]
     if args.mode == "graph":
         if len(graphs) != 1:
             raise ValueError("graph mode takes exactly one graph file")
-        renderer = render_graph_ascii if args.format == "ascii" else render_graph_dot
+        renderer = render.render_graph_ascii if args.format == "ascii" else render.render_graph_dot
         text = renderer(graphs[0])
     else:
         if len(graphs) != 3:
             raise ValueError("product mode takes three graph files: lhs rhs target")
-        renderer = render_product_ascii if args.format == "ascii" else render_product_dot
+        renderer = render.render_product_ascii if args.format == "ascii" else render.render_product_dot
         text = renderer(*graphs)
     _write_output([text], args.out)
     return 0

@@ -41,7 +41,6 @@ of box j down column j of its graph; ``algebra.apply_basis`` and the
 import itertools
 import operator
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -62,18 +61,57 @@ def _check_cap(size: int, cap: int | None, what: str) -> None:
         raise TooLargeError(f"instance too large: {what} has {size} elements (cap {limit})")
 
 
-@dataclass(frozen=True)
-class Params:
+class _Record:
+    """A slotted record: equality, repr and pickling over the fields that ``_values`` returns.
+
+    A subclass lists its fields first in ``__slots__`` and returns them in
+    that order from ``_values``.  A record equals only records of its own
+    class, and is unhashable unless frozen.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _FrozenRecord(_Record):
+    """A record whose fields are set once, through ``object.__setattr__``, and hashed."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class Params(_FrozenRecord):
     """Shape of an instance: ``n`` boxes and ``d`` balls, both at least 1."""
 
-    n: int
-    d: int
+    __slots__ = ("n", "d")
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"number of boxes must be a positive integer, got {self.n!r}")
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ValueError(f"number of balls must be a positive integer, got {self.d!r}")
+    def __init__(self, n: int, d: int):
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"number of boxes must be a positive integer, got {n!r}")
+        if not isinstance(d, int) or d < 1:
+            raise ValueError(f"number of balls must be a positive integer, got {d!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+
+    def _values(self) -> tuple[int, int]:
+        return (self.n, self.d)
 
     @property
     def index_count(self) -> int:
@@ -100,11 +138,14 @@ def canonical_index(content: Sequence[int]) -> MultiIndex:
     return tuple(box for box, k in enumerate(content, start=1) for _ in range(k))
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(_FrozenRecord):
     """Balls 1..d distributed over boxes 1..n; each box lists its balls increasingly."""
 
-    boxes: tuple[tuple[int, ...], ...]
+    __slots__ = ("boxes",)
+
+    def __init__(self, boxes: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "boxes", boxes)
+        self.__post_init__()
 
     def __post_init__(self):
         boxes = tuple(tuple(box) for box in self.boxes)
@@ -136,6 +177,9 @@ class Configuration:
         config = object.__new__(cls)
         object.__setattr__(config, "boxes", boxes)
         return config
+
+    def _values(self) -> tuple:
+        return (self.boxes,)
 
     @property
     def n(self) -> int:

@@ -12,8 +12,8 @@ sums are the content of a, column sums the content of b.  Renaming the balls
 never changes the graph, and two pairs give the same graph exactly when one
 is a renaming of the other, so the matrix is a complete invariant of the
 diagonal renaming orbit of (a, b) and serves as the orbit's canonical key.
-A graph holds only that matrix and the n and d read off it; its valencies,
-the row and column sums, are summed afresh on each call.
+A graph is a slotted record holding only that matrix and the n and d read
+off it; its valencies, the row and column sums, are summed afresh on each call.
 The graphs of shape (n, d) are the n-by-n matrices of nonnegative integers
 with total sum d; there are C(n*n + d - 1, d) of them.
 
@@ -37,7 +37,6 @@ flattened matrix:
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import getitem
 
@@ -46,6 +45,7 @@ from .combinatorics import (
     Params,
     TooLargeError,
     _check_cap,
+    _FrozenRecord,
     canonical_index,
     compositions,
     to_configuration,
@@ -63,18 +63,14 @@ CELL_CAP = 2**24
 """Matrix cells (graphs times n**2 each) the graph set holds at most: (32,1)'s 1,048,576 fit."""
 
 
-@dataclass(frozen=True)
-class BipartiteMultigraph:
+class BipartiteMultigraph(_FrozenRecord):
     """Two rows of n vertices joined by d edges, as a multiplicity matrix."""
 
-    matrix: tuple[tuple[int, ...], ...]
-    # derived from matrix once; equality, hashing, repr and pickling use matrix alone
-    n: int = field(init=False, compare=False, repr=False)
-    d: int = field(init=False, compare=False, repr=False)
+    # n and d are derived from matrix once; equality, hashing, repr and pickling use matrix alone
+    __slots__ = ("matrix", "n", "d")
 
-    def __post_init__(self):
-        matrix = tuple(tuple(row) for row in self.matrix)
-        object.__setattr__(self, "matrix", matrix)
+    def __init__(self, matrix: tuple[tuple[int, ...], ...]):
+        matrix = tuple(tuple(row) for row in matrix)
         n = len(matrix)
         if n < 1 or any(len(row) != n for row in matrix):
             raise ValueError(f"multiplicity matrix must be square and nonempty: {matrix!r}")
@@ -82,6 +78,7 @@ class BipartiteMultigraph:
             for entry in row:
                 if not isinstance(entry, int) or isinstance(entry, bool) or entry < 0:
                     raise ValueError(f"multiplicities must be nonnegative integers, got {entry!r}")
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", sum(map(sum, matrix)))
 
@@ -99,8 +96,8 @@ class BipartiteMultigraph:
         object.__setattr__(g, "d", d)
         return g
 
-    def __reduce__(self):
-        return type(self), (self.matrix,)
+    def _values(self) -> tuple:
+        return (self.matrix,)
 
     def top_valencies(self) -> tuple[int, ...]:
         """Edges at each top vertex (column sums); the content of the top configuration."""

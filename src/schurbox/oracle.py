@@ -22,12 +22,11 @@ package imports it only on the paths that read it.
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import Params, canonical_index, index_position
+from .combinatorics import Params, _Record, canonical_index, index_position
 from .graphs import (
     BipartiteMultigraph,
     _check_same_shape,
@@ -47,13 +46,16 @@ class NotInSpanError(ValueError):
     """A matrix is not a combination of the basis operators."""
 
 
-@dataclass(eq=False)
-class DenseOperator:
+class DenseOperator(_Record):
     """Square integer matrix acting on basis vectors in multi-index order."""
 
-    n: int
-    d: int
-    matrix: np.ndarray
+    __slots__ = ("n", "d", "matrix")
+
+    def __init__(self, n: int, d: int, matrix: np.ndarray):
+        self.n, self.d, self.matrix = n, d, matrix
+
+    def _values(self) -> tuple:
+        return (self.n, self.d, self.matrix)
 
     def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
         if (self.n, self.d) != (other.n, other.d):

@@ -48,13 +48,13 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import AlgebraElement, _image_size
 from .combinatorics import (
     Configuration,
     _check_cap,
+    _FrozenRecord,
     arrangements,
     canonical_index,
     column_arrangements,
@@ -71,11 +71,16 @@ FILLING_ROW_CAP = 10**5
 """Middle rows :func:`middle_fillings` walks at most: [[2,2,2],[2,2,2],[2,2,2]] has 729,000."""
 
 
-@dataclass(frozen=True)
-class WordMatrix:
+class WordMatrix(_FrozenRecord):
     """Matrix of label-pair words; entry (s, t) records the balls going from top box t to bottom box s."""
 
-    entries: tuple[tuple[tuple[Pair, ...], ...], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[tuple[Pair, ...], ...], ...]):
+        object.__setattr__(self, "entries", entries)
+
+    def _values(self) -> tuple:
+        return (self.entries,)
 
     @property
     def n(self) -> int:

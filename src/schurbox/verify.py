@@ -25,7 +25,6 @@ import json
 import math
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from . import serialize, structconst
 from .algebra import (
@@ -36,6 +35,7 @@ from .algebra import (
 )
 from .combinatorics import (
     Params,
+    _Record,
     _check_cap,
     canonical_index,
     compositions,
@@ -71,12 +71,16 @@ ASSOC_TRIPLE_LIMIT = 1000
 ASSOC_SAMPLE = 200
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    counterexample: str | None = None
+class CheckResult(_Record):
+    """One suite's verdict."""
+
+    __slots__ = ("name", "passed", "detail", "counterexample")
+
+    def __init__(self, name: str, passed: bool, detail: str, counterexample: str | None = None):
+        self.name, self.passed, self.detail, self.counterexample = name, passed, detail, counterexample
+
+    def _values(self) -> tuple:
+        return (self.name, self.passed, self.detail, self.counterexample)
 
 
 def engine_folds(p: Params) -> dict[str, Callable]:

@@ -60,7 +60,8 @@ ROWS = (
     Row("verify-4-6", cli("verify -n 4 -d 6 --checks orbit-bijection,commutant,engines,assoc,identity"), 300, 90),
     Row("verify-2-12-engines", cli("verify -n 2 -d 12 --checks engines"), 60, 85),
     Row("verify-2-12", cli("verify -n 2 -d 12"), 60, 85),
-    Row("verify-9-3", cli("verify -n 9 -d 3 --checks orbit-bijection,engines,assoc,identity"), 120, 70),
+    # (9,3) peaked at 59 MiB here, and at 49 MiB in orbit-bijection-9-3, while each record had a __dict__
+    Row("verify-9-3", cli("verify -n 9 -d 3 --checks orbit-bijection,engines,assoc,identity"), 120, 62),
     # (3,12) has 531,441 vectors, past the oracle's reach; counting took 3.4-3.9 s while it swept every row pair
     Row("multiply-3-12-all", cli("multiply {w}/g.json {w}/g.json --engine all"), 20),
     # product drawings read the top row of combinatorics.canonical_index; in the DOT one a differs from c
@@ -80,7 +81,7 @@ ROWS = (
     # suite peaks: 174 MiB while commutant reindexed the whole grid per transposition, 160 MiB while the orbit
     # bijection held every pair graph, 138 MiB while the grid build decoded keys through a stored index
     Row("commutant-2-12", ("-c", SUITE + "commutant(Params(2, 12)).passed"), 120, 75),
-    Row("orbit-bijection-9-3", ("-c", SUITE + "orbit_bijection(Params(9, 3)).passed"), 120, 60),
+    Row("orbit-bijection-9-3", ("-c", SUITE + "orbit_bijection(Params(9, 3)).passed"), 120, 49),
     Row("pair-table-9-3", ("-c", "from schurbox import graphs, oracle; oracle.pair_table(9, 3); "
                            "assert graphs.basis.cache_info().currsize == 0, 'pair_table(9, 3) enumerated the basis'"),
         120, 45),

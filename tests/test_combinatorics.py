@@ -1,9 +1,12 @@
-"""Configurations, the index/configuration dictionary, column arrangements, and the renaming action."""
+"""Configurations, the index/configuration dictionary, column arrangements, the renaming action, and records."""
 
 import itertools
 import math
+import pickle
+import weakref
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from schurbox.combinatorics import (
@@ -20,8 +23,70 @@ from schurbox.combinatorics import (
     to_configuration,
     to_multi_index,
 )
+from schurbox.graphs import BipartiteMultigraph
+from schurbox.oracle import DenseOperator
+from schurbox.structconst import WordMatrix
+from schurbox.verify import CheckResult
 
 from reference import act_on_index, all_permutations, transposition
+
+
+# each record: how to build it, one that differs, its repr, and the field tuple it hashes as (None: unhashable)
+RECORDS = {
+    "Params": (lambda: Params(2, 3), Params(3, 2), "Params(n=2, d=3)", (2, 3)),
+    "Configuration": (lambda: Configuration([[1, 2], [3]]), Configuration(((1,), (2, 3))),
+                      "Configuration(boxes=((1, 2), (3,)))", (((1, 2), (3,)),)),
+    "BipartiteMultigraph": (lambda: BipartiteMultigraph([[2, 1], [0, 1]]), BipartiteMultigraph(((2, 1), (1, 0))),
+                            "BipartiteMultigraph(matrix=((2, 1), (0, 1)))", (((2, 1), (0, 1)),)),
+    "WordMatrix": (lambda: WordMatrix(((((0, 0), (0, 1)),),)), WordMatrix(((),)),
+                   "WordMatrix(entries=((((0, 0), (0, 1)),),))", (((((0, 0), (0, 1)),),),)),
+    "CheckResult": (lambda: CheckResult("a", True, "x"), CheckResult("a", False, "x"),
+                    "CheckResult(name='a', passed=True, detail='x', counterexample=None)", None),
+    "DenseOperator": (lambda: DenseOperator(1, 1, np.array([[2]], dtype=object)),
+                      DenseOperator(1, 1, np.array([[3]], dtype=object)),
+                      "DenseOperator(n=1, d=1, matrix=array([[2]], dtype=object))", None),
+}
+
+
+@pytest.mark.parametrize("build, other, text, key", RECORDS.values(), ids=RECORDS)
+def test_records_compare_print_hash_and_pickle_by_their_fields(build, other, text, key):
+    record = build()
+    assert record == build() and record != other and record != text
+    assert repr(record) == text
+    assert not hasattr(record, "__dict__") and weakref.ref(record)() is record
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(record, protocol))
+        assert type(copy) is type(record) and copy == record and repr(copy) == text
+    if key is None:  # mutable, so unhashable
+        with pytest.raises(TypeError):
+            hash(record)
+        for field in type(record).__slots__:
+            setattr(record, field, getattr(other, field))
+        assert repr(record) == repr(other)
+        return
+    field = type(record).__slots__[0]
+    assert hash(record) == hash(build()) == hash(key)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(record, field, getattr(other, field))
+    with pytest.raises(AttributeError):
+        setattr(record, "extra", 1)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert repr(record) == text
+
+
+def test_each_public_configuration_runs_the_validation_hook_once(monkeypatch):
+    # bench/tracer.py counts combinatorics.configurations_built by wrapping this hook
+    built = []
+    post_init = Configuration.__post_init__
+    monkeypatch.setattr(Configuration, "__post_init__", lambda config: (built.append(1), post_init(config)))
+    config = Configuration(((1, 3), (2,)))
+    for make in (lambda: Configuration.from_word("|13|2|"), lambda: to_configuration((1, 2, 1), 2),
+                 lambda: pickle.loads(pickle.dumps(config))):
+        assert make() == config
+    assert len(built) == 4
+    assert Configuration._trusted(((1, 3), (2,))) == config and len(enumerate_configurations(Params(2, 3))) == 8
+    assert len(built) == 4
 
 
 def test_params_validation():

@@ -1,4 +1,4 @@
-"""Only the commands that reach the dense oracle load numpy.
+"""Only the commands that reach the dense oracle load numpy, and only ``render`` loads the drawing code.
 
 Each case runs in a fresh interpreter, since an import cannot be undone in
 this one: a top-level ``import numpy`` anywhere but ``oracle`` fails here
@@ -50,6 +50,13 @@ def _cli(tmp_path: Path, *argv: str) -> dict:
 def test_importing_the_package_leaves_numpy_out(tmp_path, module):
     done = _python(f"import sys, {module}; print('numpy' in sys.modules)", cwd=tmp_path)
     assert done.stdout == "False\n"
+
+
+@pytest.mark.parametrize("module", ["schurbox", "schurbox.cli"])
+def test_importing_the_package_leaves_dataclasses_and_render_out(tmp_path, module):
+    # dataclasses pulls in inspect, ast, dis and tokenize; render loads on the first render command
+    code = f"import sys, {module}; print([name for name in ('dataclasses', 'schurbox.render') if name in sys.modules])"
+    assert _python(code, cwd=tmp_path).stdout == "[]\n"
 
 
 @pytest.mark.parametrize(
