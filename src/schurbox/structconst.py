@@ -216,21 +216,17 @@ def multiply_basis_euler(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> Al
     return AlgebraElement._from_counts(g1.n, g1.d, euler_fold(g1, g2))
 
 
-def _symmetry_maps(graphs: tuple[BipartiteMultigraph, ...]) -> list[list[int]]:
+def _symmetry_maps(position: dict[tuple[int, ...], int], n: int) -> list[list[int]]:
     """The symmetry's generators as basis-index maps: each adjacent box swap, then the transpose.
 
-    ``graphs`` is the basis in basis order.  Each image's flattened matrix is
-    looked up in a {flattened matrix: basis index} dict of that basis, built
-    here and dropped on return.
+    ``position`` is :func:`product_rows`' {flattened matrix: basis index} dict,
+    in basis order; each image's flattened matrix is looked up in it.
     """
-    n = graphs[0].n
-    keys = [g.sort_key for g in graphs]
-    position = {key: k for k, key in enumerate(keys)}
     cells = [divmod(cell, n) for cell in range(n * n)]
     swaps = [[*range(s), s + 1, s, *range(s + 2, n)] for s in range(n - 1)]
     # each generator as the flattened cell that every cell of the image reads
     flats = [[box[i] * n + box[j] for i, j in cells] for box in swaps] + [[j * n + i for i, j in cells]]
-    return [[position[tuple(map(key.__getitem__, flat))] for key in keys] for flat in flats]
+    return [[position[tuple(map(key.__getitem__, flat))] for key in position] for flat in flats]
 
 
 def product_rows(n: int, d: int) -> Iterator[dict[int, Entry]]:
@@ -262,7 +258,7 @@ def product_rows(n: int, d: int) -> Iterator[dict[int, Entry]]:
     by_bottom: dict[tuple[int, ...], list[int]] = {}
     for k, g in enumerate(graphs):
         by_bottom.setdefault(g.bottom_valencies(), []).append(k)
-    *swaps, t = _symmetry_maps(graphs)
+    *swaps, t = _symmetry_maps(position, n)
 
     @lru_cache(maxsize=4096)
     def shared(entry: Entry) -> Entry:

@@ -271,9 +271,15 @@ def check_t_basis(p: Params) -> CheckResult:
     the coefficients in row g1 of :func:`structconst.product_rows`, {g2: (term
     indices, coefficients)}, one fold per orbit: on a valency-compatible pair
     they give every nonzero coefficient, and on any other pair no count may
-    fall.  The first mismatch in g1, g2, g order is reported.
+    fall.  Each g1 holds the oracle's counts as two ``array("q")``: keys
+    g2·G + g by basis index, below G² <= 2^34 for G graphs under
+    ``ORBIT_CAP``, and counts.  A row matches when its sorted (key,
+    coefficient) list is theirs; the least key where they differ is the
+    first mismatch in g1, g2, g order, the one reported.
     """
     _check_t_basis_size(p)
+    from array import array
+
     from . import oracle
 
     graphs = basis(p.n, p.d)
@@ -299,26 +305,22 @@ def check_t_basis(p: Params) -> CheckResult:
             f"orbit and configuration matrices differ at {g}",
             serialize.dumps(serialize.graph_record(g)),
         )
-    counted = [{} for _ in graphs]  # per g1 position: {g2 position: {g position: count}}
-    positions = list(range(len(graphs)))  # shared ints for counted's keys
+    size = len(graphs)
+    keys = [array("q") for _ in graphs]  # per g1 position: g2 position · size + g position
+    counts = [array("q") for _ in graphs]  # the oracle's count at each of those keys
     for k, g in enumerate(graphs):
         for (i, j), count in oracle.orbit_composition_counts(g).items():
-            counted[i].setdefault(positions[j], {})[k] = count
+            keys[i].append(j * size + k)
+            counts[i].append(count)
     for i, (g1, row) in enumerate(zip(graphs, structconst.product_rows(p.n, p.d))):
-        products = {k: dict(zip(*entry)) for k, entry in row.items()}
-        for j in sorted(products.keys() | counted[i].keys()):
-            want, got = products.get(j, {}), counted[i].get(j, {})
-            wrong = [k for k in want.keys() | got.keys() if want.get(k, 0) != got.get(k, 0)]
-            if wrong:
-                g2, g = graphs[j], graphs[min(wrong)]
-                detail = f"composition count mismatch at {g1} * {g2} -> {g}"
-                return CheckResult("t-basis", False, detail, _counterexample(g1=g1, g2=g2, g=g))
-    return CheckResult(
-        "t-basis",
-        True,
-        f"{len(graphs)} transported matrices, {len(graphs) ** 3} composition coefficients",
-        None,
-    )
+        want = sorted((j * size + k, c) for j, (terms, coeffs) in row.items() for k, c in zip(terms, coeffs))
+        got = sorted(zip(keys[i], counts[i]))
+        if want != got:
+            j, k = divmod(min(set(want).symmetric_difference(got))[0], size)
+            g2, g = graphs[j], graphs[k]
+            detail = f"composition count mismatch at {g1} * {g2} -> {g}"
+            return CheckResult("t-basis", False, detail, _counterexample(g1=g1, g2=g2, g=g))
+    return CheckResult("t-basis", True, f"{size} transported matrices, {size ** 3} composition coefficients", None)
 
 
 def _compatible_pairs(p: Params) -> int:

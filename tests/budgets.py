@@ -42,8 +42,9 @@ def cli(line: str) -> tuple[str, ...]:
 
 SUITE = "from schurbox import verify; from schurbox.combinatorics import Params; assert verify.check_"
 ROWS = (
-    # (4,4) is t-basis's largest shape under its 10^6-pair cap; 225 MiB while each relabelled entry was its own tuple
-    Row("verify-4-4-t-basis", cli("verify -n 4 -d 4 --checks commutant,t-basis"), 120, 210,
+    # (4,4) is t-basis's largest shape under its 10^6-pair cap; 225 MiB while each relabelled entry was its own tuple,
+    # 188 MiB while t-basis held the counts as nested dicts
+    Row("verify-4-4-t-basis", cli("verify -n 4 -d 4 --checks commutant,t-basis"), 120, 85,
         "43c5aa5428095c3cea5152780523335464e9629ba5da31e64e2c82bc6dfb65e8"),
     # table bytes: (4,3) and (5,2) walk S_4 and S_5, (6,2) is the largest n under the product cap, (2,16) folds most
     Row("table-4-3", cli("table -n 4 -d 3 --out {w}/t.jsonl"), 24, None,

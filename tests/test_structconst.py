@@ -348,7 +348,7 @@ def test_counting_is_symmetric_under_transpose_and_box_relabelling(n, d):
     graphs = basis(n, d)
     swaps = [[*range(s), s + 1, s, *range(s + 2, n)] for s in range(n - 1)]
     images = [lambda g, sigma=sigma: relabelled(g, sigma) for sigma in swaps] + [transposed]
-    maps = structconst._symmetry_maps(graphs)
+    maps = structconst._symmetry_maps({g.sort_key: k for k, g in enumerate(graphs)}, n)
     assert len(maps) == len(images) == n
     for generator, image in zip(maps, images):
         assert generator == [rank(image(g).sort_key) for g in graphs]
