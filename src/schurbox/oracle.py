@@ -10,14 +10,14 @@ no :func:`graphs.pair_graph` call, graph or basis is made, so the oracle
 stays independent of the combinatorial engines.  A graph is counted from
 its cell only when an answer names it.  Everything else here reads
 it: the 0/1 matrix of a basis operator is ``labels == label``, the product
-of two basis operators is one column of middle-index counts, and commuting
-with the renaming action is one reindexing of the grid per adjacent
-transposition.  Matrices handed out hold plain Python ints (object-dtype
-numpy arrays), so arithmetic on them is exact.  The module refuses instances
-with more than 4096 basis vectors or more than 2^17 orbits
-(:func:`graphs.in_reach`); it exists to certify the fast paths, not to
-replace them.  It is the package's only numpy importer, and the rest of the
-package imports it only on the paths that read it.
+of two basis operators is one column of middle-index counts, and the cells
+that renaming moves (:func:`moved_cells`, none on a grid that commutes with
+it) are one reindexing of the grid per adjacent transposition.  Matrices
+handed out hold plain Python ints (object-dtype numpy arrays), so arithmetic
+on them is exact.  The module refuses instances with more than 4096 basis
+vectors or more than 2^17 orbits (:func:`graphs.in_reach`); it exists to
+certify the fast paths, not to replace them.  It is the package's only numpy
+importer, and the rest of the package imports it only where it reads it.
 """
 
 import itertools
@@ -39,7 +39,7 @@ from .graphs import (
 from .algebra import AlgebraElement
 
 _BLOCK_CELLS = 2**18
-"""Ball cells held at once by the grid build, rows x N x d int32 values; the commutant check reads as many rows."""
+"""Ball cells held at once by the grid build, rows x N x d int32 values; :func:`moved_cells` reads as many rows."""
 
 
 class NotInSpanError(ValueError):
@@ -189,24 +189,26 @@ def _transposition_indices(n: int, d: int) -> tuple[np.ndarray, ...]:
     return tuple(grid.swapaxes(s - 1, s).ravel() for s in range(1, d))
 
 
-def commutes_with_renaming(op: DenseOperator) -> bool:
-    """Whether a matrix commutes with every adjacent-transposition matrix.
+def moved_cells(m: np.ndarray, n: int, d: int):
+    """The cells (r, c) of an N×N matrix with ``m[σr, σc] != m[r, c]`` for an adjacent transposition σ.
 
-    Adjacent transpositions generate all renamings, so this is equivalent to
-    commuting with the whole action.  A transposition's matrix P permutes
-    basis vectors by an involution sigma, so ``op @ P == P @ op`` exactly
-    when reindexing both rows and columns of op by sigma leaves it unchanged;
-    no product is formed.  On the label grid itself this checks every basis
-    operator at once, since the operators partition the square.  Rows are
-    reindexed and compared a block at a time, so no second N×N array is held.
+    Yields (rows, columns) arrays per transposition and row block, a cell once
+    per transposition that moves it.  Those generate all renamings, so ``m``
+    commutes with the action (on the label grid: every basis operator does)
+    exactly when nothing comes.  No product or second N×N array is formed.
     """
-    m = op.matrix
-    block = max(1, _BLOCK_CELLS // (len(m) * op.d))
-    return all(
-        np.array_equal(m[sigma[r : r + block]][:, sigma], m[r : r + block])
-        for sigma in _transposition_indices(op.n, op.d)
-        for r in range(0, len(m), block)
-    )
+    block = max(1, _BLOCK_CELLS // (len(m) * d))
+    for sigma in _transposition_indices(n, d):
+        for r in range(0, len(m), block):
+            moved = m[sigma[r : r + block]][:, sigma] != m[r : r + block]
+            if moved.any():
+                rows, columns = moved.nonzero()
+                yield rows + r, columns
+
+
+def commutes_with_renaming(op: DenseOperator) -> bool:
+    """Whether a matrix commutes with every adjacent-transposition matrix: no cell of it is moved."""
+    return next(moved_cells(op.matrix, op.n, op.d), None) is None
 
 
 def check_commutant(g: BipartiteMultigraph) -> bool:

@@ -137,27 +137,26 @@ def check_commutant(p: Params, corrupt: bool = False) -> CheckResult:
     from . import oracle
 
     table = oracle.pair_table(p.n, p.d)
+    labels = table.labels
     if corrupt:
-        # deliberately relabel the first cell of the first orbit with two or more cells, clearing it from that
-        # operator, to prove that the harness notices.  Basis graph 0, (0, ..., 0, d), has one cell and graph 1,
-        # (0, ..., 0, 1, d - 1), has d: that is label 1 when n, d >= 2, and every orbit has one cell otherwise
+        # relabel the first cell of label 1 as 0, a one-cell orbit, to prove that the harness notices: graph 1,
+        # (0, ..., 0, 1, d - 1), is the first orbit of d >= 2 cells when n, d >= 2, and all have one cell otherwise
         if p.n < 2 or p.d < 2:
             raise ValueError(f"nothing to corrupt: no orbit at n={p.n}, d={p.d} has two or more cells")
         r, c = table.first_cell(1)
+        labels = labels.copy()
+        labels[r, c] = 0
+    moved = oracle.moved_cells(labels, p.n, p.d)
+    if corrupt:
+        if next(moved, None) is None:
+            return CheckResult("commutant", False, "self-test failed to detect the corruption", None)
         g = table.graph(r, c)
-        broken = table.labels.astype("int32")  # room for the -1 sentinel
-        broken[r, c] = -1
-        if not oracle.commutes_with_renaming(oracle.DenseOperator(p.n, p.d, broken)):
-            detail = f"self-test: corrupted operator for {g} no longer commutes"
-            return CheckResult("commutant", False, detail, _counterexample({"cleared-entry": [r, c]}, corrupted=g))
-        return CheckResult("commutant", False, "self-test failed to detect the corruption", None)
-    # one check on the label grid covers every basis operator: they partition the square.  An operator
-    # fails when a transposition moves one of its cells to another label, so the first to fail in
-    # basis order carries the least label of a moved cell
-    labels = table.labels
-    if not oracle.commutes_with_renaming(oracle.DenseOperator(p.n, p.d, labels)):
-        maps = oracle._transposition_indices(p.n, p.d)
-        label = min(labels[moved].min() for moved in (labels[s][:, s] != labels for s in maps) if moved.any())
+        detail = f"self-test: corrupted operator for {g} no longer commutes"
+        return CheckResult("commutant", False, detail, _counterexample({"cleared-entry": [r, c]}, corrupted=g))
+    # one pass over the grid covers every basis operator, as they partition the square; the first to fail in
+    # basis order holds the least label of a cell that a transposition moves to another label
+    label = min((labels[rows, columns].min() for rows, columns in moved), default=None)
+    if label is not None:
         g = basis(p.n, p.d)[label]
         detail = f"operator of {g} does not commute with renaming"
         return CheckResult("commutant", False, detail, serialize.dumps(serialize.graph_record(g)))
@@ -265,17 +264,17 @@ def check_t_basis(p: Params) -> CheckResult:
     """The label grid against pair graphs, then Green's counts against ``table``'s products.
 
     Every cell's label must name the graph :func:`pair_graph` gives for its
-    configuration pair.  That is read on the canonical rows of a grid that
-    commutes with renaming, and on every row of one that does not.  Then, for
-    every (g1, g2), the middle-index counts at the canonical cells must equal
-    the coefficients in row g1 of :func:`structconst.product_rows`, {g2: (term
-    indices, coefficients)}, one fold per orbit: on a valency-compatible pair
-    they give every nonzero coefficient, and on any other pair no count may
-    fall.  Each g1 holds the oracle's counts as two ``array("q")``: keys
-    g2·G + g by basis index, below G² <= 2^34 for G graphs under
-    ``ORBIT_CAP``, and counts.  A row matches when its sorted (key,
-    coefficient) list is theirs; the least key where they differ is the
-    first mismatch in g1, g2, g order, the one reported.
+    configuration pair.  That is read on the canonical rows and on the rows
+    holding a cell :func:`oracle.moved_cells` yields, which find every
+    (graph, label) pair that all N rows do.  Then, for every (g1, g2), the
+    middle-index counts at the canonical cells must equal the coefficients in
+    row g1 of :func:`structconst.product_rows`, {g2: (term indices,
+    coefficients)}, one fold per orbit: on a valency-compatible pair they give
+    every nonzero coefficient, and on any other pair no count may fall.  Each
+    g1 holds the oracle's counts as two ``array("q")``: keys g2·G + g by basis
+    index, below G² <= 2^34 for G graphs under ``ORBIT_CAP``, and counts.  A
+    row matches when its sorted (key, coefficient) list is theirs; the least
+    key where they differ, the first mismatch in g1, g2, g order, is named.
     """
     _check_t_basis_size(p)
     from array import array
@@ -285,11 +284,10 @@ def check_t_basis(p: Params) -> CheckResult:
     graphs = basis(p.n, p.d)
     table = oracle.pair_table(p.n, p.d)
     configs = enumerate_configurations(p)  # in multi-index order, the grid's
-    # pair_graph is renaming-invariant, so on a grid that commutes with renaming
-    # the canonical rows stand for every cell; any other grid is read in full
-    rows = range(table.size)
-    if oracle.commutes_with_renaming(oracle.DenseOperator(p.n, p.d, table.labels)):
-        rows = [index_position(canonical_index(content), p.n) for content in compositions(p.d, p.n)]
+    # every orbit meets a canonical row, where one wrong label shows; each label of a split orbit sits on a moved cell
+    rows = {index_position(canonical_index(content), p.n) for content in compositions(p.d, p.n)}
+    for moved, _ in oracle.moved_cells(table.labels, p.n, p.d):
+        rows.update(moved.tolist())
     differ = set()
     for r in rows:
         a = configs[r]

@@ -41,6 +41,10 @@ def cli(line: str) -> tuple[str, ...]:
 
 
 SUITE = "from schurbox import verify; from schurbox.combinatorics import Params; assert verify.check_"
+# the (2,12) grid, in place, with two cells of row (2,1,...,1) swapped: a row off the canonical rows
+DAMAGED = ("from schurbox import oracle, verify; from schurbox.combinatorics import Params; "
+           "l = oracle.pair_table(2, 12).labels; assert l[2048, 0] != l[2048, 1]; l.flags.writeable = True; "
+           "l[2048, 0], l[2048, 1] = l[2048, 1], l[2048, 0]; assert not verify.check_")
 ROWS = (
     # (4,4) is t-basis's largest shape under its 10^6-pair cap; 225 MiB while each relabelled entry was its own tuple,
     # 188 MiB while t-basis held the counts as nested dicts
@@ -77,11 +81,19 @@ ROWS = (
     Row("verify-2-2-corrupt", cli("verify -n 2 -d 2 --checks commutant --corrupt"), 10, None,
         "9a1d6823b0591983c089950cf3c56d88ab0b861c372b33600c86e83248a72876", exit=2,
         stderr='{"cleared-entry":[3,1],"corrupted":{"d":2,"matrix":[[0,0],[1,1]],"n":2}}'),
+    # 125 MiB while the self-test copied the grid as int32, to hold a -1 in the cleared cell
+    Row("verify-2-12-corrupt", cli("verify -n 2 -d 12 --checks commutant --corrupt"), 20, 105,
+        "999a52b5bf4d9c7f2ec93e3ce84caca4028a9deaab03f10ddc10824cc0a2bb3c", exit=2,
+        stderr='{"cleared-entry":[4095,2047],"corrupted":{"d":12,"matrix":[[0,0],[1,11]],"n":2}}'),
     Row("verify-1-3-corrupt-refused", cli("verify -n 1 -d 3 --checks commutant --corrupt"), 10, exit=1,
         stderr="has two or more cells"),
     # suite peaks: 174 MiB while commutant reindexed the whole grid per transposition, 160 MiB while the orbit
     # bijection held every pair graph, 138 MiB while the grid build decoded keys through a stored index
     Row("commutant-2-12", ("-c", SUITE + "commutant(Params(2, 12)).passed"), 120, 75),
+    # a damaged grid: 156 MiB while commutant searched the whole grid again for the least moved label, 121 s while
+    # t-basis read all 4096 rows of a grid that does not commute
+    Row("commutant-2-12-damaged", ("-c", DAMAGED + "commutant(Params(2, 12)).passed"), 30, 75),
+    Row("t-basis-2-12-damaged", ("-c", DAMAGED + "t_basis(Params(2, 12)).passed"), 30, 75),
     Row("orbit-bijection-9-3", ("-c", SUITE + "orbit_bijection(Params(9, 3)).passed"), 120, 49),
     Row("pair-table-9-3", ("-c", "from schurbox import graphs, oracle; oracle.pair_table(9, 3); "
                            "assert graphs.basis.cache_info().currsize == 0, 'pair_table(9, 3) enumerated the basis'"),

@@ -3,7 +3,8 @@
 A permutation w of {1, ..., d} is its image tuple (w(1), ..., w(d)), and it
 renames a multi-index by place permutation, entry s of the result being
 entry w(s) of the index.  The package implements that action only on the
-whole multi-index order (``oracle._transposition_indices``).
+whole multi-index order (``oracle._transposition_indices``).  :func:`damaged`
+breaks a label grid in the ways the grid-reading checks are tested against.
 
 >>> act_on_index((2, 3, 1), (1, 1, 2))
 (1, 2, 1)
@@ -12,8 +13,11 @@ whole multi-index order (``oracle._transposition_indices``).
 """
 
 import itertools
+import random
 from collections.abc import Iterator, Sequence
 from operator import add, itemgetter, le
+
+import numpy as np
 
 from schurbox.algebra import AlgebraElement
 from schurbox.combinatorics import column_arrangements
@@ -43,6 +47,35 @@ def act_on_index(w: Permutation, index: Sequence[int]) -> tuple[int, ...]:
     if len(w) != len(index):
         raise ValueError(f"degree mismatch: permutation of 1..{len(w)} cannot act on a length-{len(index)} index")
     return tuple(index[image - 1] for image in w)
+
+
+DAMAGE = ("swapped-cells", "relabelled-cells", "relabelled-orbit", "copied-row", "transposed-cells")
+
+
+def damaged(labels: np.ndarray, kind: str, rng: random.Random) -> np.ndarray:
+    """A writable copy of a label grid with one seeded damage of ``kind``, one of :data:`DAMAGE`.
+
+    Cells are drawn anywhere in the grid, and a relabelled orbit takes
+    another label the grid holds, so some damage leaves the grid as it was.
+    """
+    broken, size = labels.copy(), len(labels)
+    cells = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randint(2, 3))]
+    if kind == "swapped-cells":
+        a, b = cells[:2]
+        broken[a], broken[b] = labels[b], labels[a]
+    elif kind == "relabelled-cells":
+        for cell in cells:
+            broken[cell] = rng.randrange(int(labels.max()) + 1)
+    elif kind == "relabelled-orbit":
+        broken[labels == rng.randrange(int(labels.max()) + 1)] = rng.randrange(int(labels.max()) + 1)
+    elif kind == "copied-row":
+        broken[rng.randrange(size)] = labels[rng.randrange(size)]
+    elif kind == "transposed-cells":
+        for r, c in cells:
+            broken[r, c] = labels[c, r]
+    else:
+        raise ValueError(f"unknown damage {kind!r}; choose from {DAMAGE}")
+    return broken
 
 
 def counting_sweep(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> AlgebraElement:

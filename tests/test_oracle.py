@@ -5,6 +5,7 @@ import itertools
 import random
 import tracemalloc
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -29,13 +30,14 @@ from schurbox.oracle import (
     check_commutant,
     commutes_with_renaming,
     decompose,
+    moved_cells,
     multiply_basis_oracle,
     operator_matrix,
     orbit_composition_count,
     pair_table,
 )
 
-from reference import Permutation, act_on_index, all_permutations, transposition
+from reference import DAMAGE, Permutation, act_on_index, all_permutations, damaged, transposition
 
 G1 = BipartiteMultigraph(((2, 1), (0, 1)))
 G2 = BipartiteMultigraph(((2, 0), (1, 1)))
@@ -396,6 +398,54 @@ def test_commutes_with_renaming_compares_every_row_block(monkeypatch):
     # the last row is (2,2,2,2,2), fixed by every transposition; column 1, (1,1,1,1,2), is not
     broken[-1, 1] += 1
     assert not commutes_with_renaming(DenseOperator(p.n, p.d, broken))
+
+
+def _moved_by_brute_force(labels, p):
+    """Each cell (r, c) whose image under an adjacent transposition carries another label, once per such one."""
+    indices = enumerate_multi_indices(p)
+    position = {index: k for k, index in enumerate(indices)}
+    moved = Counter()
+    for s in range(1, p.d):
+        w = transposition(p.d, s, s + 1)
+        sigma = [position[act_on_index(w, index)] for index in indices]
+        for r, c in itertools.product(range(len(indices)), repeat=2):
+            if labels[sigma[r], sigma[c]] != labels[r, c]:
+                moved[r, c] += 1
+    return moved
+
+
+def _yielded(labels, p):
+    blocks = moved_cells(labels, p.n, p.d)
+    return Counter(cell for rows, columns in blocks for cell in zip(rows.tolist(), columns.tolist()))
+
+
+@pytest.mark.parametrize("p", [Params(2, 3), Params(3, 2), Params(2, 4)], ids=str)
+def test_moved_cells_are_the_cells_a_transposition_moves_to_another_label(p):
+    labels = pair_table(p.n, p.d).labels
+    assert _yielded(labels, p) == Counter()
+    rng = random.Random(p.n * 10 + p.d)
+    seen = set()
+    for kind in DAMAGE * 4:
+        broken = damaged(labels, kind, rng)
+        expected = _moved_by_brute_force(broken, p)
+        assert _yielded(broken, p) == expected, kind
+        seen.add(bool(expected))
+    assert seen == {True, False}
+
+
+def test_moved_cells_reads_every_row_block(monkeypatch):
+    # blocks of 3 rows split the 16 rows of (2,4) into 6, the last one short
+    p = Params(2, 4)
+    labels = pair_table(p.n, p.d).labels
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 3 * len(labels) * p.d)
+    assert _yielded(labels, p) == Counter()
+    rng = random.Random(5)
+    for kind in DAMAGE * 2:
+        broken = damaged(labels, kind, rng)
+        assert _yielded(broken, p) == _moved_by_brute_force(broken, p), kind
+    broken = labels.copy()
+    broken[-1, 1] += 1  # in the short last block
+    assert _yielded(broken, p) == _moved_by_brute_force(broken, p) != Counter()
 
 
 @pytest.mark.parametrize("p", [Params(2, 3), Params(3, 2)])

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from schurbox import algebra, combinatorics, oracle, structconst, verify
+from schurbox import algebra, combinatorics, oracle, serialize, structconst, verify
 from schurbox.algebra import AlgebraElement
 from schurbox.combinatorics import (
     Params,
@@ -44,6 +44,8 @@ from schurbox.verify import (
     check_t_basis,
     run_checks,
 )
+
+from reference import DAMAGE, damaged
 
 
 def test_full_suite_passes_at_desk_scale():
@@ -447,7 +449,7 @@ def test_a_transposed_pair_graph_fails_the_smaller_grid_sweep(monkeypatch):
 
 
 def test_t_basis_reads_every_row_of_a_grid_that_does_not_commute(monkeypatch):
-    # two cells off the canonical rows swap labels: only the full read sees which
+    # two cells off the canonical rows swap labels: each is moved by a transposition, so its row is read
     p = Params(2, 3)
     table = oracle.pair_table(p.n, p.d)
     rows = {index_position(to_multi_index(a), p.n) for a in _canonical_rows(p)}
@@ -467,6 +469,61 @@ def test_t_basis_reads_every_row_of_a_grid_that_does_not_commute(monkeypatch):
     result = check_t_basis(p)
     assert not result.passed
     assert result.detail == f"orbit and configuration matrices differ at {g}"
+
+
+def _grid_half_reading_every_row(p, labels):
+    """The first half of t-basis as it read all N rows: the least graph of a cell whose label is not its own."""
+    graphs, configs = enumerate_graphs(p), enumerate_configurations(p)
+    differ = set()
+    for a, row in zip(configs, labels.tolist()):
+        for b, label in zip(configs, row):
+            if pair_graph(a, b) != graphs[label]:
+                differ.update((pair_graph(a, b), graphs[label]))
+    return min(differ, key=graphs.index, default=None)
+
+
+@pytest.mark.parametrize("p", [Params(2, 3), Params(3, 2), Params(2, 4), Params(3, 3)], ids=str)
+def test_t_basis_reports_what_a_read_of_every_row_reports(monkeypatch, p):
+    table = oracle.pair_table(p.n, p.d)
+    sound = check_t_basis(p)
+    rng = random.Random(p.n * 10 + p.d)
+    caught = 0
+    for kind in DAMAGE * 3:
+        broken = oracle.PairTable(table.p)
+        broken.labels = damaged(table.labels, kind, rng)
+        g = _grid_half_reading_every_row(p, broken.labels)
+        expected = sound
+        if g is not None:
+            detail = f"orbit and configuration matrices differ at {g}"
+            expected = verify.CheckResult("t-basis", False, detail, serialize.dumps(graph_record(g)))
+        with monkeypatch.context() as patched:
+            patched.setattr(oracle, "pair_table", lambda n, d: broken)
+            assert check_t_basis(p) == expected, kind
+        caught += g is not None
+    assert caught
+
+
+def test_t_basis_reads_the_rows_of_moved_cells_not_every_row(monkeypatch):
+    # two cells of row (2,1,...,1), off the canonical rows, swap labels: 11 rows of 256 are read, not 256
+    p = Params(2, 8)
+    table = oracle.pair_table(p.n, p.d)
+    r = index_position((2,) + (1,) * 7, p.n)
+    assert table.labels[r, 0] != table.labels[r, 1]
+    broken = oracle.PairTable(table.p)
+    broken.labels = table.labels.copy()
+    broken.labels[r, 0], broken.labels[r, 1] = table.labels[r, 1], table.labels[r, 0]
+    monkeypatch.setattr(oracle, "pair_table", lambda n, d: broken)
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return pair_graph(a, b)
+
+    monkeypatch.setattr(verify, "pair_graph", counted)
+    result = check_t_basis(p)
+    assert not result.passed
+    assert result.detail.startswith("orbit and configuration matrices differ at ")
+    assert len(calls) <= 4096
 
 
 def _refused(*args, **kwargs):
@@ -534,6 +591,29 @@ def test_commutant_names_the_graph_the_basis_order_search_finds(monkeypatch, p):
         assert result.passed is (first is None)
         if first is not None:
             assert result.detail == f"operator of {first} does not commute with renaming"
+
+
+def test_commutant_blames_the_least_moved_label_over_every_block(monkeypatch):
+    # in 3-row blocks the least moved label may sit in any block of any transposition, not only the first to move
+    p = Params(2, 4)
+    table = oracle.pair_table(p.n, p.d)
+    graphs = enumerate_graphs(p)
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 3 * table.size * p.d)
+    rng = random.Random(4)
+    caught = 0
+    for kind in DAMAGE * 4:
+        broken = oracle.PairTable(table.p)
+        broken.labels = damaged(table.labels, kind, rng)
+        with monkeypatch.context() as patched:
+            patched.setattr(oracle, "pair_table", lambda n, d: broken)
+            first = next((g for g in graphs if not oracle.check_commutant(g)), None)
+            patched.setattr(oracle, "operator_matrix", _refused)
+            result = check_commutant(p)
+        assert result.passed is (first is None)
+        if first is not None:
+            assert result.detail == f"operator of {first} does not commute with renaming", kind
+            caught += 1
+    assert caught
 
 
 def test_the_oracle_and_commutant_enumerate_no_graph(monkeypatch):
