@@ -12,9 +12,8 @@ that is, by sending the balls of b down the edges of g in every admissible
 way; the result is zero unless the top valencies of g equal the content of
 b.  These operators commute with ball renaming and span all endomorphisms
 that do, so elements here are exactly the equivariant operators on the
-configuration module.  Products of basis operators are delegated to the
-engines in ``structconst`` (with a dense-matrix route in ``oracle``) and
-memoized.
+configuration module.  :func:`multiply` sums the raw counts of basis
+products from the production engine in ``structconst`` and keeps none.
 
 Coefficients are plain unbounded integers.  Operations accept an optional
 prime ``mod`` and then reduce into the field with that many elements, using
@@ -309,21 +308,22 @@ def engine_function(name: str) -> Callable[[BipartiteMultigraph, BipartiteMultig
     return getattr(module, f"{name}_fold")
 
 
-@lru_cache(maxsize=2**16)
+@lru_cache(maxsize=0)
 def basis_product(g1: BipartiteMultigraph, g2: BipartiteMultigraph) -> AlgebraElement:
-    """Product of two basis operators by the production engine, memoized (the 2**16 most recent)."""
+    """What :func:`structconst.multiply_basis_euler` gives; no module here calls it, and its cache holds nothing."""
     return AlgebraElement._from_counts(g1.n, g1.d, engine_function("euler")(g1, g2))
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement, mod: int | None = None) -> AlgebraElement:
-    """Product in the algebra, bilinear over memoized basis products of the default engine."""
+    """Product in the algebra: the production engine's raw counts summed bilinearly; nothing is kept."""
     if (x.n, x.d) != (y.n, y.d):
         raise ValueError(f"shape mismatch: ({x.n},{x.d}) vs ({y.n},{y.d})")
     check_modulus(mod)
-    terms = _summed(
-        (g, c1 * c2 * c)
+    fold = engine_function("euler")
+    counts = _summed(
+        (key, c1 * c2 * c)
         for g1, c1 in x._terms.items()
         for g2, c2 in y._terms.items()
-        for g, c in basis_product(g1, g2)._terms.items()
+        for key, c in fold(g1, g2).items()
     )
-    return AlgebraElement._from_terms(x.n, x.d, terms).reduce(mod)
+    return AlgebraElement._from_counts(x.n, x.d, counts).reduce(mod)

@@ -45,6 +45,14 @@ SUITE = "from schurbox import verify; from schurbox.combinatorics import Params;
 DAMAGED = ("from schurbox import oracle, verify; from schurbox.combinatorics import Params; "
            "l = oracle.pair_table(2, 12).labels; assert l[2048, 0] != l[2048, 1]; l.flags.writeable = True; "
            "l[2048, 0], l[2048, 1] = l[2048, 1], l[2048, 0]; assert not verify.check_")
+# 50 distinct dense (4,16) products in one library loop: the all-ones graph times graphs whose rows sum to 4
+DENSE_PRODUCTS = ("import itertools, random; from schurbox.graphs import BipartiteMultigraph as G; "
+                  "from schurbox.algebra import AlgebraElement as A, basis_product, multiply; "
+                  "rows = sorted(set(itertools.permutations((2, 1, 1, 0)))) + [(1, 1, 1, 1)]; "
+                  "rng, x = random.Random(0), A.basis(G(((1, 1, 1, 1),) * 4)); "
+                  "ms = list(dict.fromkeys(tuple(rng.choice(rows) for _ in range(4)) for _ in range(100)))[:50]; "
+                  "terms = sum(len(multiply(x, A.basis(G(m))).support()) for m in ms); "
+                  "print(len(ms), terms, basis_product.cache_info().currsize)")
 ROWS = (
     # (4,4) is t-basis's largest shape under its 10^6-pair cap; 225 MiB while each relabelled entry was its own tuple,
     # 188 MiB while t-basis held the counts as nested dicts
@@ -101,6 +109,9 @@ ROWS = (
     # 10,147 terms; 35 MiB while each term was built as a graph, an element term and a dict record
     Row("multiply-ones", cli("multiply {w}/ones.json {w}/ones.json"), 20, 28,
         "d280be9795a91139491b81442c6ea254ae2bfed072990014c3af56bd7357e9d2"),
+    # prints "50 262635 0"; 149 MiB and a cache of all 50 products while multiply memoized every basis product
+    Row("library-dense-products", ("-c", DENSE_PRODUCTS), 30, 28,
+        "dfce0151bd04520b9f3b20353f8f631a02423d8497cbe33aa0b34cf025467f69"),
     # 91,881 lines; 79 MiB while it held the lines as a list and as their join, 38 MiB while it built every graph
     Row("basis-9-3", cli("basis -n 9 -d 3 --out {w}/b.jsonl"), 60, 24,
         "e1cdea3d6d639886cf0e0862eab4ba3216710a81d0de1ec5dd1899b6f780b665"),

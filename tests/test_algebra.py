@@ -160,11 +160,13 @@ def test_vectors_and_operators_do_not_mix():
 
 def test_multiply_checks_the_modulus_before_any_product(monkeypatch):
     calls = []
-    monkeypatch.setattr(algebra, "basis_product", lambda *args: calls.append(args))
+    # engine_function reads the fold off its module on each call
+    monkeypatch.setattr(structconst, "euler_fold", lambda *args: calls.append(args) or {})
     x = AlgebraElement.basis(G1)
     with pytest.raises(ValueError, match="modulus must be prime"):
         multiply(x, x, mod=4)
     assert calls == []
+    assert multiply(x, x, mod=5).is_zero and calls == [(G1, G1)]
 
 
 def test_apply_basis_worked_expansion():
@@ -332,7 +334,7 @@ def test_engine_dispatch(monkeypatch):
     # a loaded engine module still has its function read on every call
     monkeypatch.setattr(structconst, "counting_fold", lambda g1, g2: "patched")
     assert engine_function("counting")(G1, g2) == "patched"
-    # the memo serves the production engine only, as an element
+    # basis_product gives the production engine's product only, as an element
     terms = {BipartiteMultigraph(((2, 1), (1, 0))): 1, BipartiteMultigraph(((3, 0), (0, 1))): 3}
     assert basis_product(G1, g2) == AlgebraElement(2, 4, terms)
     with pytest.raises(TypeError):
@@ -340,7 +342,28 @@ def test_engine_dispatch(monkeypatch):
 
 
 def test_basis_product_cache_is_bounded():
-    assert basis_product.cache_info().maxsize == 2**16
+    assert basis_product.cache_info().maxsize == 0
+    x = AlgebraElement.basis(G1)
+    assert basis_product(G1, G1) == multiply(x, x)
+    assert basis_product.cache_info().currsize == 0
+    multiply(x + x, x)
+    assert basis_product.cache_info().currsize == 0
+
+
+def test_library_products_hold_nothing():
+    # ten distinct dense (4,16) products: the all-ones graph times graphs whose rows sum to 4
+    rows = sorted(set(itertools.permutations((2, 1, 1, 0)))) + [(1, 1, 1, 1)]
+    rng = random.Random(0)
+    draws = (tuple(rng.choice(rows) for _ in range(4)) for _ in range(20))
+    ones = BipartiteMultigraph(((1, 1, 1, 1),) * 4)
+    x = AlgebraElement.basis(ones)
+    for i, m in enumerate(list(dict.fromkeys(draws))[:10]):
+        g = BipartiteMultigraph(m)
+        y = AlgebraElement.basis(g)
+        product = multiply(x, y) if i % 2 else x * y
+        assert len(product.support()) > 1000
+        assert product == structconst.multiply_basis_euler(ones, g)
+    assert basis_product.cache_info().currsize == 0
 
 
 def test_dunder_mul_multiplies():
